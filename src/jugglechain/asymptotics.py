@@ -9,13 +9,12 @@ inverse lambda(mu), and the limiting ball density d lambda / d mu.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .chain import CoinConfig
+from .chain import CoinConfig, _plain_step
 from .errors import DomainError
 from .series import sn
 
@@ -149,25 +148,23 @@ def empirical_density(
         raise DomainError("need 0 <= burnin <= steps")
     if buckets_per_unit is None:
         buckets_per_unit = balls
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     heads = e ** (1.0 / balls)
     log_heads = math.log(heads)
     hmax = int(math.ceil(mu_max * balls))
-    occupancy = np.zeros(hmax, dtype=np.int64)
-    state = np.arange(balls, dtype=np.int64)
+    occupancy = [0] * hmax
+    state = tuple(range(balls))
     samples = 0
     for step in range(steps):
         u = rng.random()
         # number of leading heads: P(k >= j) = heads^j
         k = balls if u <= 0.0 else min(balls, int(math.log(u) / log_heads))
-        if k >= balls:
-            state = state + 1
-        else:
-            # tails on flip k+1 moves the (k+1)-th last ball to the front
-            keep = np.delete(state, balls - 1 - k) + 1
-            state = np.concatenate(([0], keep))
+        state = _plain_step(state, k)
         if step >= burnin:
-            occupancy[state[state < hmax]] += 1
+            for h in state:
+                if h >= hmax:
+                    break
+                occupancy[h] += 1
             samples += 1
 
     bucket_sums: dict[int, list[float]] = {}

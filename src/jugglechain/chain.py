@@ -17,12 +17,7 @@ from fractions import Fraction
 from typing import Protocol
 
 from .series import sn
-from .states import (
-    JugglingState,
-    inversions,
-    prepend_empty,
-    states_up_to_inversions,
-)
+from .states import JugglingState, inversions, states_up_to_inversions
 
 
 class FlipSource(Protocol):
@@ -77,12 +72,17 @@ class TransitionDist:
         return dict(self.entries)
 
 
-def move_to_front(state: JugglingState, index_from_front: int) -> JugglingState:
-    """Remove the j-th x (1-indexed from the front), shift the rest up one,
-    and occupy position 0."""
-    removed = state.positions[index_from_front - 1]
-    rest = [p + 1 for p in state.positions if p != removed]
-    return JugglingState(tuple(sorted([0] + rest)))
+def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The move after k leading heads (0 <= k <= b) on sorted positions.
+
+    k = b shifts every ball up one; otherwise the (k+1)-th last ball moves
+    to position 0 and the others shift up one.
+    """
+    moved = len(positions) - 1 - k
+    if moved < 0:
+        return tuple([p + 1 for p in positions])
+    rest = positions[:moved] + positions[moved + 1 :]
+    return (0,) + tuple([p + 1 for p in rest])
 
 
 def backward_step(
@@ -91,23 +91,24 @@ def backward_step(
     """One sampled step; returns (new state, number of flips used)."""
     b = state.balls
     p = coin.heads_probability
-    for i in range(1, b + 1):
-        if not rng.heads(p):  # tails on flip i: move the i-th last x
-            return move_to_front(state, b - i + 1), i
-    return prepend_empty(state), b
+    k = 0
+    while k < b and rng.heads(p):
+        k += 1
+    return JugglingState(_plain_step(state.positions, k)), min(k + 1, b)
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: b+1 outcomes.
 
-    Moving the j-th x (from the front) has probability (1 - 1/q) q^(j-b);
-    the all-heads shift has probability q^-b.
+    k leading heads then tails (k < b) has probability (1 - 1/q) q^-k;
+    all b heads has probability q^-b.
     """
     q = coin.q
     b = state.balls
-    entries = [(prepend_empty(state), q ** -b)]
-    for j in range(1, b + 1):
-        entries.append((move_to_front(state, j), (1 - 1 / q) * q ** (j - b)))
+    entries = []
+    for k in range(b + 1):
+        prob = (1 - 1 / q) * q**-k if k < b else q**-b
+        entries.append((JugglingState(_plain_step(state.positions, k)), prob))
     return TransitionDist(tuple(entries))
 
 
@@ -221,13 +222,3 @@ def tv_distance(
         diff += abs(emp - weight)
     remainder = 1 - covered  # stationary mass never compared, empirical 0
     return float((diff + remainder) / 2)
-
-
-def exact_distribution_restricted(
-    coin: CoinConfig, balls: int, max_inversions: int
-) -> list[tuple[JugglingState, Fraction]]:
-    """Stationary weights of all states up to an inversion cap."""
-    return [
-        (s, stationary_weight(s, coin))
-        for s in states_up_to_inversions(balls, max_inversions)
-    ]

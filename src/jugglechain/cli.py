@@ -103,8 +103,38 @@ def _emit(args, header: list[str], rows: list[list], seed=None) -> None:
         sys.stdout.write(text)
 
 
+class _FlagError(Exception):
+    """A flag value that parses but does not fit the other flags; main
+    reports it like argparse does, with exit status 2."""
+
+
 def _parse_q(text: str) -> Fraction:
-    return Fraction(text)
+    """argparse type of --q: an exact rational above 1."""
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+    if q <= 1:
+        raise argparse.ArgumentTypeError(f"q must exceed 1, got {text}")
+    return q
+
+
+def _natural(text: str) -> int:
+    """argparse type of counts and caps: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _check_burnin(args) -> None:
+    if args.burnin >= args.steps:
+        raise _FlagError(
+            f"--burnin ({args.burnin}) must be below --steps ({args.steps})"
+        )
 
 
 def _parse_labels(text: str) -> tuple[int, ...]:
@@ -125,7 +155,7 @@ def cmd_siteswap(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    coin = CoinConfig(_parse_q(args.q))
+    coin = CoinConfig(args.q)
     if args.flag_state:
         state = parse_flag_state(args.flag_state)
         dist = flag_backward_dist(state, coin)
@@ -138,14 +168,17 @@ def cmd_dist(args) -> int:
 
 
 def cmd_stationary_check(args) -> int:
-    coin = CoinConfig(_parse_q(args.q))
+    coin = CoinConfig(args.q)
     rows = []
     all_ok = True
     if args.labels:
         labels = _parse_labels(args.labels)
         for state in flag_states_up_to_inversions(labels, args.max_inversions):
             drop_cap = args.drop_cap or (len(state.cells) + len(labels) + 20)
-            bracket = verify_flag_stationarity(state, coin, drop_cap)
+            try:
+                bracket = verify_flag_stationarity(state, coin, drop_cap)
+            except ValueError as exc:  # drop_cap below this state's minimum
+                raise _FlagError(f"--drop-cap {drop_cap} at state {state}: {exc}")
             all_ok &= bracket.ok
             rows.append(
                 [
@@ -253,6 +286,7 @@ def cmd_series(args) -> int:
 
 def cmd_density(args) -> int:
     if args.empirical:
+        _check_burnin(args)
         rows_data = empirical_density(
             balls=args.balls,
             e=args.e,
@@ -273,7 +307,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    coin = CoinConfig(_parse_q(args.q))
+    _check_burnin(args)
+    coin = CoinConfig(args.q)
     rng = ChainRng(args.seed)
     if args.labels:
         labels = _parse_labels(args.labels)
@@ -345,14 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact backward transition distribution")
     p.add_argument("--state", help="plain state, e.g. --xx-x")
     p.add_argument("--flag-state", help="labeled state, e.g. --31-2")
-    p.add_argument("--q", required=True, help="exact rational > 1, e.g. 2 or 7/2")
+    p.add_argument(
+        "--q", type=_parse_q, required=True, help="exact rational > 1, e.g. 2 or 7/2"
+    )
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("stationary-check", help="exact/bracketed balance sweep")
     p.add_argument("--balls", type=int, default=2)
     p.add_argument("--labels", help="comma-separated label multiset for the flag chain")
-    p.add_argument("--q", required=True)
-    p.add_argument("--max-inversions", type=int, default=6)
+    p.add_argument("--q", type=_parse_q, required=True)
+    p.add_argument("--max-inversions", type=_natural, default=6)
     p.add_argument("--drop-cap", type=int)
     p.set_defaults(func=cmd_stationary_check)
 
@@ -365,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("series", help="exact q-series identity checks")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_natural, default=DEFAULT_DEGREE)
     p.add_argument("--partition-max", type=int, default=4)
     p.add_argument("--perm-max", type=int, default=6)
     p.add_argument("--grassmann-max", type=int, default=8)
@@ -388,27 +425,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--balls", type=int, default=64)
-    p.add_argument("--steps", type=int, default=200_000)
-    p.add_argument("--burnin", type=int, default=20_000)
+    p.add_argument("--steps", type=_natural, default=200_000)
+    p.add_argument("--burnin", type=_natural, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="trajectory histogram and TV report")
     p.add_argument("--balls", type=int, default=2)
     p.add_argument("--labels", help="simulate the flag chain over this multiset")
-    p.add_argument("--q", required=True)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--burnin", type=int, default=1_000)
+    p.add_argument("--q", type=_parse_q, required=True)
+    p.add_argument("--steps", type=_natural, default=100_000)
+    p.add_argument("--burnin", type=_natural, default=1_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-inversions", type=int, default=10)
+    p.add_argument("--max-inversions", type=_natural, default=10)
     p.add_argument("--trajectory", help="also write one state per line here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("digraph", help="forward edge dump with caps")
     p.add_argument("--state")
     p.add_argument("--flag-state")
-    p.add_argument("--max-throw", type=int, default=9)
-    p.add_argument("--max-drop", type=int, default=9)
+    p.add_argument("--max-throw", type=_natural, default=9)
+    p.add_argument("--max-drop", type=_natural, default=9)
     p.set_defaults(func=cmd_digraph)
 
     return parser
@@ -441,6 +478,8 @@ def main(argv=None) -> int:
         parser.error("digraph needs exactly one of --state / --flag-state")
     try:
         return args.func(args)
+    except _FlagError as exc:
+        parser.error(str(exc))
     except JuggleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,9 +7,10 @@ transition laws that the chains must reproduce with q = p.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .chain import TransitionDist
 from .errors import ResourceLimit
@@ -190,63 +191,54 @@ def formula_group_fraction(
     return group_prefactor(labels, Fraction(p)) / p ** flag_inversions(target)
 
 
+def _fraction_sweep(
+    height: int,
+    width: int,
+    p: int,
+    key: Callable[[FqMatrix], Hashable],
+    budget: int,
+) -> dict:
+    """Fraction of all height x width matrices over Z/p by key(matrix)."""
+    counts = Counter(map(key, enumerate_matrices(height, width, p, budget)))
+    total = p ** (height * width)
+    return {k: Fraction(v, total) for k, v in counts.items()}
+
+
 def pivot_fraction_sweep(
     b: int, n: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[JugglingState], Fraction]:
     """Fraction of b x N matrices by pivot state (None = rank deficient)."""
-    counts: dict[Optional[JugglingState], int] = {}
-    total = p ** (b * n)
-    for m in enumerate_matrices(b, n, p, budget):
-        key = pivot_state(m)
-        counts[key] = counts.get(key, 0) + 1
-    return {k: Fraction(v, total) for k, v in counts.items()}
+    return _fraction_sweep(b, n, p, pivot_state, budget)
 
 
 def flag_fraction_sweep(
     b: int, w: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[FlagState], Fraction]:
-    counts: dict[Optional[FlagState], int] = {}
-    total = p ** (b * w)
-    for m in enumerate_matrices(b, w, p, budget):
-        key = flag_pivot_state(m)
-        counts[key] = counts.get(key, 0) + 1
-    return {k: Fraction(v, total) for k, v in counts.items()}
+    return _fraction_sweep(b, w, p, flag_pivot_state, budget)
 
 
 def group_fraction_sweep(
     labels: Sequence[int], w: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[FlagState], Fraction]:
-    b = len(labels)
-    counts: dict[Optional[FlagState], int] = {}
-    total = p ** (b * w)
-    for m in enumerate_matrices(b, w, p, budget):
-        key = coarse_flag_pivot_state(m, labels)
-        counts[key] = counts.get(key, 0) + 1
-    return {k: Fraction(v, total) for k, v in counts.items()}
+    return _fraction_sweep(
+        len(labels), w, p, lambda m: coarse_flag_pivot_state(m, labels), budget
+    )
 
 
-def pivot_fraction_exhaustive(
-    b: int, n: int, p: int, target: JugglingState, budget: int = 2_000_000
-) -> Fraction:
-    if target.positions and target.positions[-1] >= n:
-        raise ValueError("target's last x must fit inside the matrix width")
-    return pivot_fraction_sweep(b, n, p, budget).get(target, Fraction(0))
-
-
-def flag_fraction_exhaustive(
-    b: int, w: int, p: int, target: FlagState, budget: int = 2_000_000
-) -> Fraction:
-    if len(target.cells) > w:
-        raise ValueError("target must fit inside the matrix width")
-    return flag_fraction_sweep(b, w, p, budget).get(target, Fraction(0))
-
-
-def group_fraction_exhaustive(
-    labels: Sequence[int], w: int, p: int, target: FlagState, budget: int = 2_000_000
-) -> Fraction:
-    if sorted(target.labels) != sorted(labels):
-        raise ValueError("target labels must match the multiset")
-    return group_fraction_sweep(labels, w, p, budget).get(target, Fraction(0))
+def _prepend_law(
+    matrix: FqMatrix, key: Callable[[FqMatrix], Hashable]
+) -> TransitionDist:
+    """Law of key(matrix) after prepending a uniformly random column."""
+    if key(matrix) is None:
+        raise ValueError("matrix must have full rank")
+    p = matrix.p
+    columns = itertools.product(range(p), repeat=matrix.height)
+    counts = Counter(key(matrix.prepend_column(col)) for col in columns)
+    assert None not in counts  # prepending preserves full rank
+    total = p**matrix.height
+    return TransitionDist(
+        tuple((s, Fraction(c, total)) for s, c in counts.items())
+    )
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
@@ -254,34 +246,12 @@ def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
 
     Must coincide with the plain backward chain's one-step law at q = p.
     """
-    if pivot_state(matrix) is None:
-        raise ValueError("matrix must have full rank")
-    p = matrix.p
-    counts: dict[JugglingState, int] = {}
-    for col in itertools.product(range(p), repeat=matrix.height):
-        state = pivot_state(matrix.prepend_column(col))
-        assert state is not None  # prepending preserves full rank
-        counts[state] = counts.get(state, 0) + 1
-    total = p**matrix.height
-    return TransitionDist(
-        tuple((s, Fraction(c, total)) for s, c in counts.items())
-    )
+    return _prepend_law(matrix, pivot_state)
 
 
 def flag_column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
     """Labeled version: must coincide with the flag chain's law at q = p."""
-    if flag_pivot_state(matrix) is None:
-        raise ValueError("matrix must have full rank")
-    p = matrix.p
-    counts: dict[FlagState, int] = {}
-    for col in itertools.product(range(p), repeat=matrix.height):
-        state = flag_pivot_state(matrix.prepend_column(col))
-        assert state is not None
-        counts[state] = counts.get(state, 0) + 1
-    total = p**matrix.height
-    return TransitionDist(
-        tuple((s, Fraction(c, total)) for s, c in counts.items())
-    )
+    return _prepend_law(matrix, flag_pivot_state)
 
 
 def matrix_for_state(state: JugglingState, width: int, p: int) -> FqMatrix:

@@ -24,10 +24,6 @@ class ChainRng:
             raise ValueError("probability out of range")
         return self._rng.randrange(p.denominator) < p.numerator
 
-    def fork(self) -> "ChainRng":
-        """Independent child stream with a derived seed."""
-        return ChainRng(self._rng.getrandbits(63))
-
 
 class ScriptedRng:
     """Replays a fixed flip sequence (True = heads); for worked examples."""

@@ -97,6 +97,24 @@ class TestBackwardDist:
             throw = recover_throw(outcome, state)
             assert throw is not None
 
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 2), Fraction(5, 4)])
+    def test_every_flip_script_reproduces_dist(self, q):
+        # the b+1 scripts (k heads then tails, or b heads) are all of the
+        # step's randomness; weighted by their probabilities they must give
+        # the exact law
+        coin = CoinConfig(q)
+        heads = 1 / q
+        for b in range(4):
+            for state in states_up_to_inversions(b, 5):
+                law: dict[JugglingState, Fraction] = {}
+                for k in range(b + 1):
+                    flips = [True] * k + ([False] if k < b else [])
+                    out, used = backward_step(state, coin, ScriptedRng(flips))
+                    assert used == len(flips)
+                    weight = heads**k * (1 - heads) if k < b else heads**b
+                    law[out] = law.get(out, Fraction(0)) + weight
+                assert law == backward_dist(state, coin).as_dict(), str(state)
+
     def test_sampling_matches_dist(self):
         # pushforward consistency within 3-sigma multinomial bounds
         state = parse_state("--xx-x")

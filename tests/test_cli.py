@@ -173,3 +173,66 @@ class TestSimulateAndDigraph:
         assert code == 0
         assert "x,2,1/2,1/2,pass" in out
         assert "-x,1,1/4,1/4,pass" in out
+
+
+def bad_flags(capsys, *argv):
+    """Run a command that must be refused as bad flags; returns its single
+    error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert captured.err.splitlines()[-1] == errors[0]
+    return errors[0]
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("q", ["1", "0", "-2", "abc"])
+    def test_q_must_be_a_rational_above_one(self, capsys, q):
+        line = bad_flags(capsys, "dist", "--state", "x", "--q", q)
+        assert "argument --q" in line
+
+    @pytest.mark.parametrize(
+        "labels", [[], ["--labels", "1,2"]], ids=["plain", "labels"]
+    )
+    def test_simulate_burnin_past_steps(self, capsys, labels):
+        line = bad_flags(
+            capsys, "simulate", *labels, "--q", "2", "--steps", "10",
+            "--burnin", "20",
+        )
+        assert "--burnin" in line
+
+    def test_density_burnin_past_steps(self, capsys):
+        line = bad_flags(
+            capsys, "density", "--e", "0.1", "--empirical", "--steps", "10",
+            "--burnin", "20",
+        )
+        assert "--burnin" in line
+
+    def test_series_negative_degree(self, capsys):
+        line = bad_flags(capsys, "series", "--degree", "-1")
+        assert "argument --degree" in line
+
+    def test_drop_cap_below_minimum(self, capsys):
+        line = bad_flags(
+            capsys, "stationary-check", "--labels", "1,2", "--q", "2",
+            "--drop-cap", "1",
+        )
+        assert "--drop-cap" in line
+
+    @pytest.mark.parametrize(
+        "labels", [[], ["--labels", "1,2"]], ids=["plain", "labels"]
+    )
+    def test_negative_max_inversions(self, capsys, labels):
+        line = bad_flags(
+            capsys, "stationary-check", *labels, "--q", "2",
+            "--max-inversions", "-1",
+        )
+        assert "argument --max-inversions" in line
+
+    def test_negative_max_throw(self, capsys):
+        line = bad_flags(capsys, "digraph", "--state", "x-x", "--max-throw", "-1")
+        assert "argument --max-throw" in line

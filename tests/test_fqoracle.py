@@ -12,7 +12,6 @@ from jugglechain.fqoracle import (
     coarse_flag_pivot_state,
     enumerate_matrices,
     flag_column_prepend_dist,
-    flag_fraction_exhaustive,
     flag_fraction_sweep,
     flag_pivot_state,
     formula_flag_fraction,
@@ -22,7 +21,6 @@ from jugglechain.fqoracle import (
     group_fraction_sweep,
     matrix_for_state,
     partial_permutation_matrix,
-    pivot_fraction_exhaustive,
     pivot_fraction_sweep,
     pivot_state,
 )
@@ -127,8 +125,9 @@ class TestGlOrder:
 
 class TestFractions:
     def test_one_ball_fractions(self):
-        assert pivot_fraction_exhaustive(1, 2, 2, parse_state("-x")) == Fraction(1, 4)
-        assert pivot_fraction_exhaustive(1, 2, 2, parse_state("x")) == Fraction(1, 2)
+        sweep = pivot_fraction_sweep(1, 2, 2)
+        assert sweep.get(parse_state("-x"), Fraction(0)) == Fraction(1, 4)
+        assert sweep.get(parse_state("x"), Fraction(0)) == Fraction(1, 2)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("b", [1, 2])
@@ -154,9 +153,8 @@ class TestFractions:
         assert wide < narrow
 
     def test_flag_fraction_example(self):
-        assert flag_fraction_exhaustive(2, 3, 2, parse_flag_state("21")) == Fraction(
-            1, 8
-        )
+        sweep = flag_fraction_sweep(2, 3, 2)
+        assert sweep.get(parse_flag_state("21"), Fraction(0)) == Fraction(1, 8)
 
     def test_one_row_flag_equals_plain(self):
         flag = flag_fraction_sweep(1, 3, 2)
