@@ -13,6 +13,7 @@ the transition law and stationarity are verified with exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Protocol
 
@@ -36,8 +37,9 @@ class CoinConfig:
         if q <= 1:
             raise ValueError("q must exceed 1")
 
-    @property
+    @cached_property
     def heads_probability(self) -> Fraction:
+        # computed once per coin; not a field, so == and hash see q alone
         return 1 / self.q
 
 

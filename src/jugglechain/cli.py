@@ -65,9 +65,15 @@ from .states import (
 )
 
 
+def _flag_text(value) -> str:
+    # --labels parses to a tuple; hashing its comma spelling keeps the
+    # config hash of a canonically typed value, such as 1,2,3, that of the text
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _config_hash(args: argparse.Namespace) -> str:
     payload = json.dumps(
-        {k: str(v) for k, v in sorted(vars(args).items()) if k != "func"},
+        {k: _flag_text(v) for k, v in sorted(vars(args).items()) if k != "func"},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -138,7 +144,16 @@ def _check_burnin(args) -> None:
 
 
 def _parse_labels(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    """argparse type of --labels: comma-separated integers >= 1."""
+    try:
+        labels = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers"
+        ) from None
+    if min(labels) < 1:
+        raise argparse.ArgumentTypeError(f"labels must be positive, got {text}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +187,8 @@ def cmd_stationary_check(args) -> int:
     rows = []
     all_ok = True
     if args.labels:
-        labels = _parse_labels(args.labels)
-        for state in flag_states_up_to_inversions(labels, args.max_inversions):
-            drop_cap = args.drop_cap or (len(state.cells) + len(labels) + 20)
+        for state in flag_states_up_to_inversions(args.labels, args.max_inversions):
+            drop_cap = args.drop_cap or (len(state.cells) + len(args.labels) + 20)
             try:
                 bracket = verify_flag_stationarity(state, coin, drop_cap)
             except ValueError as exc:  # drop_cap below this state's minimum
@@ -207,7 +221,7 @@ def cmd_oracle(args) -> int:
     rows = []
     all_ok = True
     if args.labels:
-        labels = _parse_labels(args.labels)
+        labels = args.labels
         balls = len(labels)
         sweep = group_fraction_sweep(labels, args.width, p)
         formula = lambda s: formula_group_fraction(labels, p, s)
@@ -311,8 +325,7 @@ def cmd_simulate(args) -> int:
     coin = CoinConfig(args.q)
     rng = ChainRng(args.seed)
     if args.labels:
-        labels = _parse_labels(args.labels)
-        state = FlagState(tuple(sorted(labels)))
+        state = FlagState(tuple(sorted(args.labels)))
         counts: dict[FlagState, int] = {}
         for step in range(args.steps):
             state = flag_backward_step(state, coin, rng)
@@ -387,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stationary-check", help="exact/bracketed balance sweep")
     p.add_argument("--balls", type=int, default=2)
-    p.add_argument("--labels", help="comma-separated label multiset for the flag chain")
+    p.add_argument(
+        "--labels",
+        type=_parse_labels,
+        help="comma-separated label multiset for the flag chain",
+    )
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--max-inversions", type=_natural, default=6)
     p.add_argument("--drop-cap", type=int)
@@ -398,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--p", type=int, default=2, choices=(2, 3, 5))
     p.add_argument("--flag", action="store_true", help="labeled pivot states")
-    p.add_argument("--labels", help="group-coarsened sweep for this multiset")
+    p.add_argument(
+        "--labels", type=_parse_labels, help="group-coarsened sweep for this multiset"
+    )
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("series", help="exact q-series identity checks")
@@ -432,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="trajectory histogram and TV report")
     p.add_argument("--balls", type=int, default=2)
-    p.add_argument("--labels", help="simulate the flag chain over this multiset")
+    p.add_argument(
+        "--labels", type=_parse_labels, help="simulate the flag chain over this multiset"
+    )
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--steps", type=_natural, default=100_000)
     p.add_argument("--burnin", type=_natural, default=1_000)

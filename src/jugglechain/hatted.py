@@ -49,7 +49,7 @@ class HattedState:
         object.__setattr__(self, "cells", cells)
         if not cells or cells[-1] is None:
             raise ValueError("cells must be trimmed and end with a label")
-        if any(c is not None and c <= 0 for c in cells):
+        if 0 in cells or min(filter(None, cells)) < 0:  # as in FlagState
             raise ValueError("labels must be positive integers")
         if not 0 <= self.hat <= len(cells):
             raise ValueError("hat must sit on a cell or just past the last label")

@@ -19,10 +19,11 @@ class ChainRng:
         self.seed = seed
 
     def heads(self, probability: Fraction) -> bool:
-        p = Fraction(probability)
-        if not 0 <= p <= 1:
+        p = probability if isinstance(probability, Fraction) else Fraction(probability)
+        n, d = p.numerator, p.denominator  # d > 0, so 0 <= p <= 1 iff 0 <= n <= d
+        if not 0 <= n <= d:
             raise ValueError("probability out of range")
-        return self._rng.randrange(p.denominator) < p.numerator
+        return self._rng.randrange(d) < n
 
 
 class ScriptedRng:

@@ -13,6 +13,7 @@ invert.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -30,9 +31,10 @@ class JugglingState:
     def __post_init__(self) -> None:
         pos = tuple(self.positions)
         object.__setattr__(self, "positions", pos)
-        if any(p < 0 for p in pos):
+        # C-level builtins: every step of every chain builds a state
+        if pos and min(pos) < 0:
             raise ValueError("positions must be naturals")
-        if any(a >= b for a, b in zip(pos, pos[1:])):
+        if any(map(operator.ge, pos, pos[1:])):
             raise ValueError("positions must be strictly increasing")
 
     @property
@@ -46,8 +48,10 @@ class JugglingState:
         """Render as an x/- word with trailing -s trimmed."""
         if not self.positions:
             return ""
-        top = self.positions[-1]
-        return "".join("x" if p in set(self.positions) else "-" for p in range(top + 1))
+        chars = ["-"] * (self.positions[-1] + 1)
+        for p in self.positions:
+            chars[p] = "x"
+        return "".join(chars)
 
     def __str__(self) -> str:
         return self.word()
@@ -154,7 +158,9 @@ class FlagState:
         object.__setattr__(self, "cells", cells)
         if not cells or cells[-1] is None:
             raise ValueError("flag state must end with a label")
-        if any(c is not None and c <= 0 for c in cells):
+        # filter(None, ...) drops empties and zeros; the last cell, a label,
+        # keeps it non-empty once zeros are ruled out
+        if 0 in cells or min(filter(None, cells)) < 0:
             raise ValueError("labels must be positive integers")
 
     @property

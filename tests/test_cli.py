@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jugglechain
 from jugglechain.cli import main
 
 
@@ -156,6 +161,16 @@ class TestSimulateAndDigraph:
         assert len(lines) == 50
         assert all(set(line) <= {"x", "-"} for line in lines)
 
+    def test_python_dash_m(self, capsys):
+        # the package runs from a source checkout without being installed
+        args = ["simulate", "--balls", "2", "--q", "2", "--steps", "2000", "--seed", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(jugglechain.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "jugglechain", *args],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout == run_cli(capsys, *args)[1]
+
     def test_series_dump(self, capsys):
         code, out = run_cli(
             capsys, "series", "--dump", "partition", "--balls", "2",
@@ -236,3 +251,13 @@ class TestBadFlags:
     def test_negative_max_throw(self, capsys):
         line = bad_flags(capsys, "digraph", "--state", "x-x", "--max-throw", "-1")
         assert "argument --max-throw" in line
+
+    @pytest.mark.parametrize(
+        "command",
+        [["stationary-check", "--q", "2"], ["oracle"], ["simulate", "--q", "2"]],
+        ids=["stationary-check", "oracle", "simulate"],
+    )
+    @pytest.mark.parametrize("labels", ["a,b", "0,1", "1,-2", "1,,2"])
+    def test_labels_must_be_positive_integers(self, capsys, command, labels):
+        line = bad_flags(capsys, *command, "--labels", labels)
+        assert "argument --labels" in line

@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jugglechain.errors import IllegalThrow, ParseError
+from jugglechain.hatted import HattedState
 from jugglechain.states import (
     FlagState,
     JugglingState,
@@ -249,3 +250,87 @@ class TestWindowDuality:
     def test_dual_is_involution(self):
         for state in window_states(2, 5):
             assert window_dual(window_dual(state, 5), 5) == state
+
+
+# The constructors' checks as they were written before they moved onto
+# C-level builtins; the constructors must reject exactly what these reject,
+# with the same message.
+
+
+def reference_positions_error(pos):
+    if any(p < 0 for p in pos):
+        return "positions must be naturals"
+    if any(a >= b for a, b in zip(pos, pos[1:])):
+        return "positions must be strictly increasing"
+    return None
+
+
+def reference_labels_error(cells):
+    if any(c is not None and c <= 0 for c in cells):
+        return "labels must be positive integers"
+    return None
+
+
+def reference_word(pos):
+    if not pos:
+        return ""
+    return "".join("x" if p in set(pos) else "-" for p in range(pos[-1] + 1))
+
+
+def error_of(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+raw_positions = st.lists(st.integers(-3, 12), max_size=6)
+# sorted lists reach the repeat and negative-front cases more often
+position_tuples = st.one_of(raw_positions, raw_positions.map(sorted)).map(tuple)
+cell_tuples = st.lists(
+    st.one_of(st.none(), st.integers(-3, 6)), max_size=6
+).map(tuple)
+
+
+class TestValidationMatchesReference:
+    @given(position_tuples)
+    @example((-1, 2))
+    @example((1, -2))
+    @example((0, 2, 2, 5))
+    @example((3, 2))
+    @example(())
+    @settings(max_examples=400, deadline=None)
+    def test_juggling_state(self, pos):
+        expected = reference_positions_error(pos)
+        assert error_of(lambda: JugglingState(pos)) == expected
+        if expected is None:
+            assert JugglingState(pos).word() == reference_word(pos)
+
+    @given(cell_tuples)
+    @example((None, 0, 1))
+    @example((2, None, -3, 1))
+    @example((1, None, 2))
+    @settings(max_examples=400, deadline=None)
+    def test_flag_state(self, cells):
+        if not cells or cells[-1] is None:
+            expected = "flag state must end with a label"
+        else:
+            expected = reference_labels_error(cells)
+        assert error_of(lambda: FlagState(cells)) == expected
+
+    @given(cell_tuples, st.integers(-1, 7))
+    @example((0,), 0)
+    @example((-1, 2), 0)
+    @example((1, None, 2), 3)
+    @settings(max_examples=400, deadline=None)
+    def test_hatted_state(self, cells, hat):
+        if not cells or cells[-1] is None:
+            expected = "cells must be trimmed and end with a label"
+        elif reference_labels_error(cells):
+            expected = reference_labels_error(cells)
+        elif not 0 <= hat <= len(cells):
+            expected = "hat must sit on a cell or just past the last label"
+        else:
+            expected = None
+        assert error_of(lambda: HattedState(cells, hat)) == expected
