@@ -89,14 +89,50 @@ def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def backward_step(
     state: JugglingState, coin: CoinConfig, rng: FlipSource
-) -> tuple[JugglingState, int]:
-    """One sampled step; returns (new state, number of flips used)."""
+) -> JugglingState:
+    """One sampled step."""
     b = state.balls
     p = coin.heads_probability
     k = 0
     while k < b and rng.heads(p):
         k += 1
-    return JugglingState(_plain_step(state.positions, k)), min(k + 1, b)
+    return JugglingState(_plain_step(state.positions, k))
+
+
+class _FlipTree:
+    """The flip source of `step_law`: replays a prefix of flips; past it,
+    answers heads and queues the flips so far followed by tails.
+    `num / den` is the probability of the flips answered so far."""
+
+    def __init__(self, prefix: list[bool], pending: list[list[bool]]) -> None:
+        self.flips, self.pending = prefix, pending
+        self.next = 0
+        self.num = self.den = 1
+
+    def heads(self, probability: Fraction) -> bool:
+        if self.next == len(self.flips):
+            self.pending.append(self.flips + [False])
+            self.flips.append(True)
+        value = self.flips[self.next]
+        self.next += 1
+        n, d = probability.numerator, probability.denominator
+        self.num *= n if value else d - n
+        self.den *= d
+        return value
+
+
+def step_law(step, state, coin: CoinConfig) -> TransitionDist:
+    """The exact one-step law of a sampler `step(state, coin, rng)`: run it
+    once per flip sequence it can draw and weight each outcome by the
+    probability of its sequence.  Every sequence must end after finitely
+    many flips, each with an exact rational probability."""
+    law: dict = {}
+    pending: list[list[bool]] = [[]]
+    while pending:
+        flips = _FlipTree(pending.pop(), pending)
+        out = step(state, coin, flips)
+        law[out] = law.get(out, 0) + Fraction(flips.num, flips.den)
+    return TransitionDist(tuple(law.items()))
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
@@ -165,11 +201,11 @@ def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
 class Histogram:
     """Empirical visit counts from a simulated trajectory."""
 
-    counts: tuple[tuple[JugglingState, int], ...]
+    counts: tuple[tuple[object, int], ...]
     samples: int
     seed: int
 
-    def as_dict(self) -> dict[JugglingState, int]:
+    def as_dict(self) -> dict:
         return dict(self.counts)
 
 
@@ -180,22 +216,25 @@ def simulate(
     burnin: int,
     rng,
     on_state=None,
+    step=backward_step,
 ) -> Histogram:
-    """Run the chain and tally post-burn-in states (one sample per step).
+    """Run a chain and tally post-burn-in states (one sample per step).
 
+    `step(state, coin, rng)` is the chain's sampler: the plain chain's
+    `backward_step` by default, or for instance `flag_backward_step`.
     `on_state`, when given, receives every visited state in order (burn-in
     included), for trajectory dumps.
     """
     if not 0 <= burnin <= steps:
         raise ValueError("need 0 <= burnin <= steps")
-    counts: dict[JugglingState, int] = {}
+    counts: dict = {}
     state = start
     seed = getattr(rng, "seed", -1)
-    for step in range(steps):
-        state, _ = backward_step(state, coin, rng)
+    for t in range(steps):
+        state = step(state, coin, rng)
         if on_state is not None:
             on_state(state)
-        if step >= burnin:
+        if t >= burnin:
             counts[state] = counts.get(state, 0) + 1
     ordered = tuple(sorted(counts.items(), key=lambda kv: str(kv[0])))
     return Histogram(counts=ordered, samples=steps - burnin, seed=seed)

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
@@ -19,6 +20,7 @@ from .asymptotics import density_curve, empirical_density
 from .chain import (
     CoinConfig,
     backward_dist,
+    backward_step,
     simulate,
     stationary_weight,
     tv_distance,
@@ -125,14 +127,46 @@ def _parse_q(text: str) -> Fraction:
     return q
 
 
-def _natural(text: str) -> int:
-    """argparse type of counts and caps: an integer >= 0."""
+def _integer(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+def _natural(text: str) -> int:
+    """argparse type of counts and caps: an integer >= 0."""
+    return _integer(text, 0)
+
+
+def _positive(text: str) -> int:
+    """argparse type of sizes that must be nonempty: an integer >= 1."""
+    return _integer(text, 1)
+
+
+def _real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _all_heads_probability(text: str) -> float:
+    """argparse type of --E: a real strictly between 0 and 1."""
+    e = _real(text)
+    if not 0 < e < 1:
+        raise argparse.ArgumentTypeError(f"E must lie in (0, 1), got {text}")
+    return e
+
+
+def _positive_real(text: str) -> float:
+    """argparse type of --step: a real above 0."""
+    value = _real(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -264,6 +298,8 @@ def cmd_series(args) -> int:
         elif args.dump == "permutation":
             series = perm_series_closed(args.balls, d)
         else:
+            if args.j > args.h:
+                raise _FlagError(f"--j ({args.j}) must not exceed --h ({args.h})")
             series = grassmannian_series_closed(args.j, args.h, d)
         rows = [[k, str(series[k])] for k in range(d + 1)]
         _emit(args, ["degree", "coefficient"], rows)
@@ -323,37 +359,25 @@ def cmd_density(args) -> int:
 def cmd_simulate(args) -> int:
     _check_burnin(args)
     coin = CoinConfig(args.q)
-    rng = ChainRng(args.seed)
     if args.labels:
-        state = FlagState(tuple(sorted(args.labels)))
-        counts: dict[FlagState, int] = {}
-        for step in range(args.steps):
-            state = flag_backward_step(state, coin, rng)
-            if step >= args.burnin:
-                counts[state] = counts.get(state, 0) + 1
-        samples = args.steps - args.burnin
-        rows = [
-            [str(s), c, str(Fraction(c, samples)), str(flag_stationary_weight(s, coin))]
-            for s, c in sorted(counts.items(), key=lambda kv: str(kv[0]))
-        ]
-        _emit(args, ["state", "count", "empirical", "stationary"], rows, seed=args.seed)
-        return 0
-    sink = None
-    trajectory_file = None
-    if args.trajectory:
-        trajectory_file = open(args.trajectory, "w")
-        sink = lambda s: trajectory_file.write(str(s) + "\n")
-    hist = simulate(
-        ground_state(args.balls), coin, args.steps, args.burnin, rng, on_state=sink
-    )
-    if trajectory_file is not None:
-        trajectory_file.close()
-    tv = tv_distance(hist, coin, args.balls, args.max_inversions)
+        start = FlagState(tuple(sorted(args.labels)))
+        step, weight = flag_backward_step, flag_stationary_weight
+    else:
+        start = ground_state(args.balls)
+        step, weight = backward_step, stationary_weight
+    with open(args.trajectory, "w") if args.trajectory else nullcontext() as fh:
+        sink = (lambda s: fh.write(str(s) + "\n")) if fh else None
+        hist = simulate(
+            start, coin, args.steps, args.burnin, ChainRng(args.seed),
+            on_state=sink, step=step,
+        )
     rows = [
-        [str(s), c, str(Fraction(c, hist.samples)), str(stationary_weight(s, coin))]
+        [str(s), c, str(Fraction(c, hist.samples)), str(weight(s, coin))]
         for s, c in hist.counts
     ]
-    rows.append(["<tv-distance>", "-", repr(tv), "-"])
+    if not args.labels:
+        tv = tv_distance(hist, coin, args.balls, args.max_inversions)
+        rows.append(["<tv-distance>", "-", repr(tv), "-"])
     _emit(args, ["state", "count", "empirical", "stationary"], rows, seed=args.seed)
     return 0
 
@@ -399,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("stationary-check", help="exact/bracketed balance sweep")
-    p.add_argument("--balls", type=int, default=2)
+    p.add_argument("--balls", type=_natural, default=2)
     p.add_argument(
         "--labels",
         type=_parse_labels,
@@ -411,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stationary_check)
 
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")
-    p.add_argument("--balls", type=int, default=2)
-    p.add_argument("--width", type=int, default=3)
+    p.add_argument("--balls", type=_natural, default=2)
+    p.add_argument("--width", type=_positive, default=3)
     p.add_argument("--p", type=int, default=2, choices=(2, 3, 5))
     p.add_argument("--flag", action="store_true", help="labeled pivot states")
     p.add_argument(
@@ -422,35 +446,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact q-series identity checks")
     p.add_argument("--degree", type=_natural, default=DEFAULT_DEGREE)
-    p.add_argument("--partition-max", type=int, default=4)
-    p.add_argument("--perm-max", type=int, default=6)
-    p.add_argument("--grassmann-max", type=int, default=8)
+    p.add_argument("--partition-max", type=_natural, default=4)
+    p.add_argument("--perm-max", type=_natural, default=6)
+    p.add_argument("--grassmann-max", type=_natural, default=8)
     p.add_argument(
         "--dump",
         choices=("partition", "flag", "permutation", "grassmannian"),
         help="emit one series' (degree, coefficient) rows instead of checks",
     )
-    p.add_argument("--balls", type=int, default=3, help="b (or n) for --dump")
-    p.add_argument("--j", type=int, default=1, help="subspace dim for --dump")
-    p.add_argument("--h", type=int, default=3, help="ambient dim for --dump")
+    p.add_argument("--balls", type=_natural, default=3, help="b (or n) for --dump")
+    p.add_argument("--j", type=_natural, default=1, help="subspace dim for --dump")
+    p.add_argument("--h", type=_natural, default=3, help="ambient dim for --dump")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("density", help="ball-density curve / empirical comparison")
     p.add_argument(
-        "--E", "--e", dest="e", type=float, required=True,
+        "--E", "--e", dest="e", type=_all_heads_probability, required=True,
         help="all-heads probability E",
     )
     p.add_argument("--mu-max", type=float, default=6.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_positive_real, default=0.01)
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--balls", type=int, default=64)
+    p.add_argument("--balls", type=_positive, default=64)
     p.add_argument("--steps", type=_natural, default=200_000)
     p.add_argument("--burnin", type=_natural, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="trajectory histogram and TV report")
-    p.add_argument("--balls", type=int, default=2)
+    p.add_argument("--balls", type=_natural, default=2)
     p.add_argument(
         "--labels", type=_parse_labels, help="simulate the flag chain over this multiset"
     )

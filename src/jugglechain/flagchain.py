@@ -13,6 +13,8 @@ the held item with the pointed label.  The sweep only stops at labels
 strictly smaller than the held item, so with repeated labels equal ones
 are passed over, which is what makes the all-equal case collapse to the
 plain chain.  Falling off the left end drops the held item in front.
+The exact one-step law is that sampler run on every flip sequence it can
+draw (`chain.step_law`), so the move rule is written once.
 
 The stationary weight of a state is prefactor * q^-inversions, where the
 prefactor multiplies (1-q^-1)...(1-q^-k) over the groups of equal labels
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import CoinConfig, FlipSource, TransitionDist
+from .chain import CoinConfig, FlipSource, TransitionDist, step_law
 from .errors import CapTooSmall
 from .series import sn
 from .states import Cell, FlagState, flag_inversions, trim_cells
@@ -119,37 +121,14 @@ def flag_backward_step(
 
 
 def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
-    """The exact one-step law, by enumerating every flip sequence.
+    """The exact one-step law: `flag_backward_step` run on every flip
+    sequence it can draw.
 
     The held item strictly decreases at each tails, so at most one flip
-    happens per label and the tree has at most 2^b leaves; equal outcomes
+    happens per label and there are at most 2^b sequences; equal outcomes
     are merged.
     """
-    heads_p = coin.heads_probability
-    outcomes: dict[FlagState, Fraction] = {}
-
-    def finish(cells: tuple[Cell, ...], held: Cell, prob: Fraction) -> None:
-        out = FlagState(trim_cells((held,) + cells))
-        outcomes[out] = outcomes.get(out, Fraction(0)) + prob
-
-    def explore(cells: tuple[Cell, ...], held: Cell, ptr: int, prob: Fraction) -> None:
-        # heads: leave the pointed label
-        nxt = _next_stop(cells, held, ptr)
-        if nxt < 0:
-            finish(cells, held, prob * heads_p)
-        else:
-            explore(cells, held, nxt, prob * heads_p)
-        # tails: exchange held and pointed
-        swapped = cells[:ptr] + (held,) + cells[ptr + 1 :]
-        new_held = cells[ptr]
-        nxt = _next_stop(swapped, new_held, ptr)
-        if nxt < 0:
-            finish(swapped, new_held, prob * (1 - heads_p))
-        else:
-            explore(swapped, new_held, nxt, prob * (1 - heads_p))
-
-    explore(state.cells, None, len(state.cells) - 1, Fraction(1))
-    return TransitionDist(tuple(outcomes.items()))
+    return step_law(flag_backward_step, state, coin)
 
 
 def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:

@@ -18,16 +18,17 @@ Backward step (normative; each step flips at most one coin):
 
 Composing steps from an unhatted state until the next unhatted state
 reproduces the flag chain's one-step law exactly; that equality is the
-contract this module is tested against.
+contract this module is tested against.  Both the one-step and the
+composed laws are `hatted_backward_step` run on every flip sequence it can
+draw (`chain.step_law`), so the move rule is written once.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
-from .chain import CoinConfig, FlipSource, TransitionDist
+from .chain import CoinConfig, FlipSource, TransitionDist, step_law
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
 from .states import Cell, FlagState, render_flag, trim_cells
@@ -90,24 +91,7 @@ def _swapped(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
 
 def hatted_backward_dist(state: MixedState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law of the backward chain (1 or 2 outcomes)."""
-    one = Fraction(1)
-    if isinstance(state, FlagState):
-        return TransitionDist(((HattedState(state.cells, len(state.cells)), one),))
-
-    cells, i = state.cells, state.hat
-    if i == 0:
-        return TransitionDist(((FlagState(cells), one),))
-
-    a = state.hatted_value
-    c = cells[i - 1]
-    swap_outcome = _make_hatted(_swapped(cells, i - 1), i - 1)
-    if c is not None and (a is None or c < a):
-        hat_only = _make_hatted(cells, i - 1)
-        heads = coin.heads_probability
-        return TransitionDist(((hat_only, 1 - heads), (swap_outcome, heads)))
-    # equal labels or an empty to the left: the exchange is forced (for
-    # equal cells the swapped word coincides with the unswapped one)
-    return TransitionDist(((swap_outcome, one),))
+    return step_law(hatted_backward_step, state, coin)
 
 
 def hatted_backward_step(
@@ -126,6 +110,8 @@ def hatted_backward_step(
         if rng.heads(coin.heads_probability):
             return _make_hatted(_swapped(cells, i - 1), i - 1)
         return _make_hatted(cells, i - 1)
+    # equal labels or an empty to the left: the exchange is forced (for
+    # equal cells the swapped word coincides with the unswapped one)
     return _make_hatted(_swapped(cells, i - 1), i - 1)
 
 
@@ -141,18 +127,15 @@ def composed_backward_dist(
     """
     if step_budget is None:
         step_budget = len(state.cells) + 4
-    outcomes: dict[FlagState, Fraction] = {}
-    frontier: list[tuple[MixedState, Fraction, int]] = [(state, Fraction(1), 0)]
-    while frontier:
-        current, prob, steps = frontier.pop()
-        if steps > step_budget:
-            raise NonTermination(f"branch exceeded {step_budget} steps")
-        for nxt, p in hatted_backward_dist(current, coin).entries:
-            if isinstance(nxt, FlagState):
-                outcomes[nxt] = outcomes.get(nxt, Fraction(0)) + prob * p
-            else:
-                frontier.append((nxt, prob * p, steps + 1))
-    return TransitionDist(tuple(outcomes.items()))
+
+    def until_unhatted(current: MixedState, coin: CoinConfig, rng: FlipSource):
+        for _ in range(step_budget + 1):
+            current = hatted_backward_step(current, coin, rng)
+            if isinstance(current, FlagState):
+                return current
+        raise NonTermination(f"branch exceeded {step_budget} steps")
+
+    return step_law(until_unhatted, state, coin)
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:

@@ -11,6 +11,7 @@ from jugglechain.chain import (
     backward_step,
     simulate,
     stationary_weight,
+    step_law,
     tv_distance,
     verify_stationarity,
 )
@@ -49,17 +50,17 @@ class TestBackwardStep:
     )
     def test_worked_example(self, flips, expected):
         rng = ScriptedRng(flips)
-        result, used = backward_step(parse_state("--xx-x"), Q2, rng)
+        result = backward_step(parse_state("--xx-x"), Q2, rng)
         assert result == parse_state(expected)
-        assert used == len(flips)
+        assert rng.used == len(flips)
 
     def test_always_tails_reaches_ground_and_stays(self):
         # the always-tails limit: after b steps we sit at the ground state
         state = parse_state("--xx-x")
         for _ in range(3):
-            state, _ = backward_step(state, Q2, ScriptedRng([False]))
+            state = backward_step(state, Q2, ScriptedRng([False]))
         assert state == ground_state(3)
-        again, _ = backward_step(state, Q2, ScriptedRng([False]))
+        again = backward_step(state, Q2, ScriptedRng([False]))
         assert again == ground_state(3)
 
 
@@ -109,11 +110,16 @@ class TestBackwardDist:
                 law: dict[JugglingState, Fraction] = {}
                 for k in range(b + 1):
                     flips = [True] * k + ([False] if k < b else [])
-                    out, used = backward_step(state, coin, ScriptedRng(flips))
-                    assert used == len(flips)
+                    rng = ScriptedRng(flips)
+                    out = backward_step(state, coin, rng)
+                    assert rng.used == len(flips)
                     weight = heads**k * (1 - heads) if k < b else heads**b
                     law[out] = law.get(out, Fraction(0)) + weight
                 assert law == backward_dist(state, coin).as_dict(), str(state)
+                # the enumerator agrees with the closed form
+                assert step_law(backward_step, state, coin) == backward_dist(
+                    state, coin
+                ), str(state)
 
     def test_sampling_matches_dist(self):
         # pushforward consistency within 3-sigma multinomial bounds
@@ -123,12 +129,24 @@ class TestBackwardDist:
         n = 100_000
         counts = {}
         for _ in range(n):
-            out, _ = backward_step(state, Q2, rng)
+            out = backward_step(state, Q2, rng)
             counts[out] = counts.get(out, 0) + 1
         assert set(counts) == set(dist)
         for outcome, p in dist.items():
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[outcome] - n * float(p)) <= 3 * sigma
+
+
+class TestStepLaw:
+    def test_two_coin_toy_step(self):
+        # heads(1/3), then heads(1/2) only after heads: three flip sequences
+        def toy(state, coin, rng):
+            if not rng.heads(Fraction(1, 3)):
+                return "T"
+            return "HH" if rng.heads(Fraction(1, 2)) else "HT"
+
+        law = step_law(toy, None, Q2).as_dict()
+        assert law == {"T": Fraction(2, 3), "HT": Fraction(1, 6), "HH": Fraction(1, 6)}
 
 
 class TestStationaryWeight:

@@ -8,6 +8,7 @@ import pytest
 
 import jugglechain
 from jugglechain.cli import main
+from jugglechain.states import parse_flag_state
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,17 @@ class TestSimulateAndDigraph:
         assert len(lines) == 50
         assert all(set(line) <= {"x", "-"} for line in lines)
 
+    def test_labeled_trajectory_dump(self, tmp_path, capsys):
+        target = tmp_path / "walk.txt"
+        code = main(
+            ["simulate", "--labels", "1,2", "--q", "2", "--steps", "50",
+             "--burnin", "5", "--seed", "1", "--trajectory", str(target)]
+        )
+        assert code == 0
+        lines = target.read_text().splitlines()
+        assert len(lines) == 50
+        assert all(sorted(parse_flag_state(line).labels) == [1, 2] for line in lines)
+
     def test_python_dash_m(self, capsys):
         # the package runs from a source checkout without being installed
         args = ["simulate", "--balls", "2", "--q", "2", "--steps", "2000", "--seed", "1"]
@@ -261,3 +273,27 @@ class TestBadFlags:
     def test_labels_must_be_positive_integers(self, capsys, command, labels):
         line = bad_flags(capsys, *command, "--labels", labels)
         assert "argument --labels" in line
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["simulate", "--balls", "-1", "--q", "2"], "argument --balls"),
+            (["stationary-check", "--balls", "-2", "--q", "2"], "argument --balls"),
+            (["oracle", "--balls", "-1"], "argument --balls"),
+            (["oracle", "--width", "0"], "argument --width"),
+            (["density", "--empirical", "--balls", "0", "--E", "0.1"], "argument --balls"),
+            (["density", "--E", "2"], "argument --E"),
+            (["density", "--E", "0.1", "--step", "0"], "argument --step"),
+            (["series", "--dump", "grassmannian", "--j", "5", "--h", "3"], "--j"),
+            (["series", "--partition-max", "-1"], "argument --partition-max"),
+            (["series", "--dump", "permutation", "--balls", "-1"], "argument --balls"),
+        ],
+        ids=[
+            "simulate-balls", "stationary-check-balls", "oracle-balls",
+            "oracle-width", "density-balls", "density-E", "density-step",
+            "series-j-above-h", "series-partition-max", "series-dump-balls",
+        ],
+    )
+    def test_out_of_range_numbers(self, capsys, argv, flag):
+        line = bad_flags(capsys, *argv)
+        assert flag in line
