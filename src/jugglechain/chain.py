@@ -121,18 +121,37 @@ class _FlipTree:
         return value
 
 
-def step_law(step, state, coin: CoinConfig) -> TransitionDist:
-    """The exact one-step law of a sampler `step(state, coin, rng)`: run it
-    once per flip sequence it can draw and weight each outcome by the
-    probability of its sequence.  Every sequence must end after finitely
-    many flips, each with an exact rational probability."""
-    law: dict = {}
+def _flip_leaves(step, state, coin: CoinConfig):
+    """Run a sampler `step(state, coin, rng)` once per flip sequence it can
+    draw, yielding `(outcome, num, den)` with num / den the probability of
+    that sequence.  Every sequence must end after finitely many flips, each
+    with an exact rational probability."""
     pending: list[list[bool]] = [[]]
     while pending:
         flips = _FlipTree(pending.pop(), pending)
         out = step(state, coin, flips)
-        law[out] = law.get(out, 0) + Fraction(flips.num, flips.den)
+        yield out, flips.num, flips.den
+
+
+def step_law(step, state, coin: CoinConfig) -> TransitionDist:
+    """The exact one-step law of a sampler `step(state, coin, rng)`: every
+    outcome weighted by the total probability of the flip sequences that
+    lead to it."""
+    law: dict = {}
+    for out, num, den in _flip_leaves(step, state, coin):
+        law[out] = law.get(out, 0) + Fraction(num, den)
     return TransitionDist(tuple(law.items()))
+
+
+def step_probability(step, state, coin: CoinConfig, target) -> Fraction:
+    """`step_law(step, state, coin).probability(target)`, without building
+    the law: the total probability of the flip sequences that lead to
+    `target` (0 when none does)."""
+    total = Fraction(0)
+    for out, num, den in _flip_leaves(step, state, coin):
+        if out == target:
+            total += Fraction(num, den)
+    return total
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
@@ -166,18 +185,20 @@ def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
     """
     q = coin.q
     b = state.balls
-    pi = stationary_weight(state, coin)
+    # every state with b balls shares the prefactor of its weight
+    prefactor = sn(b, q)
+    inv = inversions(state)
+    pi = prefactor * q**-inv
     if not state.occupied(0):
         # Unique successor: the one-beat shift down; it recovers the state
         # via its all-heads branch.
         successor = JugglingState(tuple(p - 1 for p in state.positions))
-        inflow = stationary_weight(successor, coin) * q ** -b
+        inflow = prefactor * q ** -inversions(successor) * q ** -b
         return inflow == pi
 
     # A successor after a t-throw has inversion count inversions(state)
     # + t - b, so pi(successor) = prefactor * q^-(inv + t - b); factor out
     # prefactor * q^(b - inv) and accumulate the geometric t-sums.
-    prefactor = sn(b, q)
     lam = state.positions
     lhs = Fraction(0)
     for j in range(1, b + 1):
@@ -193,7 +214,7 @@ def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
             # closed-form infinite tail: sum of q^-t over t > lo
             geo = q ** -(lo + 1) / (1 - 1 / q)
         lhs += move_prob * geo
-    lhs *= prefactor * q ** (b - inversions(state))
+    lhs *= prefactor * q ** (b - inv)
     return lhs == pi
 
 

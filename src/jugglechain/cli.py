@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -73,9 +74,15 @@ def _flag_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+# where a run writes does not change what it computes; these flags hash as
+# if unset, so the hash of a run without them is unchanged
+_UNHASHED = ("output", "trajectory")
+
+
 def _config_hash(args: argparse.Namespace) -> str:
+    flags = {k: None if k in _UNHASHED else v for k, v in vars(args).items()}
     payload = json.dumps(
-        {k: _flag_text(v) for k, v in sorted(vars(args).items()) if k != "func"},
+        {k: _flag_text(v) for k, v in sorted(flags.items()) if k != "func"},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -148,10 +155,14 @@ def _positive(text: str) -> int:
 
 
 def _real(text: str) -> float:
+    """The real flags' base type: a finite float (nan and inf refused)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _all_heads_probability(text: str) -> float:
@@ -160,6 +171,14 @@ def _all_heads_probability(text: str) -> float:
     if not 0 < e < 1:
         raise argparse.ArgumentTypeError(f"E must lie in (0, 1), got {text}")
     return e
+
+
+def _nonnegative_real(text: str) -> float:
+    """argparse type of --mu-max: a real >= 0."""
+    value = _real(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
 
 
 def _positive_real(text: str) -> float:
@@ -464,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--E", "--e", dest="e", type=_all_heads_probability, required=True,
         help="all-heads probability E",
     )
-    p.add_argument("--mu-max", type=float, default=6.0)
+    p.add_argument("--mu-max", type=_nonnegative_real, default=6.0)
     p.add_argument("--step", type=_positive_real, default=0.01)
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--balls", type=_positive, default=64)

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import CoinConfig, FlipSource, TransitionDist, step_law
+from .chain import (
+    CoinConfig,
+    FlipSource,
+    TransitionDist,
+    step_law,
+    step_probability,
+)
 from .errors import CapTooSmall
 from .series import sn
 from .states import Cell, FlagState, flag_inversions, trim_cells
@@ -179,17 +185,21 @@ def verify_flag_stationarity(
 
     Sums weight * backward-probability over all forward successors whose
     drops fit under drop_cap, exactly; the omitted far-drop successors are
-    covered by an exact geometric tail bound.  Raises CapTooSmall when the
-    tail bound is not below tolerance * weight(state).
+    covered by an exact geometric tail bound.  Each backward probability is
+    the one entry P(target -> state) read from `flag_backward_step` by
+    `chain.step_probability`, not the target's whole law.  Every target
+    carries the labels of `state`, so the group prefactor of the weights is
+    factored out of the sum.  Raises CapTooSmall when the tail bound is not
+    below tolerance * weight(state).
     """
     pi = flag_stationary_weight(state, coin)
     if state.cells[0] is None:
         # Unique predecessor-in-chain situation: only the leading-empty
         # deletion points here, via its all-heads branch.  Exact, no tail.
         successor = FlagState(state.cells[1:])
-        inflow = flag_stationary_weight(successor, coin) * flag_backward_dist(
-            successor, coin
-        ).probability(state)
+        inflow = flag_stationary_weight(successor, coin) * step_probability(
+            flag_backward_step, successor, coin, state
+        )
         return StationarityBracket(
             expected=pi, partial_sum=inflow, tail_bound=Fraction(0)
         )
@@ -197,12 +207,14 @@ def verify_flag_stationarity(
     last_label = len(state.cells) - 1
     if drop_cap < last_label + state.balls:
         raise ValueError("drop_cap must be at least last label position + b")
+    q = coin.q
     targets = {tr.target for tr in flag_forward_edges(state, drop_cap)}
     partial = Fraction(0)
-    for target in sorted(targets, key=str):
-        prob = flag_backward_dist(target, coin).probability(state)
-        if prob:
-            partial += flag_stationary_weight(target, coin) * prob
+    for target in targets:
+        partial += q ** -flag_inversions(target) * step_probability(
+            flag_backward_step, target, coin, state
+        )
+    partial *= group_prefactor(state.labels, q)
     tail = flag_stationarity_tail_bound(state, coin, drop_cap)
     if tail >= pi * tolerance:
         raise CapTooSmall(

@@ -17,6 +17,7 @@ from jugglechain.flagchain import (
 from jugglechain.rng import ChainRng, ScriptedRng
 from jugglechain.series import sn
 from jugglechain.states import (
+    FlagState,
     erase_labels,
     flag_states_up_to_inversions,
     forward_edges,
@@ -190,6 +191,25 @@ class TestStationarity:
             bracket = verify_flag_stationarity(state, Q2, cap)
             assert bracket.ok
             assert bracket.tail_bound < bracket.expected * Fraction(1, 1024)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 2)], ids=str)
+    @pytest.mark.parametrize("labels", [(1, 2), (1, 2, 3), (1, 1, 2)])
+    def test_partial_sum_matches_whole_law_reference(self, labels, q):
+        # the reference builds each target's whole law and reads one entry
+        coin = CoinConfig(q)
+        for state in flag_states_up_to_inversions(labels, 5):
+            cap = len(state.cells) + len(labels) + 20
+            bracket = verify_flag_stationarity(state, coin, cap)
+            if state.cells[0] is None:
+                successors = {FlagState(state.cells[1:])}
+            else:
+                successors = {tr.target for tr in flag_forward_edges(state, cap)}
+            reference = Fraction(0)
+            for target in sorted(successors, key=str):
+                prob = flag_backward_dist(target, coin).probability(state)
+                if prob:
+                    reference += flag_stationary_weight(target, coin) * prob
+            assert bracket.partial_sum == reference, str(state)
 
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")

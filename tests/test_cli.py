@@ -103,6 +103,11 @@ class TestDensity:
         assert code == 0
         assert out.splitlines()[1] == "0.000000,0.9"
 
+    def test_zero_mu_max_is_one_row(self, capsys):
+        code, out = run_cli(capsys, "density", "--e", "0.1", "--mu-max", "0")
+        assert code == 0
+        assert out.splitlines()[1:-1] == ["0.000000,0.9"]
+
     def test_empirical(self, capsys):
         code, out = run_cli(
             capsys, "density", "--e", "0.2", "--mu-max", "1.0", "--empirical",
@@ -172,6 +177,27 @@ class TestSimulateAndDigraph:
         lines = target.read_text().splitlines()
         assert len(lines) == 50
         assert all(sorted(parse_flag_state(line).labels) == [1, 2] for line in lines)
+
+    def test_trajectory_path_leaves_the_config_hash(self, tmp_path, capsys):
+        # where a run writes its trajectory does not change its table
+        args = [
+            "simulate", "--labels", "1,2", "--q", "2", "--steps", "200",
+            "--burnin", "10", "--seed", "3",
+        ]
+        tables = [
+            run_cli(capsys, *args, "--trajectory", str(tmp_path / name))
+            for name in ("a.txt", "b.txt")
+        ]
+        assert tables[0] == tables[1]
+        assert tables[0][1] == run_cli(capsys, *args)[1]
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+
+    def test_output_path_leaves_the_config_hash(self, tmp_path, capsys):
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["--output", str(tmp_path / name), "siteswap", "3"]) == 0
+            tables.append((tmp_path / name).read_text())
+        assert tables[0] == tables[1] == run_cli(capsys, "siteswap", "3")[1]
 
     def test_python_dash_m(self, capsys):
         # the package runs from a source checkout without being installed
@@ -287,11 +313,17 @@ class TestBadFlags:
             (["series", "--dump", "grassmannian", "--j", "5", "--h", "3"], "--j"),
             (["series", "--partition-max", "-1"], "argument --partition-max"),
             (["series", "--dump", "permutation", "--balls", "-1"], "argument --balls"),
+            (["density", "--E", "0.1", "--mu-max", "-1"], "argument --mu-max"),
+            (["density", "--E", "0.1", "--mu-max", "nan"], "argument --mu-max"),
+            (["density", "--E", "0.1", "--mu-max", "inf"], "argument --mu-max"),
+            (["density", "--E", "0.1", "--step", "inf"], "argument --step"),
         ],
         ids=[
             "simulate-balls", "stationary-check-balls", "oracle-balls",
             "oracle-width", "density-balls", "density-E", "density-step",
             "series-j-above-h", "series-partition-max", "series-dump-balls",
+            "density-mu-max-negative", "density-mu-max-nan",
+            "density-mu-max-inf", "density-step-inf",
         ],
     )
     def test_out_of_range_numbers(self, capsys, argv, flag):
