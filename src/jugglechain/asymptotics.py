@@ -82,7 +82,12 @@ def lambda_of_mu(e: float, mu: float) -> float:
     _check_e(e)
     if mu < 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
-    return mu - math.log(1 + e ** (1 - mu) - e) / math.log(1 / e)
+    try:
+        return mu - math.log(1 + e ** (1 - mu) - e) / math.log(1 / e)
+    except OverflowError:
+        # E^(1-mu) overflows; factoring it out of the logarithm leaves
+        # 1 - log1p((1-E) E^(mu-1)) / log(1/E)
+        return 1 - math.log1p((1 - e) * e ** (mu - 1)) / math.log(1 / e)
 
 
 def ball_density(e: float, mu: float) -> float:
@@ -92,7 +97,13 @@ def ball_density(e: float, mu: float) -> float:
     if mu < 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
     # grouping the exponential with -E makes the mu=0 denominator exactly 1
-    return (1 - e) / (1 + (e ** (1 - mu) - e))
+    try:
+        return (1 - e) / (1 + (e ** (1 - mu) - e))
+    except OverflowError:
+        # E^(1-mu) overflows while the density tends to 0; multiplying
+        # through by E^(mu-1) keeps every term finite
+        t = e ** (mu - 1)
+        return (1 - e) * t / (1 + (1 - e) * t)
 
 
 def density_curve(

@@ -36,8 +36,6 @@ from .flagchain import (
     verify_flag_stationarity,
 )
 from .fqoracle import (
-    flag_fraction_sweep,
-    formula_flag_fraction,
     formula_group_fraction,
     formula_pivot_fraction,
     group_fraction_sweep,
@@ -241,7 +239,9 @@ def cmd_stationary_check(args) -> int:
     all_ok = True
     if args.labels:
         for state in flag_states_up_to_inversions(args.labels, args.max_inversions):
-            drop_cap = args.drop_cap or (len(state.cells) + len(args.labels) + 20)
+            drop_cap = args.drop_cap
+            if drop_cap is None:
+                drop_cap = len(state.cells) + len(args.labels) + 20
             try:
                 bracket = verify_flag_stationarity(state, coin, drop_cap)
             except ValueError as exc:  # drop_cap below this state's minimum
@@ -273,15 +273,16 @@ def cmd_oracle(args) -> int:
     p = args.p
     rows = []
     all_ok = True
-    if args.labels:
-        labels = args.labels
+    labels = args.labels
+    if args.flag and not labels:
+        # the labeled sweep is the group sweep with every label distinct
+        if args.balls == 0:
+            raise _FlagError("--flag needs --balls of at least 1")
+        labels = tuple(range(1, args.balls + 1))
+    if labels:
         balls = len(labels)
         sweep = group_fraction_sweep(labels, args.width, p)
         formula = lambda s: formula_group_fraction(labels, p, s)
-    elif args.flag:
-        balls = args.balls
-        sweep = flag_fraction_sweep(args.balls, args.width, p)
-        formula = lambda s: formula_flag_fraction(args.balls, p, s)
     else:
         balls = args.balls
         sweep = pivot_fraction_sweep(args.balls, args.width, p)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--max-inversions", type=_natural, default=6)
-    p.add_argument("--drop-cap", type=int)
+    p.add_argument("--drop-cap", type=_natural)
     p.set_defaults(func=cmd_stationary_check)
 
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")

@@ -1,8 +1,10 @@
 """Ground truth from linear algebra over Z/p.
 
-Exhaustive enumeration of b x N matrices tallies pivot-column states (and
-their labeled refinement from northwest ranks), giving the fractions and
-transition laws that the chains must reproduce with q = p.
+Exhaustive enumeration of b x N matrices tallies pivot-column states and
+their labeled refinement, giving the fractions and transition laws that
+the chains must reproduce with q = p.  Both come from one row reduction:
+each row's pivot is its leading column once reduced against the rows
+above it.
 """
 from __future__ import annotations
 
@@ -50,9 +52,6 @@ class FqMatrix:
     def width(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def prepend_column(self, col: Sequence[int]) -> "FqMatrix":
         if len(col) != self.height:
             raise ValueError("column height mismatch")
@@ -74,81 +73,62 @@ def enumerate_matrices(
         yield FqMatrix(p, tuple(zip(*cols)))
 
 
-def _reduce_column(
-    col: Sequence[int], basis: list[tuple[int, list[int]]], p: int
-) -> list[int]:
-    """Reduce a column against an echelon basis [(lead row, vector), ...]."""
-    v = list(col)
-    for lead, vec in basis:
-        if v[lead]:
-            factor = (v[lead] * pow(vec[lead], p - 2, p)) % p
-            v = [(a - factor * b) % p for a, b in zip(v, vec)]
-    return v
+def _leading_columns(matrix: FqMatrix) -> Optional[list[int]]:
+    """Each row's pivot column, top to bottom; None if the rank falls
+    short of the number of rows.
+
+    Each row is reduced in turn: while its leading column is that of an
+    earlier reduced row, subtract the multiple of that row which clears
+    it.  A row that reaches zero lies in the span of the rows above.  The
+    lead a row ends on is its pivot:
+    - the reduced rows above have distinct leads and span what the rows
+      above span, so any nonzero vector of that span starts at one of
+      their leads, never at this row's;
+    - adding such a vector to the reduced row moves its start left or
+      keeps it, so the final lead is the rightmost start that any vector
+      of row_i + span(rows above) can have;
+    - the northwest rank difference r[i][j] - r[i-1][j] (r: ranks of the
+      top-i by left-j submatrices) is 1 exactly when every vector of that
+      coset is nonzero among the first j columns, so it jumps from 0 to 1
+      at that column.
+    """
+    p = matrix.p
+    reduced: dict[int, list[int]] = {}  # leading column -> reduced row
+    leads = []
+    for row in matrix.rows:
+        v = list(row)
+        lead = next((j for j, e in enumerate(v) if e), None)
+        while lead in reduced:
+            w = reduced[lead]
+            factor = v[lead] * pow(w[lead], -1, p) % p
+            v = [(a - factor * b) % p for a, b in zip(v, w)]
+            lead = next((j for j in range(lead + 1, len(v)) if v[j]), None)
+        if lead is None:
+            return None
+        reduced[lead] = v
+        leads.append(lead)
+    return leads
 
 
 def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
     """Pivot columns under left-to-right elimination: column j is pivotal
-    iff it is not in the span of the columns before it.  None if the rank
-    falls short of the number of rows."""
-    p = matrix.p
-    basis: list[tuple[int, list[int]]] = []
-    pivots = []
-    for j in range(matrix.width):
-        v = _reduce_column(matrix.column(j), basis, p)
-        lead = next((i for i, e in enumerate(v) if e), None)
-        if lead is not None:
-            basis.append((lead, v))
-            pivots.append(j)
-            if len(pivots) == matrix.height:
-                break
-    if len(pivots) < matrix.height:
-        return None
-    return JugglingState(tuple(pivots))
-
-
-def _rank_profile(rows: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Ranks of the left-j submatrices for j = 0..N, via one left-to-right
-    column reduction."""
-    n = len(rows[0]) if rows else 0
-    basis: list[tuple[int, list[int]]] = []
-    profile = [0]
-    for j in range(n):
-        col = [row[j] for row in rows]
-        v = _reduce_column(col, basis, p)
-        lead = next((i for i, e in enumerate(v) if e), None)
-        if lead is not None:
-            basis.append((lead, v))
-        profile.append(len(basis))
-    return profile
-
-
-def northwest_ranks(matrix: FqMatrix) -> list[list[int]]:
-    """r[i][j] = rank of the top-i by left-j submatrix (0-indexed sizes)."""
-    b, n = matrix.height, matrix.width
-    r = [[0] * (n + 1)]
-    for i in range(1, b + 1):
-        r.append(_rank_profile(matrix.rows[:i], matrix.p))
-    return r
+    iff it is not in the span of the columns before it.  These are the
+    rows' leading columns, where the rank of the left-j submatrix grows.
+    None if the rank falls short of the number of rows."""
+    leads = _leading_columns(matrix)
+    return None if leads is None else JugglingState(tuple(sorted(leads)))
 
 
 def flag_pivot_state(matrix: FqMatrix) -> Optional[FlagState]:
-    """The labeled refinement of pivot_state: row i labels the column where
-    the northwest rank function jumps by one in both directions.
+    """The labeled refinement of pivot_state: label i sits at row i's
+    leading column, where the northwest rank function jumps by one in
+    both directions.
 
     This is the complete invariant of downward row operations together
     with rightward column operations; erasing labels recovers
     pivot_state.  None if the rank falls short.
     """
-    r = northwest_ranks(matrix)
-    b, n = matrix.height, matrix.width
-    if r[b][n] < b:
-        return None
-    cells: list[Cell] = [None] * n
-    for i in range(1, b + 1):
-        for j in range(1, n + 1):
-            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
-                cells[j - 1] = i
-    return FlagState(trim_cells(cells))
+    return coarse_flag_pivot_state(matrix, range(1, matrix.height + 1))
 
 
 def coarse_flag_pivot_state(
@@ -156,16 +136,16 @@ def coarse_flag_pivot_state(
 ) -> Optional[FlagState]:
     """flag_pivot_state with row i relabeled by the i-th entry of the
     sorted label multiset (rows come in contiguous equal-label groups)."""
-    fine = flag_pivot_state(matrix)
-    if fine is None:
+    leads = _leading_columns(matrix)
+    if leads is None:
         return None
     ordered = sorted(labels)
     if len(ordered) != matrix.height:
         raise ValueError("label multiset size must match the row count")
-    cells = tuple(
-        None if c is None else ordered[c - 1] for c in fine.cells
-    )
-    return FlagState(cells)
+    cells: list[Cell] = [None] * matrix.width
+    for lead, label in zip(leads, ordered):
+        cells[lead] = label
+    return FlagState(trim_cells(cells))
 
 
 def gl_order(b: int, p: int) -> int:

@@ -131,6 +131,34 @@ class TestContinuumFormulas:
             lambda_of_mu(0.5, -1.0)
 
 
+class TestFarTail:
+    """Past about mu = 1 + 709/log(1/E), E^(1-mu) overflows a float while
+    the density tends to 0 and lambda to 1."""
+
+    @pytest.mark.parametrize("e", [1e-5, 0.1, 0.5, 0.9])
+    def test_density_finite_and_nonincreasing(self, e):
+        switch = 1 + math.log(1.7e308) / math.log(1 / e)
+        mus = [switch * k / 100 for k in range(90, 120)]
+        mus += [switch + k * 1e-9 * switch for k in range(-500, 500)]
+        mus += [1e6, 1e300]
+        values = [ball_density(e, mu) for mu in sorted(mus)]
+        assert all(0 <= d < 1 for d in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[-1] == 0.0
+
+    @pytest.mark.parametrize("e", [1e-5, 0.1, 0.5, 0.9])
+    def test_lambda_tends_to_one(self, e):
+        for mu in (2000.0, 1e6, 1e300):
+            assert lambda_of_mu(e, mu) == pytest.approx(1.0, abs=1e-9)
+
+    def test_values_short_of_the_overflow_unchanged(self):
+        for e, mu in [(0.1, 6.0), (0.1, 308.0), (0.5, 1000.0), (1e-5, 62.0)]:
+            assert ball_density(e, mu) == (1 - e) / (1 + (e ** (1 - mu) - e))
+            assert lambda_of_mu(e, mu) == mu - math.log(
+                1 + e ** (1 - mu) - e
+            ) / math.log(1 / e)
+
+
 class TestDensityCurve:
     def test_y_intercept_row(self):
         rows = density_curve(0.1, 2.0, 0.01)

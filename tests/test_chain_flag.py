@@ -231,6 +231,11 @@ class TestMonteCarlo:
         n = 150_000
         for _ in range(n):
             state = flag_backward_step(state, Q2, rng)
+            # pi puts mass 1 - (1 - 2^-63)(1 - 2^-64) < 2^-62 on states
+            # longer than 64 cells (the last label past position 63), and
+            # this run peaks at 20; a sampler that lets states grow fails
+            # here instead of swelling the comparison set below
+            assert len(state.cells) <= 64
             counts[state] = counts.get(state, 0) + 1
         comparison = set(flag_states_up_to_inversions((1, 2), 8)) | set(counts)
         covered = Fraction(0)

@@ -108,6 +108,15 @@ class TestDensity:
         assert code == 0
         assert out.splitlines()[1:-1] == ["0.000000,0.9"]
 
+    def test_far_tail_is_finite(self, capsys):
+        code, out = run_cli(
+            capsys, "density", "--E", "0.1", "--mu-max", "400", "--step", "1"
+        )
+        assert code == 0
+        densities = [float(line.split(",")[1]) for line in out.splitlines()[1:-1]]
+        assert len(densities) == 401
+        assert densities[-1] == 0.0
+
     def test_empirical(self, capsys):
         code, out = run_cli(
             capsys, "density", "--e", "0.2", "--mu-max", "1.0", "--empirical",
@@ -228,6 +237,50 @@ class TestSimulateAndDigraph:
         assert "-x,1,1/4,1/4,pass" in out
 
 
+# whole tables of three oracle sweeps, pinned byte for byte
+ORACLE_GOLDEN = {
+    "flag": (
+        ["--balls", "3", "--width", "3", "--p", "2", "--flag"],
+        "state,count,fraction,formula,match\n"
+        "123,64,1/8,1/8,pass\n"
+        "132,32,1/16,1/16,pass\n"
+        "213,32,1/16,1/16,pass\n"
+        "231,16,1/32,1/32,pass\n"
+        "312,16,1/32,1/32,pass\n"
+        "321,8,1/64,1/64,pass\n"
+        "<rank-deficient>,344,43/64,-,-\n"
+        "# jugglechain {version} seed=- config=0432709c40cd\n",
+    ),
+    "labels": (
+        ["--labels", "1,1,2", "--width", "3", "--p", "2"],
+        "state,count,fraction,formula,match\n"
+        "112,96,3/16,3/16,pass\n"
+        "121,48,3/32,3/32,pass\n"
+        "211,24,3/64,3/64,pass\n"
+        "<rank-deficient>,344,43/64,-,-\n"
+        "# jugglechain {version} seed=- config=cb7157e0ff0c\n",
+    ),
+    "plain": (
+        ["--balls", "2", "--width", "3", "--p", "3"],
+        "state,count,fraction,formula,match\n"
+        "-xx,48,16/243,16/243,pass\n"
+        "x-x,144,16/81,16/81,pass\n"
+        "xx,432,16/27,16/27,pass\n"
+        "<rank-deficient>,105,35/243,-,-\n"
+        "# jugglechain {version} seed=- config=5792dc96ca5c\n",
+    ),
+}
+
+
+class TestOracleGolden:
+    @pytest.mark.parametrize("kind", sorted(ORACLE_GOLDEN))
+    def test_table(self, capsys, kind):
+        argv, expected = ORACLE_GOLDEN[kind]
+        code, out = run_cli(capsys, "oracle", *argv)
+        assert code == 0
+        assert out == expected.format(version=jugglechain.__version__)
+
+
 def bad_flags(capsys, *argv):
     """Run a command that must be refused as bad flags; returns its single
     error line."""
@@ -317,13 +370,19 @@ class TestBadFlags:
             (["density", "--E", "0.1", "--mu-max", "nan"], "argument --mu-max"),
             (["density", "--E", "0.1", "--mu-max", "inf"], "argument --mu-max"),
             (["density", "--E", "0.1", "--step", "inf"], "argument --step"),
+            (["oracle", "--flag", "--balls", "0"], "--flag"),
+            (
+                ["stationary-check", "--labels", "1,2", "--q", "2", "--drop-cap", "0"],
+                "--drop-cap 0",
+            ),
         ],
         ids=[
             "simulate-balls", "stationary-check-balls", "oracle-balls",
             "oracle-width", "density-balls", "density-E", "density-step",
             "series-j-above-h", "series-partition-max", "series-dump-balls",
             "density-mu-max-negative", "density-mu-max-nan",
-            "density-mu-max-inf", "density-step-inf",
+            "density-mu-max-inf", "density-step-inf", "oracle-flag-no-balls",
+            "stationary-check-drop-cap-zero",
         ],
     )
     def test_out_of_range_numbers(self, capsys, argv, flag):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,11 +26,44 @@ from jugglechain.fqoracle import (
     pivot_state,
 )
 from jugglechain.states import (
+    FlagState,
+    JugglingState,
     erase_labels,
     ground_state,
     parse_flag_state,
     parse_state,
+    trim_cells,
 )
+
+
+def span_rank(rows, p):
+    """Rank over Z/p from the size of the span, found by summing every
+    combination of the rows: p^rank vectors, no elimination."""
+    span = {
+        tuple(sum(c * e for c, e in zip(coeffs, col)) % p for col in zip(*rows))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+    return next(r for r in range(len(rows) + 1) if p**r == len(span))
+
+
+def rank_jump_states(matrix):
+    """(pivot state, flag pivot state) read off the northwest ranks
+    r[i][j] of every top-i by left-j submatrix: a pivot wherever r[b][.]
+    grows, label i wherever r[i][.] - r[i-1][.] grows."""
+    b, n, p = matrix.height, matrix.width, matrix.p
+    r = [
+        [span_rank([row[:j] for row in matrix.rows[:i]], p) for j in range(n + 1)]
+        for i in range(b + 1)
+    ]
+    if r[b][n] < b:
+        return None, None
+    plain = JugglingState(tuple(j for j in range(n) if r[b][j + 1] > r[b][j]))
+    cells = [None] * n
+    for i in range(1, b + 1):
+        for j in range(n):
+            if r[i][j + 1] - r[i - 1][j + 1] > r[i][j] - r[i - 1][j]:
+                cells[j] = i
+    return plain, FlagState(trim_cells(cells))
 
 
 class TestPivotState:
@@ -107,6 +141,24 @@ class TestFlagPivotState:
                     row[dst] = (row[dst] + lam * row[src]) % p
             after = flag_pivot_state(FqMatrix(p, tuple(tuple(r) for r in mutated)))
             assert before == after
+
+
+class TestRankJumpReference:
+    @pytest.mark.parametrize("b,n,p", [(2, 3, 2), (3, 3, 2), (2, 3, 3)])
+    def test_every_matrix(self, b, n, p):
+        labels = (2,) + (1,) * (b - 1)  # row i takes the i-th smallest
+        ordered = sorted(labels)
+        for m in enumerate_matrices(b, n, p):
+            plain, flag = rank_jump_states(m)
+            assert pivot_state(m) == plain
+            assert flag_pivot_state(m) == flag
+            coarse = coarse_flag_pivot_state(m, labels)
+            if flag is None:
+                assert coarse is None
+            else:
+                assert coarse == FlagState(
+                    tuple(None if c is None else ordered[c - 1] for c in flag.cells)
+                )
 
 
 class TestGlOrder:
