@@ -29,9 +29,11 @@ from .chain import (
 )
 from .errors import JuggleError
 from .flagchain import (
+    _TOLERANCE,
     flag_backward_dist,
     flag_backward_step,
     flag_forward_edges,
+    flag_stationarity_tail_bound,
     flag_stationary_weight,
     verify_flag_stationarity,
 )
@@ -233,6 +235,16 @@ def cmd_dist(args) -> int:
     return 0
 
 
+def _default_drop_cap(state: FlagState, coin: CoinConfig) -> int:
+    """cells + b + 20, raised until the tail bound clears the balance
+    check's default tolerance (which takes more cells as q nears 1)."""
+    cap = len(state.cells) + state.balls + 20
+    room = flag_stationary_weight(state, coin) * _TOLERANCE
+    while flag_stationarity_tail_bound(state, coin, cap) >= room:
+        cap += 1
+    return cap
+
+
 def cmd_stationary_check(args) -> int:
     coin = CoinConfig(args.q)
     rows = []
@@ -241,7 +253,7 @@ def cmd_stationary_check(args) -> int:
         for state in flag_states_up_to_inversions(args.labels, args.max_inversions):
             drop_cap = args.drop_cap
             if drop_cap is None:
-                drop_cap = len(state.cells) + len(args.labels) + 20
+                drop_cap = _default_drop_cap(state, coin)
             try:
                 bracket = verify_flag_stationarity(state, coin, drop_cap)
             except ValueError as exc:  # drop_cap below this state's minimum

@@ -175,11 +175,16 @@ def flag_stationarity_tail_bound(
     return per_position * q ** -(drop_cap + 1) / (1 - 1 / q)
 
 
+# the balance check's default: the tail bound must be below this share of
+# the state's weight
+_TOLERANCE = Fraction(1, 1024)
+
+
 def verify_flag_stationarity(
     state: FlagState,
     coin: CoinConfig,
     drop_cap: int,
-    tolerance: Fraction = Fraction(1, 1024),
+    tolerance: Fraction = _TOLERANCE,
 ) -> StationarityBracket:
     """Bracketed balance check at `state`.
 
@@ -189,8 +194,25 @@ def verify_flag_stationarity(
     the one entry P(target -> state) read from `flag_backward_step` by
     `chain.step_probability`, not the target's whole law.  Every target
     carries the labels of `state`, so the group prefactor of the weights is
-    factored out of the sum.  Raises CapTooSmall when the tail bound is not
-    below tolerance * weight(state).
+    factored out of the sum.  Raises CapTooSmall, before any summing, when
+    the tail bound is not below tolerance * weight(state).
+
+    Far-drop families.  Let n = len(state.cells), so the shifted word has
+    n - 1 cells and its last one bears a label.  Only the walks whose final
+    drop lands at p <= n - 1 are enumerated; each target of n cells stands
+    for its whole family p = n - 1, ..., drop_cap, and its term is
+    multiplied by sum_{k=0}^{drop_cap-n+1} q^-k.  This is exact:
+
+    * a walk whose final drop lands at p >= n - 1 makes all its exchanges
+      inside the shifted word, then carries one label c over empties to p,
+      so its targets for different p differ only in the run of empties
+      before c, and each extra empty adds exactly one inversion;
+    * the backward sweep from any of them stops first at c and must flip
+      tails there: heads would leave a label past the state's last cell.
+      After that flip it sees the same cells for every p, so
+      P(target -> state) does not depend on p;
+    * a final drop before n - 1 gives a target of at most n - 1 cells, so
+      "n cells" picks out exactly one representative per family.
     """
     pi = flag_stationary_weight(state, coin)
     if state.cells[0] is None:
@@ -204,22 +226,23 @@ def verify_flag_stationarity(
             expected=pi, partial_sum=inflow, tail_bound=Fraction(0)
         )
 
-    last_label = len(state.cells) - 1
-    if drop_cap < last_label + state.balls:
+    n = len(state.cells)
+    if drop_cap < n - 1 + state.balls:
         raise ValueError("drop_cap must be at least last label position + b")
-    q = coin.q
-    targets = {tr.target for tr in flag_forward_edges(state, drop_cap)}
-    partial = Fraction(0)
-    for target in targets:
-        partial += q ** -flag_inversions(target) * step_probability(
-            flag_backward_step, target, coin, state
-        )
-    partial *= group_prefactor(state.labels, q)
     tail = flag_stationarity_tail_bound(state, coin, drop_cap)
     if tail >= pi * tolerance:
         raise CapTooSmall(
             f"tail bound {tail} is not below {tolerance} * weight {pi}"
         )
+    q = coin.q
+    family = (1 - q ** -(drop_cap - n + 2)) / (1 - 1 / q)
+    partial = Fraction(0)
+    for target in {tr.target for tr in flag_forward_edges(state, n - 1)}:
+        term = q ** -flag_inversions(target) * step_probability(
+            flag_backward_step, target, coin, state
+        )
+        partial += family * term if len(target.cells) == n else term
+    partial *= group_prefactor(state.labels, q)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)
 
 

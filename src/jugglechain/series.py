@@ -7,6 +7,8 @@ with no rounding.  The default truncation degree is 24.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,15 +24,28 @@ from .states import (
 DEFAULT_DEGREE = 24
 
 
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `coeffs` over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 @dataclass(frozen=True)
 class TruncSeries:
-    """Coefficients c_0..c_D of x^0..x^D; arithmetic is exact mod x^(D+1)."""
+    """Coefficients c_0..c_D of x^0..x^D; arithmetic is exact mod x^(D+1).
+
+    The coefficients are Fractions, but `*` and `inverse` run on integer
+    numerators over one common denominator (the lcm of the coefficient
+    denominators) and build one Fraction per output coefficient.
+    """
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self,
+            "coeffs",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
         )
 
     @classmethod
@@ -74,30 +89,34 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(d + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(tuple(out))
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        den = da * db
+        return TruncSeries(
+            tuple(
+                Fraction(sum(map(operator.mul, a, b[k::-1])), den)
+                for k in range(self.degree + 1)
+            )
+        )
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With a_j the integer numerators over den, the inverse's coefficient
+        k is den * n_k / a_0^(k+1), where n_0 = 1 and
+        n_k = -sum_{j=1..k} a_j * a_0^(j-1) * n_(k-j) are integers.
+        """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series has zero constant term")
-        d = self.degree
-        inv = [Fraction(0)] * (d + 1)
-        inv[0] = 1 / self.coeffs[0]
-        for k in range(1, d + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / self.coeffs[0]
-        return TruncSeries(tuple(inv))
+        a, den = _numerators(self.coeffs)
+        a0 = a[0]
+        scaled = [a_j * a0**j for j, a_j in enumerate(a[1:])]  # a_(j+1) a_0^j
+        n = [1]
+        for _ in a[1:]:
+            n.append(-sum(map(operator.mul, scaled, reversed(n))))
+        return TruncSeries(
+            tuple(Fraction(den * n_k, a0 ** (k + 1)) for k, n_k in enumerate(n))
+        )
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -135,10 +154,11 @@ def sn(n: int, q: Fraction) -> Fraction:
 
 def sn_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """(1 - x)(1 - x^2)...(1 - x^n) as a truncated series in x = q^-1."""
-    out = TruncSeries.one(degree)
+    poly = [1] + [0] * degree
     for i in range(1, n + 1):
-        out = out * (TruncSeries.one(degree) - TruncSeries.x_power(i, degree))
-    return out
+        for k in range(degree, i - 1, -1):
+            poly[k] -= poly[k - i]
+    return TruncSeries.from_ints(poly, degree)
 
 
 def state_partition_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:

@@ -192,24 +192,58 @@ class TestStationarity:
             assert bracket.ok
             assert bracket.tail_bound < bracket.expected * Fraction(1, 1024)
 
-    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(7, 2), Fraction(5, 4)], ids=str
+    )
     @pytest.mark.parametrize("labels", [(1, 2), (1, 2, 3), (1, 1, 2)])
     def test_partial_sum_matches_whole_law_reference(self, labels, q):
-        # the reference builds each target's whole law and reads one entry
+        # the reference builds each target's whole law and reads one entry,
+        # for every target up to the cap, so it sums each far-drop family
+        # term by term; caps: the minimum (last label + b), one more, and
+        # the CLI's cells + b + 20
         coin = CoinConfig(q)
         for state in flag_states_up_to_inversions(labels, 5):
-            cap = len(state.cells) + len(labels) + 20
-            bracket = verify_flag_stationarity(state, coin, cap)
-            if state.cells[0] is None:
-                successors = {FlagState(state.cells[1:])}
-            else:
-                successors = {tr.target for tr in flag_forward_edges(state, cap)}
-            reference = Fraction(0)
-            for target in sorted(successors, key=str):
-                prob = flag_backward_dist(target, coin).probability(state)
-                if prob:
-                    reference += flag_stationary_weight(target, coin) * prob
-            assert bracket.partial_sum == reference, str(state)
+            for extra in (0, 1, 21):
+                cap = len(state.cells) - 1 + len(labels) + extra
+                bracket = verify_flag_stationarity(
+                    state, coin, cap, tolerance=Fraction(2**40)
+                )
+                if state.cells[0] is None:
+                    successors = {FlagState(state.cells[1:])}
+                else:
+                    successors = {
+                        tr.target for tr in flag_forward_edges(state, cap)
+                    }
+                reference = Fraction(0)
+                for target in sorted(successors, key=str):
+                    prob = flag_backward_dist(target, coin).probability(state)
+                    if prob:
+                        reference += flag_stationary_weight(target, coin) * prob
+                assert bracket.partial_sum == reference, (str(state), cap)
+
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(5, 4), Fraction(7, 2)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "labels,max_inversions",
+        [((1, 2), 5), ((1, 2, 3), 5), ((1, 1, 2), 5), ((1, 2, 3, 4), 4)],
+    )
+    def test_closed_geometric_tail_is_exact(self, labels, max_inversions, q):
+        # past the minimum cap each extra drop position adds one layer of
+        # inflow, and the layers shrink by exactly 1/q, so closing the tail
+        # after P(c) with the layer P(c+1) - P(c) gives the weight exactly
+        coin = CoinConfig(q)
+        for state in flag_states_up_to_inversions(labels, max_inversions):
+            cap = len(state.cells) - 1 + len(labels)
+            near, far = (
+                verify_flag_stationarity(
+                    state, coin, c, tolerance=Fraction(2**40)
+                ).partial_sum
+                for c in (cap, cap + 1)
+            )
+            assert near + (far - near) / (1 - 1 / q) == flag_stationary_weight(
+                state, coin
+            ), str(state)
 
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")

@@ -79,6 +79,17 @@ class TestVerificationCommands:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_flag_stationary_check_near_one(self, capsys):
+        # cells + b + 20 drop positions leave too loose a tail at q = 5/4;
+        # the default cap grows until the tail bound clears the tolerance
+        code, out = run_cli(
+            capsys, "stationary-check", "--labels", "1,2", "--q", "5/4",
+            "--max-inversions", "4",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:-1]
+        assert rows and all(row.endswith(",pass") for row in rows)
+
     def test_oracle(self, capsys):
         code, out = run_cli(
             capsys, "oracle", "--balls", "2", "--width", "3", "--p", "2", "--flag"
@@ -277,6 +288,173 @@ class TestOracleGolden:
     def test_table(self, capsys, kind):
         argv, expected = ORACLE_GOLDEN[kind]
         code, out = run_cli(capsys, "oracle", *argv)
+        assert code == 0
+        assert out == expected.format(version=jugglechain.__version__)
+
+
+# whole tables of flag balance checks and series identities, pinned byte
+# for byte: exact partial sums, tail bounds and coefficients
+CHECK_GOLDEN = {
+    "flag-123": (
+        ["stationary-check", "--labels", "1,2,3", "--q", "2", "--max-inversions", "4"],
+        "state,weight,partial_sum,tail_bound,verdict\n"
+        "123,1/8,33554431/268435456,1/33554432,pass\n"
+        "132,1/16,33554431/536870912,1/33554432,pass\n"
+        "213,1/16,33554431/536870912,1/33554432,pass\n"
+        "12-3,1/16,67108863/1073741824,1/67108864,pass\n"
+        "231,1/32,33554431/1073741824,1/33554432,pass\n"
+        "312,1/32,33554431/1073741824,1/33554432,pass\n"
+        "13-2,1/32,67108863/2147483648,1/67108864,pass\n"
+        "21-3,1/32,67108863/2147483648,1/67108864,pass\n"
+        "12--3,1/32,134217727/4294967296,1/134217728,pass\n"
+        "1-23,1/32,67108863/2147483648,1/67108864,pass\n"
+        "321,1/64,33554431/2147483648,1/33554432,pass\n"
+        "23-1,1/64,67108863/4294967296,1/67108864,pass\n"
+        "31-2,1/64,67108863/4294967296,1/67108864,pass\n"
+        "13--2,1/64,134217727/8589934592,1/134217728,pass\n"
+        "21--3,1/64,134217727/8589934592,1/134217728,pass\n"
+        "1-32,1/64,67108863/4294967296,1/67108864,pass\n"
+        "2-13,1/64,67108863/4294967296,1/67108864,pass\n"
+        "12---3,1/64,268435455/17179869184,1/268435456,pass\n"
+        "1-2-3,1/64,134217727/8589934592,1/134217728,pass\n"
+        "-123,1/64,1/64,0,pass\n"
+        "32-1,1/128,67108863/8589934592,1/67108864,pass\n"
+        "23--1,1/128,134217727/17179869184,1/134217728,pass\n"
+        "31--2,1/128,134217727/17179869184,1/134217728,pass\n"
+        "2-31,1/128,67108863/8589934592,1/67108864,pass\n"
+        "3-12,1/128,67108863/8589934592,1/67108864,pass\n"
+        "13---2,1/128,268435455/34359738368,1/268435456,pass\n"
+        "21---3,1/128,268435455/34359738368,1/268435456,pass\n"
+        "1-3-2,1/128,134217727/17179869184,1/134217728,pass\n"
+        "2-1-3,1/128,134217727/17179869184,1/134217728,pass\n"
+        "-132,1/128,1/128,0,pass\n"
+        "-213,1/128,1/128,0,pass\n"
+        "12----3,1/128,536870911/68719476736,1/536870912,pass\n"
+        "1-2--3,1/128,268435455/34359738368,1/268435456,pass\n"
+        "1--23,1/128,134217727/17179869184,1/134217728,pass\n"
+        "-12-3,1/128,1/128,0,pass\n"
+        "# jugglechain {version} seed=- config=8cb8efc54278\n",
+    ),
+    "flag-112": (
+        ["stationary-check", "--labels", "1,1,2", "--q", "5/2", "--max-inversions", "4"],
+        "state,weight,partial_sum,tail_bound,verdict\n"
+        "112,189/625,56326389306402352977/186264514923095703125,8455716864/37252902984619140625,pass\n"
+        "121,378/3125,112652778612804705954/931322574615478515625,8455716864/37252902984619140625,pass\n"
+        "11-2,378/3125,563263893102074255658/4656612873077392578125,16911433728/186264514923095703125,pass\n"
+        "211,756/15625,225305557225609411908/4656612873077392578125,8455716864/37252902984619140625,pass\n"
+        "12-1,756/15625,1126527786204148511316/23283064365386962890625,16911433728/186264514923095703125,pass\n"
+        "11--2,756/15625,5632638931172945460132/116415321826934814453125,33822867456/931322574615478515625,pass\n"
+        "1-12,756/15625,1126527786204148511316/23283064365386962890625,16911433728/186264514923095703125,pass\n"
+        "21-1,1512/78125,2253055572408297022632/116415321826934814453125,16911433728/186264514923095703125,pass\n"
+        "12--1,1512/78125,11265277862345890920264/582076609134674072265625,33822867456/931322574615478515625,pass\n"
+        "1-21,1512/78125,2253055572408297022632/116415321826934814453125,16911433728/186264514923095703125,pass\n"
+        "11---2,1512/78125,56326389312338266215528/2910383045673370361328125,67645734912/4656612873077392578125,pass\n"
+        "1-1-2,1512/78125,11265277862345890920264/582076609134674072265625,33822867456/931322574615478515625,pass\n"
+        "-112,1512/78125,1512/78125,0,pass\n"
+        "21--1,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
+        "2-11,3024/390625,4506111144816594045264/582076609134674072265625,16911433728/186264514923095703125,pass\n"
+        "12---1,3024/390625,112652778624676532431056/14551915228366851806640625,67645734912/4656612873077392578125,pass\n"
+        "1-2-1,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
+        "-121,3024/390625,3024/390625,0,pass\n"
+        "11----2,3024/390625,563263893125817908612112/72759576141834259033203125,135291469824/23283064365386962890625,pass\n"
+        "1-1--2,3024/390625,112652778624676532431056/14551915228366851806640625,67645734912/4656612873077392578125,pass\n"
+        "1--12,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
+        "-11-2,3024/390625,3024/390625,0,pass\n"
+        "# jugglechain {version} seed=- config=939c8f28e9e2\n",
+    ),
+    "series": (
+        ["series", "--degree", "24"],
+        "identity,degree,verdict\n"
+        "state-partition b=1,24,pass\n"
+        "flag b=1,24,pass\n"
+        "bundle-factorization b=1,24,pass\n"
+        "state-partition b=2,24,pass\n"
+        "flag b=2,24,pass\n"
+        "bundle-factorization b=2,24,pass\n"
+        "state-partition b=3,24,pass\n"
+        "flag b=3,24,pass\n"
+        "bundle-factorization b=3,24,pass\n"
+        "state-partition b=4,24,pass\n"
+        "flag b=4,24,pass\n"
+        "bundle-factorization b=4,24,pass\n"
+        "permutation n=1,24,pass\n"
+        "permutation n=2,24,pass\n"
+        "permutation n=3,24,pass\n"
+        "permutation n=4,24,pass\n"
+        "permutation n=5,24,pass\n"
+        "permutation n=6,24,pass\n"
+        "grassmannian j=0 h=1,24,pass\n"
+        "grassmannian j=1 h=1,24,pass\n"
+        "grassmannian j=0 h=2,24,pass\n"
+        "grassmannian j=1 h=2,24,pass\n"
+        "grassmannian j=2 h=2,24,pass\n"
+        "grassmannian j=0 h=3,24,pass\n"
+        "grassmannian j=1 h=3,24,pass\n"
+        "grassmannian j=2 h=3,24,pass\n"
+        "grassmannian j=3 h=3,24,pass\n"
+        "grassmannian j=0 h=4,24,pass\n"
+        "grassmannian j=1 h=4,24,pass\n"
+        "grassmannian j=2 h=4,24,pass\n"
+        "grassmannian j=3 h=4,24,pass\n"
+        "grassmannian j=4 h=4,24,pass\n"
+        "grassmannian j=0 h=5,24,pass\n"
+        "grassmannian j=1 h=5,24,pass\n"
+        "grassmannian j=2 h=5,24,pass\n"
+        "grassmannian j=3 h=5,24,pass\n"
+        "grassmannian j=4 h=5,24,pass\n"
+        "grassmannian j=5 h=5,24,pass\n"
+        "grassmannian j=0 h=6,24,pass\n"
+        "grassmannian j=1 h=6,24,pass\n"
+        "grassmannian j=2 h=6,24,pass\n"
+        "grassmannian j=3 h=6,24,pass\n"
+        "grassmannian j=4 h=6,24,pass\n"
+        "grassmannian j=5 h=6,24,pass\n"
+        "grassmannian j=6 h=6,24,pass\n"
+        "grassmannian j=0 h=7,24,pass\n"
+        "grassmannian j=1 h=7,24,pass\n"
+        "grassmannian j=2 h=7,24,pass\n"
+        "grassmannian j=3 h=7,24,pass\n"
+        "grassmannian j=4 h=7,24,pass\n"
+        "grassmannian j=5 h=7,24,pass\n"
+        "grassmannian j=6 h=7,24,pass\n"
+        "grassmannian j=7 h=7,24,pass\n"
+        "grassmannian j=0 h=8,24,pass\n"
+        "grassmannian j=1 h=8,24,pass\n"
+        "grassmannian j=2 h=8,24,pass\n"
+        "grassmannian j=3 h=8,24,pass\n"
+        "grassmannian j=4 h=8,24,pass\n"
+        "grassmannian j=5 h=8,24,pass\n"
+        "grassmannian j=6 h=8,24,pass\n"
+        "grassmannian j=7 h=8,24,pass\n"
+        "grassmannian j=8 h=8,24,pass\n"
+        "# jugglechain {version} seed=- config=4a4f55884f21\n",
+    ),
+    "series-dump": (
+        ["series", "--dump", "grassmannian", "--j", "3", "--h", "6", "--degree", "12"],
+        "degree,coefficient\n"
+        "0,1\n"
+        "1,1\n"
+        "2,2\n"
+        "3,3\n"
+        "4,3\n"
+        "5,3\n"
+        "6,3\n"
+        "7,2\n"
+        "8,1\n"
+        "9,1\n"
+        "10,0\n"
+        "11,0\n"
+        "12,0\n"
+        "# jugglechain {version} seed=- config=2b8e88a3f86a\n",
+    ),
+}
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("kind", sorted(CHECK_GOLDEN))
+    def test_table(self, capsys, kind):
+        argv, expected = CHECK_GOLDEN[kind]
+        code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out == expected.format(version=jugglechain.__version__)
 

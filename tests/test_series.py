@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jugglechain.series import (
     TruncSeries,
@@ -43,6 +45,52 @@ class TestTruncSeries:
     def test_evaluate(self):
         s = TruncSeries.from_ints([1, 2, 3], 2)
         assert s.evaluate(Fraction(1, 2)) == Fraction(11, 4)
+
+
+def schoolbook_mul(a, b):
+    """Truncated product by Fraction loops: the reference for `*`."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def schoolbook_inverse(a):
+    """Inverse by Fraction loops: the reference for `inverse()`."""
+    inv = [1 / a[0]]
+    for k in range(1, len(a)):
+        acc = sum((a[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0))
+        inv.append(-acc / a[0])
+    return tuple(inv)
+
+
+# coefficients with denominators 2..12, mostly not integers
+coefficient = st.builds(Fraction, st.integers(-40, 40), st.integers(2, 12))
+series_pair = st.integers(0, 12).flatmap(
+    lambda d: st.tuples(
+        st.lists(coefficient, min_size=d + 1, max_size=d + 1),
+        st.lists(coefficient, min_size=d + 1, max_size=d + 1),
+    )
+)
+
+
+class TestIntegerArithmetic:
+    @given(series_pair, st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_loops(self, pair, k):
+        a, b = pair
+        s, t = TruncSeries(tuple(a)), TruncSeries(tuple(b))
+        results = [(s * t, schoolbook_mul(a, b))]
+        if a[0]:
+            inv = schoolbook_inverse(a)
+            power = inv
+            for _ in range(k - 1):
+                power = schoolbook_mul(power, inv)
+            results += [(s.inverse(), inv), (s**-k, power)]
+        for series, reference in results:
+            assert series.coeffs == reference
+            assert all(type(c) is Fraction for c in series.coeffs)
 
 
 class TestSn:
