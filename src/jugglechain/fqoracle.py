@@ -4,7 +4,10 @@ Exhaustive enumeration of b x N matrices tallies pivot-column states and
 their labeled refinement, giving the fractions and transition laws that
 the chains must reproduce with q = p.  Both come from one row reduction:
 each row's pivot is its leading column once reduced against the rows
-above it.
+above it.  The counts enumerate the matrices depth first, row by row, so
+the reduction of a prefix of rows is done once and shared by every
+matrix that starts with it; each matrix is still classified by its own
+reduction.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .chain import TransitionDist
 from .errors import ResourceLimit
@@ -23,7 +26,6 @@ from .states import (
     JugglingState,
     flag_inversions,
     inversions,
-    trim_cells,
 )
 
 SUPPORTED_PRIMES = (2, 3, 5)
@@ -70,17 +72,39 @@ def enumerate_matrices(
         raise ResourceLimit(f"{total} matrices exceeds the budget of {budget}")
     column_space = list(itertools.product(range(p), repeat=height))
     for cols in itertools.product(column_space, repeat=width):
-        yield FqMatrix(p, tuple(zip(*cols)))
+        # zip over no columns gives no rows: width 0 has b empty ones
+        yield FqMatrix(p, tuple(zip(*cols)) or ((),) * height)
+
+
+def _reduce(
+    row: Sequence[int], reduced: dict[int, Sequence[int]], p: int
+) -> tuple[Sequence[int], Optional[int]]:
+    """Reduce a row against rows with distinct leading columns (lead ->
+    row): while its lead is a reduced row's lead, subtract the multiple of
+    that row which clears it.  Returns the row and its final lead, None
+    once it reaches zero."""
+    v, start = row, 0
+    while True:
+        lead = None
+        for j in range(start, len(v)):  # a loop, not next(genexpr): hot
+            if v[j]:
+                lead = j
+                break
+        if lead not in reduced:
+            return v, lead
+        w = reduced[lead]
+        factor = v[lead] * pow(w[lead], -1, p) % p
+        v = [(a - factor * b) % p for a, b in zip(v, w)]
+        start = lead + 1
 
 
 def _leading_columns(matrix: FqMatrix) -> Optional[list[int]]:
     """Each row's pivot column, top to bottom; None if the rank falls
     short of the number of rows.
 
-    Each row is reduced in turn: while its leading column is that of an
-    earlier reduced row, subtract the multiple of that row which clears
-    it.  A row that reaches zero lies in the span of the rows above.  The
-    lead a row ends on is its pivot:
+    Each row is reduced in turn against the reduced rows above it
+    (`_reduce`).  A row that reaches zero lies in the span of the rows
+    above.  The lead a row ends on is its pivot:
     - the reduced rows above have distinct leads and span what the rows
       above span, so any nonzero vector of that span starts at one of
       their leads, never at this row's;
@@ -92,22 +116,85 @@ def _leading_columns(matrix: FqMatrix) -> Optional[list[int]]:
       coset is nonzero among the first j columns, so it jumps from 0 to 1
       at that column.
     """
-    p = matrix.p
-    reduced: dict[int, list[int]] = {}  # leading column -> reduced row
+    reduced: dict[int, Sequence[int]] = {}  # leading column -> reduced row
     leads = []
     for row in matrix.rows:
-        v = list(row)
-        lead = next((j for j, e in enumerate(v) if e), None)
-        while lead in reduced:
-            w = reduced[lead]
-            factor = v[lead] * pow(w[lead], -1, p) % p
-            v = [(a - factor * b) % p for a, b in zip(v, w)]
-            lead = next((j for j in range(lead + 1, len(v)) if v[j]), None)
+        v, lead = _reduce(row, reduced, matrix.p)
         if lead is None:
             return None
         reduced[lead] = v
         leads.append(lead)
     return leads
+
+
+def _lead_counts(
+    p: int, choices: Sequence[Sequence[Sequence[int]]]
+) -> Counter:
+    """How many matrices, row i drawn from choices[i], have each lead
+    tuple of `_leading_columns` (None: rank deficient).
+
+    Depth first over the rows: a prefix of rows is reduced once, and its
+    reduced rows stay in `reduced` for every extension and leave it on
+    backtrack.  This classifies every matrix exactly as
+    `_leading_columns` does, which reads the rows top to bottom:
+    - row i's reduction depends only on the reduced rows above it, which
+      depend only on the prefix, so each matrix's leads are those of its
+      own row reduction;
+    - when row i reduces to zero, `_leading_columns` returns None without
+      reading later rows, so every one of the prefix's completions is
+      rank deficient: prod(len(choices[j]) for j > i) matrices, counted
+      at once.
+    """
+    height = len(choices)
+    completions = [1] * (height + 1)  # completions[i]: rows i.. drawn
+    for i in reversed(range(height)):
+        completions[i] = completions[i + 1] * len(choices[i])
+    counts: Counter = Counter()
+    reduced: dict[int, Sequence[int]] = {}
+    leads: list[int] = []
+
+    def descend(i: int) -> None:
+        if i == height:
+            counts[tuple(leads)] += 1
+            return
+        for row in choices[i]:
+            v, lead = _reduce(row, reduced, p)
+            if lead is None:
+                counts[None] += completions[i + 1]
+                continue
+            reduced[lead] = v
+            leads.append(lead)
+            descend(i + 1)
+            leads.pop()
+            del reduced[lead]
+
+    descend(0)
+    return counts
+
+
+def _state(
+    leads: Sequence[int], ordered: Optional[Sequence[int]]
+) -> JugglingState | FlagState:
+    """The state of a full-rank lead tuple: the sorted leads when
+    `ordered` is None, else row i's label ordered[i] placed at its lead."""
+    if ordered is None:
+        return JugglingState(tuple(sorted(leads)))
+    cells: list[Cell] = [None] * (max(leads, default=-1) + 1)
+    for lead, label in zip(leads, ordered):
+        cells[lead] = label
+    return FlagState(tuple(cells))
+
+
+def _state_counts(
+    p: int,
+    choices: Sequence[Sequence[Sequence[int]]],
+    ordered: Optional[Sequence[int]],
+) -> Counter:
+    """`_lead_counts` by state, each distinct lead tuple mapped once."""
+    counts: Counter = Counter()
+    for leads, count in _lead_counts(p, choices).items():
+        counts[None if leads is None else _state(leads, ordered)] += count
+    return counts
 
 
 def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
@@ -116,7 +203,7 @@ def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
     rows' leading columns, where the rank of the left-j submatrix grows.
     None if the rank falls short of the number of rows."""
     leads = _leading_columns(matrix)
-    return None if leads is None else JugglingState(tuple(sorted(leads)))
+    return None if leads is None else _state(leads, None)
 
 
 def flag_pivot_state(matrix: FqMatrix) -> Optional[FlagState]:
@@ -142,10 +229,7 @@ def coarse_flag_pivot_state(
     ordered = sorted(labels)
     if len(ordered) != matrix.height:
         raise ValueError("label multiset size must match the row count")
-    cells: list[Cell] = [None] * matrix.width
-    for lead, label in zip(leads, ordered):
-        cells[lead] = label
-    return FlagState(trim_cells(cells))
+    return _state(leads, ordered)
 
 
 def gl_order(b: int, p: int) -> int:
@@ -175,12 +259,16 @@ def _fraction_sweep(
     height: int,
     width: int,
     p: int,
-    key: Callable[[FqMatrix], Hashable],
+    ordered: Optional[Sequence[int]],
     budget: int,
 ) -> dict:
-    """Fraction of all height x width matrices over Z/p by key(matrix)."""
-    counts = Counter(map(key, enumerate_matrices(height, width, p, budget)))
+    """Fraction of all height x width matrices over Z/p by state: plain
+    when `ordered` is None, else row i labeled ordered[i]."""
     total = p ** (height * width)
+    if total > budget:
+        raise ResourceLimit(f"{total} matrices exceeds the budget of {budget}")
+    vectors = list(itertools.product(range(p), repeat=width))
+    counts = _state_counts(p, [vectors] * height, ordered)
     return {k: Fraction(v, total) for k, v in counts.items()}
 
 
@@ -188,32 +276,31 @@ def pivot_fraction_sweep(
     b: int, n: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[JugglingState], Fraction]:
     """Fraction of b x N matrices by pivot state (None = rank deficient)."""
-    return _fraction_sweep(b, n, p, pivot_state, budget)
+    return _fraction_sweep(b, n, p, None, budget)
 
 
 def flag_fraction_sweep(
     b: int, w: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[FlagState], Fraction]:
-    return _fraction_sweep(b, w, p, flag_pivot_state, budget)
+    return _fraction_sweep(b, w, p, range(1, b + 1), budget)
 
 
 def group_fraction_sweep(
     labels: Sequence[int], w: int, p: int, budget: int = 2_000_000
 ) -> dict[Optional[FlagState], Fraction]:
-    return _fraction_sweep(
-        len(labels), w, p, lambda m: coarse_flag_pivot_state(m, labels), budget
-    )
+    return _fraction_sweep(len(labels), w, p, sorted(labels), budget)
 
 
 def _prepend_law(
-    matrix: FqMatrix, key: Callable[[FqMatrix], Hashable]
+    matrix: FqMatrix, ordered: Optional[Sequence[int]]
 ) -> TransitionDist:
-    """Law of key(matrix) after prepending a uniformly random column."""
-    if key(matrix) is None:
+    """Law of the state of `matrix` (as in `_fraction_sweep`) after
+    prepending a uniformly random column."""
+    if _leading_columns(matrix) is None:
         raise ValueError("matrix must have full rank")
     p = matrix.p
-    columns = itertools.product(range(p), repeat=matrix.height)
-    counts = Counter(key(matrix.prepend_column(col)) for col in columns)
+    choices = [[(c, *row) for c in range(p)] for row in matrix.rows]
+    counts = _state_counts(p, choices, ordered)
     assert None not in counts  # prepending preserves full rank
     total = p**matrix.height
     return TransitionDist(
@@ -226,12 +313,12 @@ def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
 
     Must coincide with the plain backward chain's one-step law at q = p.
     """
-    return _prepend_law(matrix, pivot_state)
+    return _prepend_law(matrix, None)
 
 
 def flag_column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
     """Labeled version: must coincide with the flag chain's law at q = p."""
-    return _prepend_law(matrix, flag_pivot_state)
+    return _prepend_law(matrix, range(1, matrix.height + 1))
 
 
 def matrix_for_state(state: JugglingState, width: int, p: int) -> FqMatrix:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import jugglechain
+from jugglechain import cli
 from jugglechain.cli import main
 from jugglechain.states import parse_flag_state
 
@@ -150,7 +151,17 @@ class TestSimulateAndDigraph:
         assert out1 == out2
         assert "<tv-distance>" in out1
 
-    def test_simulate_flag_chain(self, capsys):
+    def test_simulate_flag_chain(self, capsys, monkeypatch):
+        step = cli.flag_backward_step
+
+        def capped_step(state, coin, rng):
+            # pi puts mass 1 - (1 - 2^-63)(1 - 2^-64) < 2^-62 on states
+            # longer than 64 cells; a sampler that lets states grow fails
+            # here instead of swelling the table for minutes
+            assert len(state.cells) <= 64
+            return step(state, coin, rng)
+
+        monkeypatch.setattr(cli, "flag_backward_step", capped_step)
         code, out = run_cli(
             capsys, "simulate", "--labels", "1,2", "--q", "2", "--steps",
             "5000", "--burnin", "100", "--seed", "5",

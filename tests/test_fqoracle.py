@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from jugglechain.chain import CoinConfig, backward_dist
+from jugglechain.chain import CoinConfig, TransitionDist, backward_dist
 from jugglechain.errors import ResourceLimit
 from jugglechain.flagchain import flag_backward_dist
 from jugglechain.fqoracle import (
@@ -293,3 +294,90 @@ class TestColumnPrepend:
                 flag_pivot_state(m), coin
             )
         assert checked > 0
+
+
+# every (b, w, p) with at most 5,000 matrices, empty shapes included
+REFERENCE_SIZES = [
+    (b, w, p)
+    for p in (2, 3, 5)
+    for b in range(5)
+    for w in range(7)
+    if p ** (b * w) <= 5000
+]
+
+
+def label_multisets(b):
+    """Distinct and repeated labels, unsorted ones among them."""
+    return sorted(
+        {tuple(range(1, b + 1)), (1,) * b, (2,) + (1,) * (b - 1), (1,) + (2,) * (b - 1)}
+    )
+
+
+def reference_counts(key, b, w, p):
+    """Matrix counts by key(matrix), one matrix at a time."""
+    return Counter(key(m) for m in enumerate_matrices(b, w, p))
+
+
+def as_counts(sweep, b, w, p):
+    return {state: fraction * p ** (b * w) for state, fraction in sweep.items()}
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_no_columns_is_rank_deficient(self, b, p):
+        (matrix,) = enumerate_matrices(b, 0, p)
+        assert matrix.rows == ((),) * b
+        assert pivot_state(matrix) is None
+        assert pivot_fraction_sweep(b, 0, p) == {None: 1}
+
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_no_rows_is_full_rank(self, w):
+        (matrix,) = enumerate_matrices(0, w, 2)
+        assert matrix.rows == ()
+        assert pivot_fraction_sweep(0, w, 2) == {ground_state(0): 1}
+
+
+class TestPerMatrixReference:
+    """Each sweep against classifying every matrix on its own."""
+
+    @pytest.mark.parametrize("b,w,p", REFERENCE_SIZES)
+    def test_sweeps(self, b, w, p):
+        assert as_counts(pivot_fraction_sweep(b, w, p), b, w, p) == (
+            reference_counts(pivot_state, b, w, p)
+        )
+        if b == 0:
+            return  # no flag state has zero labels
+        assert as_counts(flag_fraction_sweep(b, w, p), b, w, p) == (
+            reference_counts(flag_pivot_state, b, w, p)
+        )
+        for labels in label_multisets(b):
+            key = lambda m: coarse_flag_pivot_state(m, labels)
+            assert as_counts(group_fraction_sweep(labels, w, p), b, w, p) == (
+                reference_counts(key, b, w, p)
+            )
+
+    @pytest.mark.parametrize(
+        "b,w,p", [(1, 4, 2), (2, 3, 2), (3, 4, 2), (2, 4, 3), (3, 5, 3), (2, 5, 5), (3, 6, 5)]
+    )
+    def test_prepend_laws(self, b, w, p):
+        rng = random.Random(b * 100 + w * 10 + p)
+        checked = 0
+        while checked < 8:
+            rows = tuple(tuple(rng.randrange(p) for _ in range(w)) for _ in range(b))
+            matrix = FqMatrix(p, rows)
+            if pivot_state(matrix) is None:
+                continue
+            checked += 1
+            for law, key in [
+                (column_prepend_dist, pivot_state),
+                (flag_column_prepend_dist, flag_pivot_state),
+            ]:
+                counts = Counter(
+                    key(matrix.prepend_column(col))
+                    for col in itertools.product(range(p), repeat=b)
+                )
+                expected = TransitionDist(
+                    tuple((s, Fraction(c, p**b)) for s, c in counts.items())
+                )
+                assert law(matrix) == expected
