@@ -82,12 +82,10 @@ def lambda_of_mu(e: float, mu: float) -> float:
     _check_e(e)
     if mu < 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
-    try:
-        return mu - math.log(1 + e ** (1 - mu) - e) / math.log(1 / e)
-    except OverflowError:
-        # E^(1-mu) overflows; factoring it out of the logarithm leaves
-        # 1 - log1p((1-E) E^(mu-1)) / log(1/E)
-        return 1 - math.log1p((1 - e) * e ** (mu - 1)) / math.log(1 / e)
+    # mu - log(1 + E^(1-mu) - E) / log(1/E), with E^(1-mu) factored out of
+    # the logarithm: no cancellation of two numbers of size mu, and
+    # E^(mu-1) <= 1/E never overflows
+    return 1 - math.log1p((1 - e) * e ** (mu - 1)) / math.log(1 / e)
 
 
 def ball_density(e: float, mu: float) -> float:

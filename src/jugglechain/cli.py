@@ -29,13 +29,11 @@ from .chain import (
 )
 from .errors import JuggleError
 from .flagchain import (
-    _TOLERANCE,
     flag_backward_dist,
     flag_backward_step,
     flag_forward_edges,
-    flag_stationarity_tail_bound,
+    flag_stationarity_holds,
     flag_stationary_weight,
-    verify_flag_stationarity,
 )
 from .fqoracle import (
     formula_group_fraction,
@@ -224,7 +222,7 @@ def cmd_siteswap(args) -> int:
 
 def cmd_dist(args) -> int:
     coin = CoinConfig(args.q)
-    if args.flag_state:
+    if args.flag_state is not None:
         state = parse_flag_state(args.flag_state)
         dist = flag_backward_dist(state, coin)
     else:
@@ -235,49 +233,21 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _default_drop_cap(state: FlagState, coin: CoinConfig) -> int:
-    """cells + b + 20, raised until the tail bound clears the balance
-    check's default tolerance (which takes more cells as q nears 1)."""
-    cap = len(state.cells) + state.balls + 20
-    room = flag_stationary_weight(state, coin) * _TOLERANCE
-    while flag_stationarity_tail_bound(state, coin, cap) >= room:
-        cap += 1
-    return cap
-
-
 def cmd_stationary_check(args) -> int:
     coin = CoinConfig(args.q)
+    if args.labels:
+        states = flag_states_up_to_inversions(args.labels, args.max_inversions)
+        check, weight = flag_stationarity_holds, flag_stationary_weight
+    else:
+        states = states_up_to_inversions(args.balls, args.max_inversions)
+        check, weight = verify_stationarity, stationary_weight
     rows = []
     all_ok = True
-    if args.labels:
-        for state in flag_states_up_to_inversions(args.labels, args.max_inversions):
-            drop_cap = args.drop_cap
-            if drop_cap is None:
-                drop_cap = _default_drop_cap(state, coin)
-            try:
-                bracket = verify_flag_stationarity(state, coin, drop_cap)
-            except ValueError as exc:  # drop_cap below this state's minimum
-                raise _FlagError(f"--drop-cap {drop_cap} at state {state}: {exc}")
-            all_ok &= bracket.ok
-            rows.append(
-                [
-                    str(state),
-                    str(bracket.expected),
-                    str(bracket.partial_sum),
-                    str(bracket.tail_bound),
-                    "pass" if bracket.ok else "FAIL",
-                ]
-            )
-        header = ["state", "weight", "partial_sum", "tail_bound", "verdict"]
-    else:
-        for state in states_up_to_inversions(args.balls, args.max_inversions):
-            ok = verify_stationarity(state, coin)
-            all_ok &= ok
-            rows.append(
-                [str(state), str(stationary_weight(state, coin)), "pass" if ok else "FAIL"]
-            )
-        header = ["state", "weight", "verdict"]
-    _emit(args, header, rows)
+    for state in states:
+        ok = check(state, coin)
+        all_ok &= ok
+        rows.append([str(state), str(weight(state, coin)), "pass" if ok else "FAIL"])
+    _emit(args, ["state", "weight", "verdict"], rows)
     return 0 if all_ok else 1
 
 
@@ -415,7 +385,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_digraph(args) -> int:
-    if args.flag_state:
+    if args.flag_state is not None:
         state = parse_flag_state(args.flag_state)
         rows = [
             [str(state), ",".join(map(str, sorted(tr.drops))) or "-", str(tr.target)]
@@ -447,14 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_siteswap)
 
     p = sub.add_parser("dist", help="exact backward transition distribution")
-    p.add_argument("--state", help="plain state, e.g. --xx-x")
-    p.add_argument("--flag-state", help="labeled state, e.g. --31-2")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--state", help="plain state, e.g. --xx-x")
+    which.add_argument("--flag-state", help="labeled state, e.g. --31-2")
     p.add_argument(
         "--q", type=_parse_q, required=True, help="exact rational > 1, e.g. 2 or 7/2"
     )
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("stationary-check", help="exact/bracketed balance sweep")
+    p = sub.add_parser("stationary-check", help="exact balance sweep")
     p.add_argument("--balls", type=_natural, default=2)
     p.add_argument(
         "--labels",
@@ -463,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--max-inversions", type=_natural, default=6)
-    p.add_argument("--drop-cap", type=_natural)
     p.set_defaults(func=cmd_stationary_check)
 
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")
@@ -519,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("digraph", help="forward edge dump with caps")
-    p.add_argument("--state")
-    p.add_argument("--flag-state")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--state")
+    which.add_argument("--flag-state")
     p.add_argument("--max-throw", type=_natural, default=9)
     p.add_argument("--max-drop", type=_natural, default=9)
     p.set_defaults(func=cmd_digraph)
@@ -549,10 +520,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dash_values(list(argv)))
-    if args.command == "dist" and bool(args.state) == bool(args.flag_state):
-        parser.error("dist needs exactly one of --state / --flag-state")
-    if args.command == "digraph" and bool(args.state) == bool(args.flag_state):
-        parser.error("digraph needs exactly one of --state / --flag-state")
     try:
         return args.func(args)
     except _FlagError as exc:

@@ -180,28 +180,23 @@ def flag_stationarity_tail_bound(
 _TOLERANCE = Fraction(1, 1024)
 
 
-def verify_flag_stationarity(
-    state: FlagState,
-    coin: CoinConfig,
-    drop_cap: int,
-    tolerance: Fraction = _TOLERANCE,
-) -> StationarityBracket:
-    """Bracketed balance check at `state`.
+def _flag_inflow(state: FlagState, coin: CoinConfig) -> tuple[Fraction, Fraction]:
+    """The balance inflow into `state`, weight * backward-probability
+    summed over its successors, as (near, family).
 
-    Sums weight * backward-probability over all forward successors whose
-    drops fit under drop_cap, exactly; the omitted far-drop successors are
-    covered by an exact geometric tail bound.  Each backward probability is
-    the one entry P(target -> state) read from `flag_backward_step` by
-    `chain.step_probability`, not the target's whole law.  Every target
-    carries the labels of `state`, so the group prefactor of the weights is
-    factored out of the sum.  Raises CapTooSmall, before any summing, when
-    the tail bound is not below tolerance * weight(state).
+    `near` covers a leading-empty state's one successor (the deletion of
+    that empty, which points back via its all-heads branch), or else every
+    target of fewer than n = len(state.cells) cells; `family` covers the
+    n-cell targets, one per far-drop family, and is 0 for a leading empty.
+    Each backward probability is the one entry P(target -> state) read
+    from `flag_backward_step` by `chain.step_probability`.  Every target
+    carries the labels of `state`, so the group prefactor is factored out
+    of the sum and applied to both parts.
 
-    Far-drop families.  Let n = len(state.cells), so the shifted word has
-    n - 1 cells and its last one bears a label.  Only the walks whose final
-    drop lands at p <= n - 1 are enumerated; each target of n cells stands
-    for its whole family p = n - 1, ..., drop_cap, and its term is
-    multiplied by sum_{k=0}^{drop_cap-n+1} q^-k.  This is exact:
+    Far-drop families.  The shifted word has n - 1 cells and its last one
+    bears a label.  Only the walks whose final drop lands at p <= n - 1 are
+    enumerated; each target of n cells stands for its whole family
+    p = n - 1 + k, k >= 0, whose k-th member brings q^-k times its term:
 
     * a walk whose final drop lands at p >= n - 1 makes all its exchanges
       inside the shifted word, then carries one label c over empties to p,
@@ -214,16 +209,59 @@ def verify_flag_stationarity(
     * a final drop before n - 1 gives a target of at most n - 1 cells, so
       "n cells" picks out exactly one representative per family.
     """
-    pi = flag_stationary_weight(state, coin)
     if state.cells[0] is None:
-        # Unique predecessor-in-chain situation: only the leading-empty
-        # deletion points here, via its all-heads branch.  Exact, no tail.
         successor = FlagState(state.cells[1:])
         inflow = flag_stationary_weight(successor, coin) * step_probability(
             flag_backward_step, successor, coin, state
         )
+        return inflow, Fraction(0)
+    n = len(state.cells)
+    q = coin.q
+    near = family = Fraction(0)
+    for target in {tr.target for tr in flag_forward_edges(state, n - 1)}:
+        term = q ** -flag_inversions(target) * step_probability(
+            flag_backward_step, target, coin, state
+        )
+        if len(target.cells) == n:
+            family += term
+        else:
+            near += term
+    prefactor = group_prefactor(state.labels, q)
+    return prefactor * near, prefactor * family
+
+
+def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
+    """Exact balance check at `state`, the flag counterpart of
+    `chain.verify_stationarity`: its stationary weight must equal the
+    weight flowing into it in one step.  Each far-drop family of
+    `_flag_inflow` is a geometric series of ratio 1/q, summed to infinity
+    in closed form, so no cap or tail bound is needed."""
+    near, family = _flag_inflow(state, coin)
+    return near + family / (1 - 1 / coin.q) == flag_stationary_weight(state, coin)
+
+
+def verify_flag_stationarity(
+    state: FlagState,
+    coin: CoinConfig,
+    drop_cap: int,
+    tolerance: Fraction = _TOLERANCE,
+) -> StationarityBracket:
+    """Bracketed balance check at `state`, kept only because the
+    benchmark's `perfbench/verify.py` calls it; `flag_stationarity_holds`
+    is the exact check.
+
+    The partial sum is `_flag_inflow` with each far-drop family cut at
+    k <= drop_cap - n + 1 (n = len(state.cells)), and an exact geometric
+    tail bound covers the rest; a leading-empty state has no far drops
+    and no tail.  Raises ValueError when drop_cap is below the last label
+    position + b, and CapTooSmall, before any summing, when the tail bound
+    is not below tolerance * weight(state).
+    """
+    pi = flag_stationary_weight(state, coin)
+    if state.cells[0] is None:
+        near, _ = _flag_inflow(state, coin)
         return StationarityBracket(
-            expected=pi, partial_sum=inflow, tail_bound=Fraction(0)
+            expected=pi, partial_sum=near, tail_bound=Fraction(0)
         )
 
     n = len(state.cells)
@@ -235,14 +273,8 @@ def verify_flag_stationarity(
             f"tail bound {tail} is not below {tolerance} * weight {pi}"
         )
     q = coin.q
-    family = (1 - q ** -(drop_cap - n + 2)) / (1 - 1 / q)
-    partial = Fraction(0)
-    for target in {tr.target for tr in flag_forward_edges(state, n - 1)}:
-        term = q ** -flag_inversions(target) * step_probability(
-            flag_backward_step, target, coin, state
-        )
-        partial += family * term if len(target.cells) == n else term
-    partial *= group_prefactor(state.labels, q)
+    near, family = _flag_inflow(state, coin)
+    partial = near + family * (1 - q ** -(drop_cap - n + 2)) / (1 - 1 / q)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)
 
 

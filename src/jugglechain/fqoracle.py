@@ -179,7 +179,9 @@ def _state(
     `ordered` is None, else row i's label ordered[i] placed at its lead."""
     if ordered is None:
         return JugglingState(tuple(sorted(leads)))
-    cells: list[Cell] = [None] * (max(leads, default=-1) + 1)
+    if not ordered:  # no flag state has zero labels
+        raise ValueError("a labeled state needs at least one row")
+    cells: list[Cell] = [None] * (max(leads) + 1)
     for lead, label in zip(leads, ordered):
         cells[lead] = label
     return FlagState(tuple(cells))

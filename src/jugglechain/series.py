@@ -262,29 +262,3 @@ def bundle_factorization_holds(balls: int, degree: int = DEFAULT_DEGREE) -> bool
     lhs = flag_series(balls, degree)
     rhs = state_partition_series(balls, degree) * perm_series_closed(balls, degree)
     return lhs == rhs
-
-
-def partition_tail_bound(balls: int, q: Fraction, degree: int) -> Fraction:
-    """Upper bound on the stationary mass of b-ball states with inversion
-    count above `degree`.
-
-    The count of states at inversion k is at most the number of partitions
-    of k into at most b parts, which is at most (k+1)^(b-1); the bound sums
-    prefactor * (k+1)^(b-1) * q^-k for k > degree by a geometric
-    domination argument (valid once (k+2)^(b-1) q^-1 < (k+1)^(b-1)).
-    """
-    q = Fraction(q)
-    prefactor = sn(balls, q)
-    k = degree + 1
-    # Grow k until the term ratio is safely below 1, then sum the dominated
-    # geometric series exactly.
-    extra = Fraction(0)
-    while True:
-        ratio = Fraction((k + 2) ** (balls - 1), (k + 1) ** (balls - 1)) / q
-        if ratio < 1:
-            break
-        extra += prefactor * (k + 1) ** (balls - 1) * q ** -k
-        k += 1
-    first = prefactor * (k + 1) ** (balls - 1) * q ** -k
-    ratio = Fraction((k + 2) ** (balls - 1), (k + 1) ** (balls - 1)) / q
-    return extra + first / (1 - ratio)

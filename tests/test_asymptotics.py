@@ -154,9 +154,18 @@ class TestFarTail:
     def test_values_short_of_the_overflow_unchanged(self):
         for e, mu in [(0.1, 6.0), (0.1, 308.0), (0.5, 1000.0), (1e-5, 62.0)]:
             assert ball_density(e, mu) == (1 - e) / (1 + (e ** (1 - mu) - e))
-            assert lambda_of_mu(e, mu) == mu - math.log(
-                1 + e ** (1 - mu) - e
-            ) / math.log(1 / e)
+
+    @pytest.mark.parametrize("e", [1e-9, 1e-5, 0.1, 0.5, 0.9, 0.999])
+    def test_lambda_in_unit_interval_and_nondecreasing(self, e):
+        # a grid from 0 to past the overflow, and a fine one around it,
+        # where the form mu - log(1 + E^(1-mu) - E)/log(1/E) would cancel
+        # two numbers of size mu
+        switch = 1 + math.log(1.7e308) / math.log(1 / e)
+        mus = [switch * k / 20000 for k in range(24001)]
+        mus += [switch + k * 1e-9 * switch for k in range(-10000, 10000)]
+        values = [lambda_of_mu(e, mu) for mu in sorted(mus)]
+        assert all(0 <= lam <= 1 for lam in values)
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestDensityCurve:

@@ -9,6 +9,7 @@ from jugglechain.flagchain import (
     flag_backward_step,
     flag_forward_edges,
     flag_from_plain,
+    flag_stationarity_holds,
     flag_stationary_weight,
     group_prefactor,
     label_groups,
@@ -244,6 +245,20 @@ class TestStationarity:
             assert near + (far - near) / (1 - 1 / q) == flag_stationary_weight(
                 state, coin
             ), str(state)
+            assert flag_stationarity_holds(state, coin), str(state)
+
+    @pytest.mark.parametrize(
+        "labels,max_inversions",
+        [
+            ((1,), 6), ((1, 2), 6), ((1, 2, 3), 6), ((1, 1, 2), 6),
+            ((2, 2, 2), 6), ((1, 2, 3, 4), 4), ((1, 1, 2, 2), 4),
+        ],
+    )
+    def test_exact_check_sweep(self, labels, max_inversions):
+        for q in (2, Fraction(5, 2), 3, Fraction(7, 2), Fraction(5, 4)):
+            coin = CoinConfig(Fraction(q))
+            for state in flag_states_up_to_inversions(labels, max_inversions):
+                assert flag_stationarity_holds(state, coin), (str(state), q)
 
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")

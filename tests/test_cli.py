@@ -81,8 +81,8 @@ class TestVerificationCommands:
         assert "FAIL" not in out
 
     def test_flag_stationary_check_near_one(self, capsys):
-        # cells + b + 20 drop positions leave too loose a tail at q = 5/4;
-        # the default cap grows until the tail bound clears the tolerance
+        # near q = 1 the far-drop families shrink slowly; the exact check
+        # sums them to infinity all the same
         code, out = run_cli(
             capsys, "stationary-check", "--labels", "1,2", "--q", "5/4",
             "--max-inversions", "4",
@@ -304,74 +304,74 @@ class TestOracleGolden:
 
 
 # whole tables of flag balance checks and series identities, pinned byte
-# for byte: exact partial sums, tail bounds and coefficients
+# for byte: exact weights, verdicts and coefficients
 CHECK_GOLDEN = {
     "flag-123": (
         ["stationary-check", "--labels", "1,2,3", "--q", "2", "--max-inversions", "4"],
-        "state,weight,partial_sum,tail_bound,verdict\n"
-        "123,1/8,33554431/268435456,1/33554432,pass\n"
-        "132,1/16,33554431/536870912,1/33554432,pass\n"
-        "213,1/16,33554431/536870912,1/33554432,pass\n"
-        "12-3,1/16,67108863/1073741824,1/67108864,pass\n"
-        "231,1/32,33554431/1073741824,1/33554432,pass\n"
-        "312,1/32,33554431/1073741824,1/33554432,pass\n"
-        "13-2,1/32,67108863/2147483648,1/67108864,pass\n"
-        "21-3,1/32,67108863/2147483648,1/67108864,pass\n"
-        "12--3,1/32,134217727/4294967296,1/134217728,pass\n"
-        "1-23,1/32,67108863/2147483648,1/67108864,pass\n"
-        "321,1/64,33554431/2147483648,1/33554432,pass\n"
-        "23-1,1/64,67108863/4294967296,1/67108864,pass\n"
-        "31-2,1/64,67108863/4294967296,1/67108864,pass\n"
-        "13--2,1/64,134217727/8589934592,1/134217728,pass\n"
-        "21--3,1/64,134217727/8589934592,1/134217728,pass\n"
-        "1-32,1/64,67108863/4294967296,1/67108864,pass\n"
-        "2-13,1/64,67108863/4294967296,1/67108864,pass\n"
-        "12---3,1/64,268435455/17179869184,1/268435456,pass\n"
-        "1-2-3,1/64,134217727/8589934592,1/134217728,pass\n"
-        "-123,1/64,1/64,0,pass\n"
-        "32-1,1/128,67108863/8589934592,1/67108864,pass\n"
-        "23--1,1/128,134217727/17179869184,1/134217728,pass\n"
-        "31--2,1/128,134217727/17179869184,1/134217728,pass\n"
-        "2-31,1/128,67108863/8589934592,1/67108864,pass\n"
-        "3-12,1/128,67108863/8589934592,1/67108864,pass\n"
-        "13---2,1/128,268435455/34359738368,1/268435456,pass\n"
-        "21---3,1/128,268435455/34359738368,1/268435456,pass\n"
-        "1-3-2,1/128,134217727/17179869184,1/134217728,pass\n"
-        "2-1-3,1/128,134217727/17179869184,1/134217728,pass\n"
-        "-132,1/128,1/128,0,pass\n"
-        "-213,1/128,1/128,0,pass\n"
-        "12----3,1/128,536870911/68719476736,1/536870912,pass\n"
-        "1-2--3,1/128,268435455/34359738368,1/268435456,pass\n"
-        "1--23,1/128,134217727/17179869184,1/134217728,pass\n"
-        "-12-3,1/128,1/128,0,pass\n"
-        "# jugglechain {version} seed=- config=8cb8efc54278\n",
+        "state,weight,verdict\n"
+        "123,1/8,pass\n"
+        "132,1/16,pass\n"
+        "213,1/16,pass\n"
+        "12-3,1/16,pass\n"
+        "231,1/32,pass\n"
+        "312,1/32,pass\n"
+        "13-2,1/32,pass\n"
+        "21-3,1/32,pass\n"
+        "12--3,1/32,pass\n"
+        "1-23,1/32,pass\n"
+        "321,1/64,pass\n"
+        "23-1,1/64,pass\n"
+        "31-2,1/64,pass\n"
+        "13--2,1/64,pass\n"
+        "21--3,1/64,pass\n"
+        "1-32,1/64,pass\n"
+        "2-13,1/64,pass\n"
+        "12---3,1/64,pass\n"
+        "1-2-3,1/64,pass\n"
+        "-123,1/64,pass\n"
+        "32-1,1/128,pass\n"
+        "23--1,1/128,pass\n"
+        "31--2,1/128,pass\n"
+        "2-31,1/128,pass\n"
+        "3-12,1/128,pass\n"
+        "13---2,1/128,pass\n"
+        "21---3,1/128,pass\n"
+        "1-3-2,1/128,pass\n"
+        "2-1-3,1/128,pass\n"
+        "-132,1/128,pass\n"
+        "-213,1/128,pass\n"
+        "12----3,1/128,pass\n"
+        "1-2--3,1/128,pass\n"
+        "1--23,1/128,pass\n"
+        "-12-3,1/128,pass\n"
+        "# jugglechain {version} seed=- config=e07a8ce48f9e\n"
     ),
     "flag-112": (
         ["stationary-check", "--labels", "1,1,2", "--q", "5/2", "--max-inversions", "4"],
-        "state,weight,partial_sum,tail_bound,verdict\n"
-        "112,189/625,56326389306402352977/186264514923095703125,8455716864/37252902984619140625,pass\n"
-        "121,378/3125,112652778612804705954/931322574615478515625,8455716864/37252902984619140625,pass\n"
-        "11-2,378/3125,563263893102074255658/4656612873077392578125,16911433728/186264514923095703125,pass\n"
-        "211,756/15625,225305557225609411908/4656612873077392578125,8455716864/37252902984619140625,pass\n"
-        "12-1,756/15625,1126527786204148511316/23283064365386962890625,16911433728/186264514923095703125,pass\n"
-        "11--2,756/15625,5632638931172945460132/116415321826934814453125,33822867456/931322574615478515625,pass\n"
-        "1-12,756/15625,1126527786204148511316/23283064365386962890625,16911433728/186264514923095703125,pass\n"
-        "21-1,1512/78125,2253055572408297022632/116415321826934814453125,16911433728/186264514923095703125,pass\n"
-        "12--1,1512/78125,11265277862345890920264/582076609134674072265625,33822867456/931322574615478515625,pass\n"
-        "1-21,1512/78125,2253055572408297022632/116415321826934814453125,16911433728/186264514923095703125,pass\n"
-        "11---2,1512/78125,56326389312338266215528/2910383045673370361328125,67645734912/4656612873077392578125,pass\n"
-        "1-1-2,1512/78125,11265277862345890920264/582076609134674072265625,33822867456/931322574615478515625,pass\n"
-        "-112,1512/78125,1512/78125,0,pass\n"
-        "21--1,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
-        "2-11,3024/390625,4506111144816594045264/582076609134674072265625,16911433728/186264514923095703125,pass\n"
-        "12---1,3024/390625,112652778624676532431056/14551915228366851806640625,67645734912/4656612873077392578125,pass\n"
-        "1-2-1,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
-        "-121,3024/390625,3024/390625,0,pass\n"
-        "11----2,3024/390625,563263893125817908612112/72759576141834259033203125,135291469824/23283064365386962890625,pass\n"
-        "1-1--2,3024/390625,112652778624676532431056/14551915228366851806640625,67645734912/4656612873077392578125,pass\n"
-        "1--12,3024/390625,22530555724691781840528/2910383045673370361328125,33822867456/931322574615478515625,pass\n"
-        "-11-2,3024/390625,3024/390625,0,pass\n"
-        "# jugglechain {version} seed=- config=939c8f28e9e2\n",
+        "state,weight,verdict\n"
+        "112,189/625,pass\n"
+        "121,378/3125,pass\n"
+        "11-2,378/3125,pass\n"
+        "211,756/15625,pass\n"
+        "12-1,756/15625,pass\n"
+        "11--2,756/15625,pass\n"
+        "1-12,756/15625,pass\n"
+        "21-1,1512/78125,pass\n"
+        "12--1,1512/78125,pass\n"
+        "1-21,1512/78125,pass\n"
+        "11---2,1512/78125,pass\n"
+        "1-1-2,1512/78125,pass\n"
+        "-112,1512/78125,pass\n"
+        "21--1,3024/390625,pass\n"
+        "2-11,3024/390625,pass\n"
+        "12---1,3024/390625,pass\n"
+        "1-2-1,3024/390625,pass\n"
+        "-121,3024/390625,pass\n"
+        "11----2,3024/390625,pass\n"
+        "1-1--2,3024/390625,pass\n"
+        "1--12,3024/390625,pass\n"
+        "-11-2,3024/390625,pass\n"
+        "# jugglechain {version} seed=- config=5878066848f1\n"
     ),
     "series": (
         ["series", "--degree", "24"],
@@ -511,12 +511,14 @@ class TestBadFlags:
         line = bad_flags(capsys, "series", "--degree", "-1")
         assert "argument --degree" in line
 
-    def test_drop_cap_below_minimum(self, capsys):
-        line = bad_flags(
-            capsys, "stationary-check", "--labels", "1,2", "--q", "2",
-            "--drop-cap", "1",
-        )
-        assert "--drop-cap" in line
+    @pytest.mark.parametrize("command", ["dist", "digraph"])
+    @pytest.mark.parametrize(
+        "states", [[], ["--state", "x", "--flag-state", "1"]], ids=["neither", "both"]
+    )
+    def test_exactly_one_state(self, capsys, command, states):
+        q = ["--q", "2"] if command == "dist" else []
+        line = bad_flags(capsys, command, *states, *q)
+        assert "--state" in line and "--flag-state" in line
 
     @pytest.mark.parametrize(
         "labels", [[], ["--labels", "1,2"]], ids=["plain", "labels"]
@@ -560,10 +562,6 @@ class TestBadFlags:
             (["density", "--E", "0.1", "--mu-max", "inf"], "argument --mu-max"),
             (["density", "--E", "0.1", "--step", "inf"], "argument --step"),
             (["oracle", "--flag", "--balls", "0"], "--flag"),
-            (
-                ["stationary-check", "--labels", "1,2", "--q", "2", "--drop-cap", "0"],
-                "--drop-cap 0",
-            ),
         ],
         ids=[
             "simulate-balls", "stationary-check-balls", "oracle-balls",
@@ -571,7 +569,6 @@ class TestBadFlags:
             "series-j-above-h", "series-partition-max", "series-dump-balls",
             "density-mu-max-negative", "density-mu-max-nan",
             "density-mu-max-inf", "density-step-inf", "oracle-flag-no-balls",
-            "stationary-check-drop-cap-zero",
         ],
     )
     def test_out_of_range_numbers(self, capsys, argv, flag):

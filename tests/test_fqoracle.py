@@ -337,6 +337,20 @@ class TestEmptyShapes:
         assert matrix.rows == ()
         assert pivot_fraction_sweep(0, w, 2) == {ground_state(0): 1}
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: flag_fraction_sweep(0, 3, 2),
+            lambda: group_fraction_sweep((), 3, 2),
+            lambda: flag_column_prepend_dist(FqMatrix(2, ())),
+            lambda: flag_pivot_state(FqMatrix(2, ())),
+        ],
+        ids=["flag-sweep", "group-sweep", "flag-prepend", "flag-pivot"],
+    )
+    def test_no_rows_has_no_labeled_state(self, call):
+        with pytest.raises(ValueError, match="at least one row"):
+            call()
+
 
 class TestPerMatrixReference:
     """Each sweep against classifying every matrix on its own."""

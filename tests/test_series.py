@@ -12,7 +12,6 @@ from jugglechain.series import (
     flag_series_identity_holds,
     grassmannian_series_closed,
     grassmannian_series_enumerated,
-    partition_tail_bound,
     perm_inversion_series,
     perm_series_closed,
     sn,
@@ -177,26 +176,16 @@ class TestBundle:
         assert bundle_factorization_holds(b, 24)
 
 
-class TestTailBound:
-    def test_bounds_actual_remainder(self):
-        q = Fraction(2)
-        for b in (1, 2, 3):
-            for degree in (4, 8):
-                covered = sum(
-                    sn(b, q) * state_count_by_inversions(b, k) * q**-k
-                    for k in range(degree + 1)
-                )
-                remainder = 1 - covered
-                bound = partition_tail_bound(b, q, degree)
-                assert remainder >= 0
-                assert bound >= remainder
-
-    def test_partial_sums_converge(self):
-        # partial state sums approach 1/sn, within the analytic tail
-        q = Fraction(3)
-        b = 2
+class TestPartitionSum:
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(3)], ids=str)
+    @pytest.mark.parametrize("degree", [4, 8, 12])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_partial_sum_is_the_truncated_series(self, b, degree, q):
+        # the states with at most `degree` inversions, weighted q^-inv, sum
+        # to the truncated partition series at 1/q, short of 1/sn by the
+        # weight of the states above `degree`
         partial = sum(
-            state_count_by_inversions(b, k) * q**-k for k in range(13)
+            state_count_by_inversions(b, k) * q**-k for k in range(degree + 1)
         )
-        target = 1 / sn(b, q)
-        assert abs(target - partial) <= partition_tail_bound(b, q, 12) / sn(b, q)
+        assert partial == state_partition_series(b, degree).evaluate(1 / q)
+        assert partial < 1 / sn(b, q)
