@@ -224,7 +224,6 @@ class Histogram:
 
     counts: tuple[tuple[object, int], ...]
     samples: int
-    seed: int
 
     def as_dict(self) -> dict:
         return dict(self.counts)
@@ -250,7 +249,6 @@ def simulate(
         raise ValueError("need 0 <= burnin <= steps")
     counts: dict = {}
     state = start
-    seed = getattr(rng, "seed", -1)
     for t in range(steps):
         state = step(state, coin, rng)
         if on_state is not None:
@@ -258,7 +256,7 @@ def simulate(
         if t >= burnin:
             counts[state] = counts.get(state, 0) + 1
     ordered = tuple(sorted(counts.items(), key=lambda kv: str(kv[0])))
-    return Histogram(counts=ordered, samples=steps - burnin, seed=seed)
+    return Histogram(counts=ordered, samples=steps - burnin)
 
 
 def tv_distance(

@@ -27,7 +27,7 @@ from .chain import (
     tv_distance,
     verify_stationarity,
 )
-from .errors import JuggleError
+from .errors import JuggleError, ResourceLimit
 from .flagchain import (
     flag_backward_dist,
     flag_backward_step,
@@ -522,7 +522,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
         return args.func(args)
-    except _FlagError as exc:
+    # a request too large to enumerate is refused as a bad flag; exit 1 is
+    # kept for a failed check
+    except (_FlagError, ResourceLimit) as exc:
         parser.error(str(exc))
     except JuggleError as exc:
         print(f"error: {exc}", file=sys.stderr)

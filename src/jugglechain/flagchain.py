@@ -276,11 +276,3 @@ def verify_flag_stationarity(
     near, family = _flag_inflow(state, coin)
     partial = near + family * (1 - q ** -(drop_cap - n + 2)) / (1 - 1 / q)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)
-
-
-def flag_from_plain(positions: Sequence[int], label: int = 1) -> FlagState:
-    """The all-equal-labels flag state occupying the given positions."""
-    cells: list[Cell] = [None] * (max(positions) + 1)
-    for p in positions:
-        cells[p] = label
-    return FlagState(tuple(cells))

@@ -1,122 +1,78 @@
 """Exact q-series utilities.
 
-All series are truncated formal power series in x = q^{-1} with Fraction
-coefficients, so every identity can be checked coefficient-by-coefficient
-with no rounding.  The default truncation degree is 24.
+All series are truncated formal power series in x = q^{-1}.  Each one
+counts states, permutations or subspaces by inversions, so its
+coefficients are ints and every identity is checked coefficient by
+coefficient with no rounding.  The default truncation degree is 24.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimit
 from .states import (
     flag_states_with_inversions,
-    state_count_by_inversions,
+    inversions,
     states_with_inversions,
+    window_states,
     word_inversions,
 )
 
 DEFAULT_DEGREE = 24
 
 
-def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of `coeffs` over the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 @dataclass(frozen=True)
 class TruncSeries:
-    """Coefficients c_0..c_D of x^0..x^D; arithmetic is exact mod x^(D+1).
+    """Integer coefficients c_0..c_D of x^0..x^D; arithmetic is exact mod
+    x^(D+1).  A coefficient that is not an int (a Fraction, a float) is
+    refused with TypeError."""
 
-    The coefficients are Fractions, but `*` and `inverse` run on integer
-    numerators over one common denominator (the lcm of the coefficient
-    denominators) and build one Fraction per output coefficient.
-    """
-
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
-        )
-
-    @classmethod
-    def zero(cls, degree: int) -> "TruncSeries":
-        return cls((Fraction(0),) * (degree + 1))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
     @classmethod
     def one(cls, degree: int) -> "TruncSeries":
-        return cls((Fraction(1),) + (Fraction(0),) * degree)
-
-    @classmethod
-    def x_power(cls, power: int, degree: int) -> "TruncSeries":
-        coeffs = [Fraction(0)] * (degree + 1)
-        if power <= degree:
-            coeffs[power] = Fraction(1)
-        return cls(tuple(coeffs))
+        return cls((1,) + (0,) * degree)
 
     @classmethod
     def from_ints(cls, coeffs: Sequence[int], degree: int) -> "TruncSeries":
         padded = list(coeffs) + [0] * (degree + 1 - len(coeffs))
-        return cls(tuple(Fraction(c) for c in padded[: degree + 1]))
+        return cls(tuple(padded[: degree + 1]))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
-    def _check(self, other: "TruncSeries") -> None:
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.degree != other.degree:
             raise ValueError("mismatched truncation degrees")
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        a, da = _numerators(self.coeffs)
-        b, db = _numerators(other.coeffs)
-        den = da * db
+        a, b = self.coeffs, other.coeffs
         return TruncSeries(
-            tuple(
-                Fraction(sum(map(operator.mul, a, b[k::-1])), den)
-                for k in range(self.degree + 1)
-            )
+            tuple(sum(map(operator.mul, a, b[k::-1])) for k in range(len(a)))
         )
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
+        """Multiplicative inverse; the constant term a_0 must be 1 or -1.
 
-        With a_j the integer numerators over den, the inverse's coefficient
-        k is den * n_k / a_0^(k+1), where n_0 = 1 and
-        n_k = -sum_{j=1..k} a_j * a_0^(j-1) * n_(k-j) are integers.
+        Then 1/a_0 = a_0, so the inverse has the integer coefficients
+        b_0 = a_0 and b_k = -a_0 * sum_{j=1..k} a_j * b_(k-j).
         """
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        a, den = _numerators(self.coeffs)
-        a0 = a[0]
-        scaled = [a_j * a0**j for j, a_j in enumerate(a[1:])]  # a_(j+1) a_0^j
-        n = [1]
-        for _ in a[1:]:
-            n.append(-sum(map(operator.mul, scaled, reversed(n))))
-        return TruncSeries(
-            tuple(Fraction(den * n_k, a0 ** (k + 1)) for k, n_k in enumerate(n))
-        )
+        a0, *rest = self.coeffs
+        if a0 not in (1, -1):
+            raise ZeroDivisionError(f"constant term {a0} is not 1 or -1")
+        inv = [a0]
+        for _ in rest:
+            inv.append(-a0 * sum(map(operator.mul, rest, reversed(inv))))
+        return TruncSeries(tuple(inv))
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -136,6 +92,34 @@ class TruncSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+
+def _count_levels(
+    level: Callable[[int], Iterable], degree: int, budget: int, what: str
+) -> TruncSeries:
+    """Count the items of level(0), ..., level(degree); raises ResourceLimit
+    once the running total exceeds `budget`."""
+    counts = []
+    total = 0
+    for k in range(degree + 1):
+        c = sum(1 for _ in level(k))
+        total += c
+        if total > budget:
+            raise ResourceLimit(f"{what} enumeration exceeds budget")
+        counts.append(c)
+    return TruncSeries(tuple(counts))
+
+
+def _count_by_inversions(
+    items: Iterable, inversions_of: Callable[[object], int], degree: int
+) -> TruncSeries:
+    """Count `items` by their inversion numbers, dropping those above `degree`."""
+    counts = [0] * (degree + 1)
+    for item in items:
+        inv = inversions_of(item)
+        if inv <= degree:
+            counts[inv] += 1
+    return TruncSeries(tuple(counts))
 
 
 def sn(n: int, q: Fraction) -> Fraction:
@@ -171,21 +155,14 @@ def state_partition_series_enumerated(
     balls: int, degree: int = DEFAULT_DEGREE, budget: int = 2_000_000
 ) -> TruncSeries:
     """The same series by exhaustive state enumeration, degree by degree."""
-    counts = []
-    total = 0
-    for k in range(degree + 1):
-        c = state_count_by_inversions(balls, k)
-        total += c
-        if total > budget:
-            raise ResourceLimit("state enumeration exceeds budget")
-        counts.append(c)
-    return TruncSeries.from_ints(counts, degree)
+    return _count_levels(
+        lambda k: states_with_inversions(balls, k), degree, budget, "state"
+    )
 
 
 def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """(1 - x)^-b: the closed form of the distinct-label flag state sum."""
-    base = TruncSeries.one(degree) - TruncSeries.x_power(1, degree)
-    return base.inverse() ** balls
+    return sn_series(1, degree) ** -balls
 
 
 def flag_series_enumerated(
@@ -193,37 +170,23 @@ def flag_series_enumerated(
 ) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated."""
     labels = tuple(range(1, balls + 1))
-    counts = []
-    total = 0
-    for k in range(degree + 1):
-        c = sum(1 for _ in flag_states_with_inversions(labels, k))
-        total += c
-        if total > budget:
-            raise ResourceLimit("flag state enumeration exceeds budget")
-        counts.append(c)
-    return TruncSeries.from_ints(counts, degree)
-
-
-def flag_series_identity_holds(balls: int, degree: int = DEFAULT_DEGREE) -> bool:
-    return flag_series(balls, degree) == flag_series_enumerated(balls, degree)
+    return _count_levels(
+        lambda k: flag_states_with_inversions(labels, k), degree, budget, "flag state"
+    )
 
 
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum over permutations of [n] of x^inversions, by enumeration."""
     if n > 8:
         raise ResourceLimit("permutation enumeration capped at n = 8")
-    counts = [0] * (degree + 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        inv = word_inversions(perm)
-        if inv <= degree:
-            counts[inv] += 1
-    return TruncSeries.from_ints(counts, degree)
+    return _count_by_inversions(
+        itertools.permutations(range(1, n + 1)), word_inversions, degree
+    )
 
 
 def perm_series_closed(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """The closed form: product of (1 - x^i)/(1 - x) over i = 1..n."""
-    one_minus_x = TruncSeries.one(degree) - TruncSeries.x_power(1, degree)
-    return sn_series(n, degree) * (one_minus_x.inverse() ** n)
+    return sn_series(n, degree) * sn_series(1, degree) ** -n
 
 
 def grassmannian_series_closed(
@@ -245,12 +208,7 @@ def grassmannian_series_enumerated(
     """Sum of x^inversions over j-ball states with every x in [0, h)."""
     if h > 12:
         raise ResourceLimit("window enumeration capped at h = 12")
-    counts = [0] * (degree + 1)
-    for combo in itertools.combinations(range(h), j):
-        inv = sum(p - i for i, p in enumerate(combo))
-        if inv <= degree:
-            counts[inv] += 1
-    return TruncSeries.from_ints(counts, degree)
+    return _count_by_inversions(window_states(j, h), inversions, degree)
 
 
 def bundle_factorization_holds(balls: int, degree: int = DEFAULT_DEGREE) -> bool:

@@ -8,7 +8,6 @@ from jugglechain.flagchain import (
     flag_backward_dist,
     flag_backward_step,
     flag_forward_edges,
-    flag_from_plain,
     flag_stationarity_holds,
     flag_stationary_weight,
     group_prefactor,
@@ -20,6 +19,7 @@ from jugglechain.series import sn
 from jugglechain.states import (
     FlagState,
     erase_labels,
+    flag_from_parts,
     flag_states_up_to_inversions,
     forward_edges,
     parse_flag_state,
@@ -64,7 +64,7 @@ class TestForwardEdges:
     def test_all_equal_matches_plain_digraph(self):
         # a drop at position p is a throw of p + 1
         for plain in states_up_to_inversions(3, 4):
-            flag = flag_from_plain(plain.positions)
+            flag = flag_from_parts(plain.positions, (1,) * plain.balls)
             flag_targets = {
                 str(erase_labels(tr.target))
                 for tr in flag_forward_edges(flag, 8)
@@ -123,7 +123,7 @@ class TestBackwardDist:
 
     def test_all_equal_reduces_to_plain_chain(self):
         for plain in states_up_to_inversions(3, 4):
-            flag = flag_from_plain(plain.positions)
+            flag = flag_from_parts(plain.positions, (1,) * plain.balls)
             flag_dist = {
                 str(erase_labels(s)): p
                 for s, p in flag_backward_dist(flag, Q2).entries

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -56,11 +57,6 @@ class TestDist:
         payload = json.loads(out)
         assert payload["header"] == ["state", "probability"]
         assert ["x", "2/3"] in payload["rows"]
-
-    def test_requires_exactly_one_state(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["dist", "--q", "2"])
-        assert exc.value.code == 2
 
 
 class TestVerificationCommands:
@@ -458,6 +454,58 @@ CHECK_GOLDEN = {
         "12,0\n"
         "# jugglechain {version} seed=- config=2b8e88a3f86a\n",
     ),
+    "series-dump-partition": (
+        ["series", "--dump", "partition", "--balls", "3", "--degree", "12"],
+        "degree,coefficient\n"
+        "0,1\n"
+        "1,1\n"
+        "2,2\n"
+        "3,3\n"
+        "4,4\n"
+        "5,5\n"
+        "6,7\n"
+        "7,8\n"
+        "8,10\n"
+        "9,12\n"
+        "10,14\n"
+        "11,16\n"
+        "12,19\n"
+        "# jugglechain {version} seed=- config=fec3b81973c4\n",
+    ),
+    "series-dump-flag": (
+        ["series", "--dump", "flag", "--balls", "3", "--degree", "12"],
+        "degree,coefficient\n"
+        "0,1\n"
+        "1,3\n"
+        "2,6\n"
+        "3,10\n"
+        "4,15\n"
+        "5,21\n"
+        "6,28\n"
+        "7,36\n"
+        "8,45\n"
+        "9,55\n"
+        "10,66\n"
+        "11,78\n"
+        "12,91\n"
+        "# jugglechain {version} seed=- config=9c782dd6e8d4\n",
+    ),
+    "series-dump-permutation": (
+        ["series", "--dump", "permutation", "--balls", "4", "--degree", "10"],
+        "degree,coefficient\n"
+        "0,1\n"
+        "1,3\n"
+        "2,5\n"
+        "3,6\n"
+        "4,5\n"
+        "5,3\n"
+        "6,1\n"
+        "7,0\n"
+        "8,0\n"
+        "9,0\n"
+        "10,0\n"
+        "# jugglechain {version} seed=- config=238eca94ee15\n",
+    ),
 }
 
 
@@ -574,3 +622,28 @@ class TestBadFlags:
     def test_out_of_range_numbers(self, capsys, argv, flag):
         line = bad_flags(capsys, *argv)
         assert flag in line
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["oracle", "--balls", "4", "--width", "6", "--p", "3"], "budget"),
+            (["series", "--perm-max", "9"], "capped at n = 8"),
+            (["series", "--grassmann-max", "13"], "capped at h = 12"),
+        ],
+        ids=["oracle-matrices", "series-perm-max", "series-grassmann-max"],
+    )
+    def test_oversized_request(self, capsys, argv, message):
+        line = bad_flags(capsys, *argv)
+        assert message in line
+
+    def test_oversized_enumeration(self, capsys, monkeypatch):
+        # at the default budget of 2,000,000 states this command enumerates
+        # for about 20 s (2-vCPU Xeon) before flag b=6 exceeds it; 10,000 takes
+        # the same path and is exceeded at flag b=3 (12,341 states)
+        monkeypatch.setattr(
+            cli,
+            "flag_series_enumerated",
+            functools.partial(cli.flag_series_enumerated, budget=10_000),
+        )
+        line = bad_flags(capsys, "series", "--partition-max", "9", "--degree", "40")
+        assert "flag state enumeration exceeds budget" in line
