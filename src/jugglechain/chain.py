@@ -87,15 +87,21 @@ def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (0,) + tuple([p + 1 for p in rest])
 
 
-def backward_step(
-    state: JugglingState, coin: CoinConfig, rng: FlipSource
-) -> JugglingState:
-    """One sampled step."""
-    b = state.balls
+def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
+    """The move k of one step on b balls: flip until the first tails, at
+    most b times, and count the heads."""
     p = coin.heads_probability
     k = 0
     while k < b and rng.heads(p):
         k += 1
+    return k
+
+
+def backward_step(
+    state: JugglingState, coin: CoinConfig, rng: FlipSource
+) -> JugglingState:
+    """One sampled step."""
+    k = _leading_heads(state.balls, coin, rng)
     return JugglingState(_plain_step(state.positions, k))
 
 
@@ -121,37 +127,19 @@ class _FlipTree:
         return value
 
 
-def _flip_leaves(step, state, coin: CoinConfig):
-    """Run a sampler `step(state, coin, rng)` once per flip sequence it can
-    draw, yielding `(outcome, num, den)` with num / den the probability of
-    that sequence.  Every sequence must end after finitely many flips, each
-    with an exact rational probability."""
+def step_law(step, state, coin: CoinConfig) -> TransitionDist:
+    """The exact one-step law of a sampler `step(state, coin, rng)`: run it
+    once per flip sequence it can draw, and weight every outcome by the
+    total probability of the sequences that lead to it.  Every sequence
+    must end after finitely many flips, each with an exact rational
+    probability."""
+    law: dict = {}
     pending: list[list[bool]] = [[]]
     while pending:
         flips = _FlipTree(pending.pop(), pending)
         out = step(state, coin, flips)
-        yield out, flips.num, flips.den
-
-
-def step_law(step, state, coin: CoinConfig) -> TransitionDist:
-    """The exact one-step law of a sampler `step(state, coin, rng)`: every
-    outcome weighted by the total probability of the flip sequences that
-    lead to it."""
-    law: dict = {}
-    for out, num, den in _flip_leaves(step, state, coin):
-        law[out] = law.get(out, 0) + Fraction(num, den)
+        law[out] = law.get(out, 0) + Fraction(flips.num, flips.den)
     return TransitionDist(tuple(law.items()))
-
-
-def step_probability(step, state, coin: CoinConfig, target) -> Fraction:
-    """`step_law(step, state, coin).probability(target)`, without building
-    the law: the total probability of the flip sequences that lead to
-    `target` (0 when none does)."""
-    total = Fraction(0)
-    for out, num, den in _flip_leaves(step, state, coin):
-        if out == target:
-            total += Fraction(num, den)
-    return total
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
@@ -173,49 +161,48 @@ def stationary_weight(state: JugglingState, coin: CoinConfig) -> Fraction:
     return sn(state.balls, coin.q) * coin.q ** -inversions(state)
 
 
-def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
-    """Exact balance check: the stationary weight of `state` must equal the
-    weight flowing into it from its digraph successors in one step.
+def _inflow_by_move(
+    state: JugglingState, coin: CoinConfig, max_throw: int | None = None
+) -> dict[int, Fraction]:
+    """The weight flowing into `state` in one step, without the prefactor
+    sn(b), split by the move k that brings each successor back.
 
-    A successor is `state` after a t-throw; its backward step recovers
-    `state` by moving its j-th x when t lies strictly between the j-th and
-    (j+1)-th x positions.  Each group j contributes a geometric sum over t
-    with ratio 1/q, finite for j < b and an exact closed-form tail for
-    j = b, so the infinite successor sum is evaluated exactly.
+    The successor after a t-throw has inversions(state) + t - b
+    inversions, and comes back by moving its j-th x, the move k = b - j of
+    probability (1 - 1/q) q^-k, when t lies strictly between the j-th and
+    (j+1)-th x positions.  So each group is a geometric sum over t of ratio
+    1/q, finite for j < b; the j = b tail is summed in closed form, or up
+    to t = max_throw when that is given.  An empty-front state has one
+    successor, its shift down, which comes back by all b heads.
     """
     q = coin.q
     b = state.balls
-    # every state with b balls shares the prefactor of its weight
-    prefactor = sn(b, q)
     inv = inversions(state)
-    pi = prefactor * q**-inv
     if not state.occupied(0):
-        # Unique successor: the one-beat shift down; it recovers the state
-        # via its all-heads branch.
-        successor = JugglingState(tuple(p - 1 for p in state.positions))
-        inflow = prefactor * q ** -inversions(successor) * q ** -b
-        return inflow == pi
-
-    # A successor after a t-throw has inversion count inversions(state)
-    # + t - b, so pi(successor) = prefactor * q^-(inv + t - b); factor out
-    # prefactor * q^(b - inv) and accumulate the geometric t-sums.
+        # the shift down has inv - b inversions and takes all b heads
+        return {b: q**-inv}
+    # group j sums q^-(inv + t - b) (1 - 1/q) q^(j - b) over lo < t < hi,
+    # which is q^(j - inv) (q^-(lo + 1) - q^-hi)
     lam = state.positions
-    lhs = Fraction(0)
+    inflow = {}
     for j in range(1, b + 1):
         lo = lam[j - 1]
-        move_prob = (1 - 1 / q) * q ** (j - b)
-        if j < b:
-            hi = lam[j]
-            if hi - lo < 2:
-                continue
-            # sum of q^-t over t in [lo+1, hi-1]
-            geo = (q ** -(lo + 1) - q ** -hi) / (1 - 1 / q)
-        else:
-            # closed-form infinite tail: sum of q^-t over t > lo
-            geo = q ** -(lo + 1) / (1 - 1 / q)
-        lhs += move_prob * geo
-    lhs *= prefactor * q ** (b - inv)
-    return lhs == pi
+        if j == b and max_throw is None:
+            inflow[0] = q ** (j - inv - lo - 1)
+            continue
+        hi = lam[j] if j < b else max_throw + 1
+        if hi - lo >= 2:
+            inflow[b - j] = q ** (j - inv - lo - 1) - q ** (j - inv - hi)
+    return inflow
+
+
+def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
+    """Exact balance check: the stationary weight of `state` must equal the
+    weight flowing into it from its digraph successors in one step, summed
+    in closed form by `_inflow_by_move`.  Every successor has b balls, so
+    the prefactor sn(b) of each weight cancels."""
+    inflow = sum(_inflow_by_move(state, coin).values())
+    return inflow == coin.q ** -inversions(state)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .chain import (
     tv_distance,
     verify_stationarity,
 )
-from .errors import JuggleError, ResourceLimit
+from .errors import JuggleError, ParseError, ResourceLimit
 from .flagchain import (
     flag_backward_dist,
     flag_backward_step,
@@ -522,9 +522,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
         return args.func(args)
-    # a request too large to enumerate is refused as a bad flag; exit 1 is
-    # kept for a failed check
-    except (_FlagError, ResourceLimit) as exc:
+    # a malformed state or pattern, or a request too large to enumerate, is
+    # refused as a bad flag; exit 1 is kept for a failed check
+    except (_FlagError, ParseError, ResourceLimit) as exc:
         parser.error(str(exc))
     except JuggleError as exc:
         print(f"error: {exc}", file=sys.stderr)

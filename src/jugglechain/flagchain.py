@@ -1,25 +1,23 @@
 """The backward Markov chain on labeled (flag) states, and its digraph.
 
-Forward edges from a label-initial state: pick up the front label and walk
-East over the shifted word; at an empty cell we may drop the carried label
-and stop, at a strictly larger label we may exchange (drop the carried
-label there, pick up the larger one) and keep walking.  The set of drop
-positions along a walk is the transition's throw set.
+A flag state is its positions (`erase_labels`) and its label word w, the
+labels read left to right.  Each routine is the plain chain's on the
+positions times one on the word: positions move only in `chain` and
+`states`, and this module reads and writes words.
 
-Backward step: hold an empty, point at the rightmost label, and sweep
-left.  At each stop (a label strictly smaller than the held item, empties
-counting as +infinity) flip a coin with p(heads) = 1/q: tails exchanges
-the held item with the pointed label.  The sweep only stops at labels
-strictly smaller than the held item, so with repeated labels equal ones
-are passed over, which is what makes the all-equal case collapse to the
-plain chain.  Falling off the left end drops the held item in front.
-The exact one-step law is that sampler run on every flip sequence it can
-draw (`chain.step_law`), so the move rule is written once.
+Backward step: the plain move k, then for k < b the (k+1)-th last label is
+carried to the front; at each strictly smaller label on the way a coin
+with p(heads) = 1/q is flipped, and tails exchanges the two.  Equal labels
+are passed over, so the all-equal case collapses to the plain chain.  The
+exact law is that sampler run on every flip sequence (`chain.step_law`).
 
-The stationary weight of a state is prefactor * q^-inversions, where the
-prefactor multiplies (1-q^-1)...(1-q^-k) over the groups of equal labels
-(sizes k): all labels distinct gives (1-1/q)^b, a single group gives the
-plain-chain prefactor.
+Forward edges: a plain throw t, with the final drop at t - 1, times the
+front label's walks over the labels left of it (`_word_walks`).
+
+The stationary weight is prefactor * q^-inversions, the prefactor being
+(1-q^-1)...(1-q^-k) over the groups of equal labels (sizes k).  The
+inversions are the plain ones plus the word's, so the weight is the plain
+chain's times Mallows' q^-inv(w).
 """
 from __future__ import annotations
 
@@ -31,12 +29,22 @@ from .chain import (
     CoinConfig,
     FlipSource,
     TransitionDist,
+    _inflow_by_move,
+    _leading_heads,
+    _plain_step,
     step_law,
-    step_probability,
 )
 from .errors import CapTooSmall
 from .series import sn
-from .states import Cell, FlagState, flag_inversions, trim_cells
+from .states import (
+    Cell,
+    FlagState,
+    erase_labels,
+    flag_from_parts,
+    flag_inversions,
+    forward_edges,
+    word_inversions,
+)
 
 
 def label_groups(labels: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -64,66 +72,89 @@ class FlagTransition:
     drops: frozenset[int]  # positions where a label was put down
 
 
+def _word_walks(word: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """The words a forward edge can leave when its final drop has m labels
+    to its left: the front label walks over word[1 : m + 1], optionally
+    exchanging itself with each strictly larger label (putting itself down
+    and carrying on with that one), and the label it carries at the end is
+    put down after them."""
+    walks = [((), word[0])]  # (labels walked over, label carried)
+    for label in word[1 : m + 1]:
+        grown = []
+        for done, carried in walks:
+            grown.append((done + (label,), carried))
+            if label > carried:
+                grown.append((done + (carried,), label))
+        walks = grown
+    return [done + (carried,) + word[m + 1 :] for done, carried in walks]
+
+
 def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
-    """All outgoing transitions whose drops stay at positions <= max_drop.
-
-    An empty-initial state has the unique edge deleting its leading empty.
-    Drops happen at strictly increasing positions along a walk, so capping
-    the final drop caps them all.
-    """
-    cells = state.cells
-    if cells[0] is None:
-        return [FlagTransition(FlagState(cells[1:]), frozenset())]
-
-    word = cells[1:]
-    results: list[FlagTransition] = []
-
-    def walk(pos: int, carried: int, current: tuple[Cell, ...], drops: tuple[int, ...]):
-        if pos > max_drop:
-            return
-        cell = current[pos] if pos < len(current) else None
-        if cell is None:
-            dropped = list(current) + [None] * max(0, pos + 1 - len(current))
-            dropped[pos] = carried
+    """All outgoing transitions whose drops stay at positions <= max_drop:
+    a plain throw t of `erase_labels(state)`, the final drop at t - 1, times
+    each word of `_word_walks`.  An empty-initial state has the unique edge
+    deleting its leading empty.  Drops increase along a walk, so capping
+    the final drop caps them all."""
+    if state.cells[0] is None:
+        return [FlagTransition(FlagState(state.cells[1:]), frozenset())]
+    word = tuple([c for c in state.cells if c is not None])
+    results = []
+    for t, target in forward_edges(erase_labels(state), max_drop + 1):
+        positions = target.positions
+        m = positions.index(t - 1)
+        for walked in _word_walks(word, m):
+            # an exchange puts down a strictly smaller label, so the
+            # exchanges are where the walked labels differ from the word's
+            drops = {positions[i] for i in range(m) if walked[i] != word[i + 1]}
+            drops.add(t - 1)
             results.append(
-                FlagTransition(
-                    FlagState(trim_cells(dropped)), frozenset(drops + (pos,))
-                )
+                FlagTransition(flag_from_parts(positions, walked), frozenset(drops))
             )
-            walk(pos + 1, carried, current, drops)
-        else:
-            if cell > carried:
-                swapped = current[:pos] + (carried,) + current[pos + 1 :]
-                walk(pos + 1, cell, swapped, drops + (pos,))
-            walk(pos + 1, carried, current, drops)
-
-    walk(0, cells[0], word, ())
     results.sort(key=lambda tr: (sorted(tr.drops), str(tr.target)))
     return results
 
 
-def _next_stop(cells: Sequence[Cell], held: Cell, start: int) -> int:
-    """First index strictly left of `start` bearing a label smaller than the
-    held item (held empty = +infinity stops at every label), or -1."""
-    for i in range(start - 1, -1, -1):
-        c = cells[i]
-        if c is not None and (held is None or c < held):
-            return i
-    return -1
+def _word_step(
+    word: Sequence[int], k: int, coin: CoinConfig, rng: FlipSource
+) -> tuple[int, ...]:
+    """The word after the plain move k: unchanged for k = b; otherwise the
+    (k+1)-th last label is carried to the front, and at each label strictly
+    smaller than the carried one on the way a tails exchanges the two."""
+    moved = len(word) - 1 - k
+    if moved < 0:
+        return tuple(word)
+    held = word[moved]
+    rest = list(word[:moved])
+    p = coin.heads_probability
+    for i in range(moved - 1, -1, -1):
+        if rest[i] < held and not rng.heads(p):
+            held, rest[i] = rest[i], held
+    return (held, *rest, *word[moved + 1 :])
 
 
 def flag_backward_step(
     state: FlagState, coin: CoinConfig, rng: FlipSource
 ) -> FlagState:
-    """One sampled backward step."""
-    cells = list(state.cells)
-    held: Cell = None
-    ptr = len(cells) - 1  # rightmost cell bears a label
-    while ptr >= 0:
-        if not rng.heads(coin.heads_probability):
-            held, cells[ptr] = cells[ptr], held
-        ptr = _next_stop(cells, held, ptr)
-    return FlagState(trim_cells([held] + cells))
+    """One sampled step: the plain move k, then `_word_step`.
+
+    The paper's sweep holds an empty, points at the rightmost label and
+    walks left, flipping at each label smaller than the held item (an
+    empty counts as +infinity); tails exchanges the two, and the held item
+    ends in front.  While the held item is an empty every label is a stop,
+    which is the plain k-draw, and its tails picks up the (k+1)-th last
+    label from the cell the plain move empties.  A held label stops only at
+    smaller labels, never at an empty, so it changes the word alone.  The
+    flips come in the sweep's order.
+    """
+    cells = state.cells
+    positions = tuple([i for i, c in enumerate(cells) if c is not None])
+    word = [c for c in cells if c is not None]
+    k = _leading_heads(len(word), coin, rng)
+    after = _plain_step(positions, k)
+    out: list[Cell] = [None] * (after[-1] + 1)
+    for position, label in zip(after, _word_step(word, k, coin, rng)):
+        out[position] = label
+    return FlagState(tuple(out))
 
 
 def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
@@ -180,64 +211,46 @@ def flag_stationarity_tail_bound(
 _TOLERANCE = Fraction(1, 1024)
 
 
-def _flag_inflow(state: FlagState, coin: CoinConfig) -> tuple[Fraction, Fraction]:
-    """The balance inflow into `state`, weight * backward-probability
-    summed over its successors, as (near, family).
+def _flag_inflow(
+    state: FlagState, coin: CoinConfig, max_drop: int | None = None
+) -> Fraction:
+    """The balance inflow into `state`, weight * backward probability
+    summed over its successors, those with every drop at or below
+    `max_drop` when it is given.
 
-    `near` covers a leading-empty state's one successor (the deletion of
-    that empty, which points back via its all-heads branch), or else every
-    target of fewer than n = len(state.cells) cells; `family` covers the
-    n-cell targets, one per far-drop family, and is 0 for a leading empty.
-    Each backward probability is the one entry P(target -> state) read
-    from `flag_backward_step` by `chain.step_probability`.  Every target
-    carries the labels of `state`, so the group prefactor is factored out
-    of the sum and applied to both parts.
-
-    Far-drop families.  The shifted word has n - 1 cells and its last one
-    bears a label.  Only the walks whose final drop lands at p <= n - 1 are
-    enumerated; each target of n cells stands for its whole family
-    p = n - 1 + k, k >= 0, whose k-th member brings q^-k times its term:
-
-    * a walk whose final drop lands at p >= n - 1 makes all its exchanges
-      inside the shifted word, then carries one label c over empties to p,
-      so its targets for different p differ only in the run of empties
-      before c, and each extra empty adds exactly one inversion;
-    * the backward sweep from any of them stops first at c and must flip
-      tails there: heads would leave a label past the state's last cell.
-      After that flip it sees the same cells for every p, so
-      P(target -> state) does not depend on p;
-    * a final drop before n - 1 gives a target of at most n - 1 cells, so
-      "n cells" picks out exactly one representative per family.
+    A successor fills the plain successor after a throw t with a word w'
+    of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
+    It comes back by the plain move k = b - 1 - m and then `_word_step`,
+    with probability P_k * W_k(w', w) (W_k read by `step_law`), and its
+    weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
+    The word part does not depend on t, so the inflow is the prefactor
+    times the sum over k of plain_k * sum_w' q^-inv(w') W_k(w', w), with
+    plain_k from `chain._inflow_by_move`.  The far drops (one label carried
+    ever further past the last label) are the plain j = b tail, k = 0.  An
+    empty-front state comes back from its shift down by k = b, word kept.
     """
-    if state.cells[0] is None:
-        successor = FlagState(state.cells[1:])
-        inflow = flag_stationary_weight(successor, coin) * step_probability(
-            flag_backward_step, successor, coin, state
-        )
-        return inflow, Fraction(0)
-    n = len(state.cells)
     q = coin.q
-    near = family = Fraction(0)
-    for target in {tr.target for tr in flag_forward_edges(state, n - 1)}:
-        term = q ** -flag_inversions(target) * step_probability(
-            flag_backward_step, target, coin, state
+    word = tuple([c for c in state.cells if c is not None])
+    b = len(word)
+    max_throw = None if max_drop is None else max_drop + 1
+    total = Fraction(0)
+    for k, plain in _inflow_by_move(erase_labels(state), coin, max_throw).items():
+        sources = [word] if k == b else _word_walks(word, b - 1 - k)
+        step = lambda w, coin, rng, k=k: _word_step(w, k, coin, rng)
+        total += plain * sum(
+            q ** -word_inversions(source)
+            * step_law(step, source, coin).probability(word)
+            for source in sources
         )
-        if len(target.cells) == n:
-            family += term
-        else:
-            near += term
-    prefactor = group_prefactor(state.labels, q)
-    return prefactor * near, prefactor * family
+    return group_prefactor(state.labels, q) * total
 
 
 def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     """Exact balance check at `state`, the flag counterpart of
     `chain.verify_stationarity`: its stationary weight must equal the
-    weight flowing into it in one step.  Each far-drop family of
-    `_flag_inflow` is a geometric series of ratio 1/q, summed to infinity
-    in closed form, so no cap or tail bound is needed."""
-    near, family = _flag_inflow(state, coin)
-    return near + family / (1 - 1 / coin.q) == flag_stationary_weight(state, coin)
+    weight flowing into it in one step, `_flag_inflow` with the far drops
+    summed to infinity in closed form."""
+    return _flag_inflow(state, coin) == flag_stationary_weight(state, coin)
 
 
 def verify_flag_stationarity(
@@ -250,29 +263,24 @@ def verify_flag_stationarity(
     benchmark's `perfbench/verify.py` calls it; `flag_stationarity_holds`
     is the exact check.
 
-    The partial sum is `_flag_inflow` with each far-drop family cut at
-    k <= drop_cap - n + 1 (n = len(state.cells)), and an exact geometric
-    tail bound covers the rest; a leading-empty state has no far drops
-    and no tail.  Raises ValueError when drop_cap is below the last label
-    position + b, and CapTooSmall, before any summing, when the tail bound
-    is not below tolerance * weight(state).
+    The partial sum is `_flag_inflow` capped at drop_cap, and an exact
+    geometric tail bound covers the rest; a leading-empty state has no far
+    drops and no tail.  Raises ValueError when drop_cap is below the last
+    label position + b, and CapTooSmall, before any summing, when the tail
+    bound is not below tolerance * weight(state).
     """
     pi = flag_stationary_weight(state, coin)
     if state.cells[0] is None:
-        near, _ = _flag_inflow(state, coin)
         return StationarityBracket(
-            expected=pi, partial_sum=near, tail_bound=Fraction(0)
+            expected=pi, partial_sum=_flag_inflow(state, coin), tail_bound=Fraction(0)
         )
 
-    n = len(state.cells)
-    if drop_cap < n - 1 + state.balls:
+    if drop_cap < len(state.cells) - 1 + state.balls:
         raise ValueError("drop_cap must be at least last label position + b")
     tail = flag_stationarity_tail_bound(state, coin, drop_cap)
     if tail >= pi * tolerance:
         raise CapTooSmall(
             f"tail bound {tail} is not below {tolerance} * weight {pi}"
         )
-    q = coin.q
-    near, family = _flag_inflow(state, coin)
-    partial = near + family * (1 - q ** -(drop_cap - n + 2)) / (1 - 1 / q)
+    partial = _flag_inflow(state, coin, drop_cap)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)

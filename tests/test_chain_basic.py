@@ -12,17 +12,12 @@ from jugglechain.chain import (
     simulate,
     stationary_weight,
     step_law,
-    step_probability,
     tv_distance,
     verify_stationarity,
 )
-from jugglechain.flagchain import flag_backward_step
-from jugglechain.hatted import HattedState, hatted_backward_step
 from jugglechain.rng import ChainRng, ScriptedRng
 from jugglechain.states import (
-    FlagState,
     JugglingState,
-    flag_states_up_to_inversions,
     ground_state,
     inversions,
     parse_state,
@@ -152,7 +147,6 @@ class TestStepLaw:
 
         law = step_law(toy, None, Q2).as_dict()
         assert law == {"T": Fraction(2, 3), "HT": Fraction(1, 6), "HH": Fraction(1, 6)}
-        assert step_probability(toy, None, Q2, "HT") == Fraction(1, 6)
 
     def test_probability_sums_every_leaf_of_an_outcome(self):
         # A from two of the three flip sequences: 2/3 + 1/3 * 1/2
@@ -161,52 +155,9 @@ class TestStepLaw:
                 return "A"
             return "B"
 
-        assert step_probability(toy, None, Q2, "A") == Fraction(5, 6)
-        assert step_probability(toy, None, Q2, "B") == Fraction(1, 6)
-        assert step_probability(toy, None, Q2, "C") == 0
         assert step_law(toy, None, Q2).as_dict() == {
             "A": Fraction(5, 6), "B": Fraction(1, 6)
         }
-
-    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 2)], ids=str)
-    @pytest.mark.parametrize(
-        "step,states,outside",
-        [
-            (
-                backward_step,
-                [s for b in (1, 2, 3) for s in states_up_to_inversions(b, 4)],
-                ground_state(4),
-            ),
-            (
-                flag_backward_step,
-                [
-                    s
-                    for labels in ((1, 2, 3), (1, 1, 2))
-                    for s in flag_states_up_to_inversions(labels, 4)
-                ],
-                FlagState((1, 2, 3, 4)),
-            ),
-            (
-                hatted_backward_step,
-                [
-                    HattedState(base.cells, h)
-                    for base in flag_states_up_to_inversions((1, 2, 3), 3)
-                    for h in range(len(base.cells) + 1)
-                ],
-                HattedState((1, 2, 3, 4), 0),
-            ),
-        ],
-        ids=["plain", "flag", "hatted"],
-    )
-    def test_probability_is_one_entry_of_the_law(self, step, states, outside, q):
-        coin = CoinConfig(q)
-        for state in states:
-            law = step_law(step, state, coin)
-            for target in law.support():
-                assert step_probability(step, state, coin, target) == law.probability(
-                    target
-                ), (state, target)
-            assert step_probability(step, state, coin, outside) == 0
 
 
 class TestStationaryWeight:

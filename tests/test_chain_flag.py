@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from jugglechain.chain import CoinConfig, backward_dist
+from jugglechain.chain import CoinConfig, backward_dist, step_law
 from jugglechain.errors import CapTooSmall
 from jugglechain.flagchain import (
+    _word_step,
     flag_backward_dist,
     flag_backward_step,
     flag_forward_edges,
@@ -18,12 +20,14 @@ from jugglechain.rng import ChainRng, ScriptedRng
 from jugglechain.series import sn
 from jugglechain.states import (
     FlagState,
+    distinct_permutations,
     erase_labels,
     flag_from_parts,
     flag_states_up_to_inversions,
     forward_edges,
     parse_flag_state,
     states_up_to_inversions,
+    word_inversions,
 )
 
 Q2 = CoinConfig(Fraction(2))
@@ -134,15 +138,18 @@ class TestBackwardDist:
             assert flag_dist == plain_dist
 
     def test_erasing_labels_projects_onto_plain_chain(self):
-        for labels in [(1, 2), (1, 2, 3), (1, 1, 2)]:
+        for coin, labels in itertools.product(
+            [Q2, CoinConfig(Fraction(5, 2))],
+            [(1, 2), (1, 2, 3), (1, 1, 2), (1, 2, 3, 4)],
+        ):
             for state in flag_states_up_to_inversions(labels, 4):
                 pushed: dict[str, Fraction] = {}
-                for s, p in flag_backward_dist(state, Q2).entries:
+                for s, p in flag_backward_dist(state, coin).entries:
                     key = str(erase_labels(s))
                     pushed[key] = pushed.get(key, Fraction(0)) + p
                 plain_dist = {
                     str(s): p
-                    for s, p in backward_dist(erase_labels(state), Q2).entries
+                    for s, p in backward_dist(erase_labels(state), coin).entries
                 }
                 assert pushed == plain_dist
 
@@ -155,6 +162,32 @@ class TestBackwardDist:
                         tr.target for tr in flag_forward_edges(outcome, cap)
                     }
                     assert state in targets, (str(outcome), str(state))
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(5, 4)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2, 3), (1, 1, 2), (1, 2, 3, 4), (1, 1, 2, 2), (2, 2, 2), (1, 2, 3, 4, 5)],
+        ids=lambda labels: "".join(map(str, labels)),
+    )
+    def test_mallows_is_stationary_for_every_move(self, labels, q):
+        # the word kernel W_k of each plain move k keeps Mallows' law
+        # q^-inv(w): sum over w' of q^-inv(w') W_k(w', w) == q^-inv(w),
+        # summed by brute force over every source word of the multiset
+        coin = CoinConfig(q)
+        words = list(distinct_permutations(labels))
+        for k in range(len(labels) + 1):
+            inflow = dict.fromkeys(words, Fraction(0))
+            for source in words:
+                law = step_law(
+                    lambda w, coin, rng: _word_step(w, k, coin, rng), source, coin
+                )
+                for target, p in law.entries:
+                    inflow[target] += q ** -word_inversions(source) * p
+            assert inflow == {w: q ** -word_inversions(w) for w in words}, k
 
 
 class TestStationaryWeight:

@@ -299,8 +299,9 @@ class TestOracleGolden:
         assert out == expected.format(version=jugglechain.__version__)
 
 
-# whole tables of flag balance checks and series identities, pinned byte
-# for byte: exact weights, verdicts and coefficients
+# whole tables of flag balance checks, series identities, a seeded labeled
+# run with repeated labels and flag digraph edges, pinned byte for byte:
+# exact weights, verdicts, coefficients, visit counts and drop sets
 CHECK_GOLDEN = {
     "flag-123": (
         ["stationary-check", "--labels", "1,2,3", "--q", "2", "--max-inversions", "4"],
@@ -506,6 +507,76 @@ CHECK_GOLDEN = {
         "10,0\n"
         "# jugglechain {version} seed=- config=238eca94ee15\n",
     ),
+    "simulate-labels-112": (
+        ["simulate", "--labels", "1,1,2", "--q", "7/2", "--steps", "300",
+         "--burnin", "10", "--seed", "2"],
+        "state,count,empirical,stationary\n"
+        "--121,1,1/290,144000/1977326743\n"
+        "-1-2--1,1,1/290,288000/13841287201\n"
+        "-11--2,1,1/290,36000/40353607\n"
+        "-112,1,1/290,9000/823543\n"
+        "-121,4,2/145,18000/5764801\n"
+        "-21-1,1,1/290,72000/282475249\n"
+        "1---21,1,1/290,144000/1977326743\n"
+        "1--1--2,1,1/290,72000/282475249\n"
+        "1--12,1,1/290,18000/5764801\n"
+        "1--21,1,1/290,36000/40353607\n"
+        "1-1--2,1,1/290,18000/5764801\n"
+        "1-1-2,5,1/58,9000/823543\n"
+        "1-12,8,4/145,4500/117649\n"
+        "1-2----1,1,1/290,144000/1977326743\n"
+        "1-2--1,1,1/290,36000/40353607\n"
+        "1-2-1,1,1/290,18000/5764801\n"
+        "11----2,1,1/290,18000/5764801\n"
+        "11---2,4,2/145,9000/823543\n"
+        "11--2,9,9/290,4500/117649\n"
+        "11-2,37,37/290,2250/16807\n"
+        "112,147,147/290,1125/2401\n"
+        "12--1,1,1/290,9000/823543\n"
+        "12-1,4,2/145,4500/117649\n"
+        "121,42,21/145,2250/16807\n"
+        "21-1,6,3/145,9000/823543\n"
+        "211,9,9/290,4500/117649\n"
+        "# jugglechain {version} seed=2 config=c443d0ec2cfb\n",
+    ),
+    "digraph-flag-1-2-3": (
+        ["digraph", "--flag-state", "1-2-3", "--max-drop", "8"],
+        "source,drops,target\n"
+        "1-2-3,0,12-3\n"
+        "1-2-3,1,2,-123\n"
+        "1-2-3,1,3,4,-1-23\n"
+        "1-2-3,1,3,5,-1-2-3\n"
+        "1-2-3,1,3,6,-1-2--3\n"
+        "1-2-3,1,3,7,-1-2---3\n"
+        "1-2-3,1,3,8,-1-2----3\n"
+        "1-2-3,1,4,-1-32\n"
+        "1-2-3,1,5,-1-3-2\n"
+        "1-2-3,1,6,-1-3--2\n"
+        "1-2-3,1,7,-1-3---2\n"
+        "1-2-3,1,8,-1-3----2\n"
+        "1-2-3,2,-213\n"
+        "1-2-3,3,4,-2-13\n"
+        "1-2-3,3,5,-2-1-3\n"
+        "1-2-3,3,6,-2-1--3\n"
+        "1-2-3,3,7,-2-1---3\n"
+        "1-2-3,3,8,-2-1----3\n"
+        "1-2-3,4,-2-31\n"
+        "1-2-3,5,-2-3-1\n"
+        "1-2-3,6,-2-3--1\n"
+        "1-2-3,7,-2-3---1\n"
+        "1-2-3,8,-2-3----1\n"
+        "# jugglechain {version} seed=- config=422b3cd3b460\n",
+    ),
+    "digraph-flag-2-1-1": (
+        ["digraph", "--flag-state", "2-1-1", "--max-drop", "6"],
+        "source,drops,target\n"
+        "2-1-1,0,21-1\n"
+        "2-1-1,2,-121\n"
+        "2-1-1,4,-1-12\n"
+        "2-1-1,5,-1-1-2\n"
+        "2-1-1,6,-1-1--2\n"
+        "# jugglechain {version} seed=- config=84bf84e2ffb7\n",
+    ),
 }
 
 
@@ -633,6 +704,20 @@ class TestBadFlags:
         ids=["oracle-matrices", "series-perm-max", "series-grassmann-max"],
     )
     def test_oversized_request(self, capsys, argv, message):
+        line = bad_flags(capsys, *argv)
+        assert message in line
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dist", "--state", "x-y", "--q", "2"], "bad character 'y'"),
+            (["dist", "--flag-state", "3x1", "--q", "2"], "bad token 'x'"),
+            (["digraph", "--state", "x-y"], "bad character 'y'"),
+            (["siteswap", "5_1"], "bad character '_'"),
+        ],
+        ids=["dist-state", "dist-flag-state", "digraph-state", "siteswap"],
+    )
+    def test_malformed_state_or_pattern(self, capsys, argv, message):
         line = bad_flags(capsys, *argv)
         assert message in line
 

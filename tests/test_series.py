@@ -148,9 +148,6 @@ class TestFlagSeries:
     def test_identity(self, b):
         assert flag_series(b, 24) == flag_series_enumerated(b, 24)
 
-    def test_enumerated_agrees(self):
-        assert flag_series(2, 12) == flag_series_enumerated(2, 12)
-
 
 class TestPoincare:
     def test_s2(self):
