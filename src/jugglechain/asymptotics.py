@@ -54,16 +54,6 @@ def most_likely_count(b: int, h: int, q: Fraction) -> int:
     return c
 
 
-def argmax_prob_direct(b: int, h: int, q: Fraction) -> int:
-    """Independent check: evaluate every P_c and take the first maximum."""
-    best_c, best = 0, prob_exactly(b, h, 0, q)
-    for c in range(1, min(h, b) + 1):
-        value = prob_exactly(b, h, c, q)
-        if value > best:
-            best_c, best = c, value
-    return best_c
-
-
 def _check_e(e: float) -> None:
     if not 0 < e < 1:
         raise DomainError(f"E must lie in (0, 1), got {e}")

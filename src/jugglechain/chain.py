@@ -12,8 +12,9 @@ the transition law and stationarity are verified with exact rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Protocol
 
@@ -50,15 +51,18 @@ class TransitionDist:
     entries: tuple[tuple[object, Fraction], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(self.entries, key=lambda e: str(e[0])))
-        object.__setattr__(self, "entries", entries)
-        states = [s for s, _ in entries]
-        if len(set(map(str, states))) != len(states):
+        # each state is rendered once, for both the order and the duplicates
+        keyed = sorted(
+            ((str(s), s, p) for s, p in self.entries), key=lambda e: e[0]
+        )
+        object.__setattr__(self, "entries", tuple((s, p) for _, s, p in keyed))
+        if len({key for key, _, _ in keyed}) != len(keyed):
             raise ValueError("duplicate states in distribution")
-        total = sum((p for _, p in entries), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p <= 0 for _, p in entries):
+        den = math.lcm(*(p.denominator for _, _, p in keyed))
+        num = sum(p.numerator * (den // p.denominator) for _, _, p in keyed)
+        if num != den:
+            raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
+        if any(p.numerator <= 0 for _, _, p in keyed):
             raise ValueError("probabilities must be positive")
 
     def probability(self, state: object) -> Fraction:
@@ -132,29 +136,41 @@ def step_law(step, state, coin: CoinConfig) -> TransitionDist:
     once per flip sequence it can draw, and weight every outcome by the
     total probability of the sequences that lead to it.  Every sequence
     must end after finitely many flips, each with an exact rational
-    probability."""
-    law: dict = {}
+    probability.  The sequence probabilities are summed as integers over
+    their common denominator, one `Fraction` per outcome."""
+    leaves: dict = {}
     pending: list[list[bool]] = [[]]
     while pending:
         flips = _FlipTree(pending.pop(), pending)
         out = step(state, coin, flips)
-        law[out] = law.get(out, 0) + Fraction(flips.num, flips.den)
-    return TransitionDist(tuple(law.items()))
+        leaves.setdefault(out, []).append((flips.num, flips.den))
+    den = math.lcm(*(d for group in leaves.values() for _, d in group))
+    return TransitionDist(
+        tuple(
+            (out, Fraction(sum(n * (den // d) for n, d in group), den))
+            for out, group in leaves.items()
+        )
+    )
+
+
+@lru_cache(maxsize=256)
+def _move_law(b: int, coin: CoinConfig) -> tuple[Fraction, ...]:
+    """P(k) for the plain move k = 0..b of one step on b balls: k leading
+    heads then tails (k < b) has probability (1 - 1/q) q^-k; all b heads
+    has probability q^-b."""
+    p = coin.heads_probability
+    return tuple([(1 - p) * p**k for k in range(b)] + [p**b])
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
-    """The exact one-step law: b+1 outcomes.
-
-    k leading heads then tails (k < b) has probability (1 - 1/q) q^-k;
-    all b heads has probability q^-b.
-    """
-    q = coin.q
-    b = state.balls
-    entries = []
-    for k in range(b + 1):
-        prob = (1 - 1 / q) * q**-k if k < b else q**-b
-        entries.append((JugglingState(_plain_step(state.positions, k)), prob))
-    return TransitionDist(tuple(entries))
+    """The exact one-step law: b+1 outcomes, the move k with probability
+    `_move_law`."""
+    return TransitionDist(
+        tuple(
+            (JugglingState(_plain_step(state.positions, k)), prob)
+            for k, prob in enumerate(_move_law(state.balls, coin))
+        )
+    )
 
 
 def stationary_weight(state: JugglingState, coin: CoinConfig) -> Fraction:

@@ -45,6 +45,7 @@ from .rng import ChainRng
 from .series import (
     DEFAULT_DEGREE,
     bundle_factorization_holds,
+    check_enumeration_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
@@ -314,6 +315,8 @@ def cmd_series(args) -> int:
         all_ok &= ok
         rows.append([name, d, "pass" if ok else "FAIL"])
 
+    # refuse an oversized sweep before enumerating anything
+    check_enumeration_budget(args.partition_max, d)
     for b in range(1, args.partition_max + 1):
         record(
             f"state-partition b={b}",

@@ -9,7 +9,9 @@ Backward step: the plain move k, then for k < b the (k+1)-th last label is
 carried to the front; at each strictly smaller label on the way a coin
 with p(heads) = 1/q is flipped, and tails exchanges the two.  Equal labels
 are passed over, so the all-equal case collapses to the plain chain.  The
-exact law is that sampler run on every flip sequence (`chain.step_law`).
+exact law is the plain move law P(k) times the word law W_k, memoised per
+word; the sampler run on every flip sequence (`chain.step_law`) is the
+reference the tests compare it with.
 
 Forward edges: a plain throw t, with the final drop at t - 1, times the
 front label's walks over the labels left of it (`_word_walks`).
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .chain import (
     CoinConfig,
@@ -31,6 +35,7 @@ from .chain import (
     TransitionDist,
     _inflow_by_move,
     _leading_heads,
+    _move_law,
     _plain_step,
     step_law,
 )
@@ -157,15 +162,36 @@ def flag_backward_step(
     return FlagState(tuple(out))
 
 
-def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
-    """The exact one-step law: `flag_backward_step` run on every flip
-    sequence it can draw.
+@lru_cache(maxsize=4096)
+def _word_law(
+    word: tuple[int, ...], k: int, coin: CoinConfig
+) -> Mapping[tuple[int, ...], Fraction]:
+    """W_k(word, .): the exact law of `_word_step` after the plain move k,
+    by `step_law`.  Many states share a word, so it is memoised, and every
+    caller shares the one read-only mapping."""
+    law = step_law(lambda w, coin, rng: _word_step(w, k, coin, rng), word, coin)
+    return MappingProxyType(law.as_dict())
 
-    The held item strictly decreases at each tails, so at most one flip
-    happens per label and there are at most 2^b sequences; equal outcomes
-    are merged.
+
+def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
+    """The exact one-step law: the plain move k with probability P(k)
+    (`chain._move_law`), times the word law W_k (`_word_law`).
+
+    `flag_backward_step` draws k first and then flips only inside
+    `_word_step`, so each outcome's probability is the product.  Distinct
+    moves leave distinct positions, so no outcome is counted twice.
+    `step_law(flag_backward_step, state, coin)` is the same law, enumerated
+    from the sampler; the tests compare the two.
     """
-    return step_law(flag_backward_step, state, coin)
+    cells = state.cells
+    positions = tuple([i for i, c in enumerate(cells) if c is not None])
+    word = tuple([c for c in cells if c is not None])
+    entries = []
+    for k, move in enumerate(_move_law(len(word), coin)):
+        after = _plain_step(positions, k)
+        for outcome, prob in _word_law(word, k, coin).items():
+            entries.append((flag_from_parts(after, outcome), move * prob))
+    return TransitionDist(tuple(entries))
 
 
 def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:
@@ -186,26 +212,6 @@ class StationarityBracket:
         return self.partial_sum <= self.expected <= self.partial_sum + self.tail_bound
 
 
-def flag_stationarity_tail_bound(
-    state: FlagState, coin: CoinConfig, drop_cap: int
-) -> Fraction:
-    """Exact upper bound on the balance inflow omitted by capping drops.
-
-    Every omitted successor comes from a walk whose final drop lands at a
-    position p > drop_cap; such a target keeps at most b-1 other labels
-    left of p, hence has at least p - b + 1 inversions, so its weight is
-    at most prefactor * q^(b-1-p).  At most 2^(b-1) walks end at any given
-    p (a walk is determined by its exchange subset and final drop), and
-    each backward probability is at most 1.  Summing the geometric series
-    over p > drop_cap gives the bound.
-    """
-    q = coin.q
-    b = state.balls
-    prefactor = group_prefactor(state.labels, q)
-    per_position = 2 ** (b - 1) * prefactor * q ** (b - 1)
-    return per_position * q ** -(drop_cap + 1) / (1 - 1 / q)
-
-
 # the balance check's default: the tail bound must be below this share of
 # the state's weight
 _TOLERANCE = Fraction(1, 1024)
@@ -214,17 +220,17 @@ _TOLERANCE = Fraction(1, 1024)
 def _flag_inflow(
     state: FlagState, coin: CoinConfig, max_drop: int | None = None
 ) -> Fraction:
-    """The balance inflow into `state`, weight * backward probability
-    summed over its successors, those with every drop at or below
-    `max_drop` when it is given.
+    """The balance inflow into `state` without the group prefactor, weight
+    * backward probability summed over its successors, those with every
+    drop at or below `max_drop` when it is given.
 
     A successor fills the plain successor after a throw t with a word w'
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
     It comes back by the plain move k = b - 1 - m and then `_word_step`,
-    with probability P_k * W_k(w', w) (W_k read by `step_law`), and its
+    with probability P_k * W_k(w', w) (W_k from `_word_law`), and its
     weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
-    The word part does not depend on t, so the inflow is the prefactor
-    times the sum over k of plain_k * sum_w' q^-inv(w') W_k(w', w), with
+    The word part does not depend on t, so the inflow over the prefactor
+    is the sum over k of plain_k * sum_w' q^-inv(w') W_k(w', w), with
     plain_k from `chain._inflow_by_move`.  The far drops (one label carried
     ever further past the last label) are the plain j = b tail, k = 0.  An
     empty-front state comes back from its shift down by k = b, word kept.
@@ -236,21 +242,20 @@ def _flag_inflow(
     total = Fraction(0)
     for k, plain in _inflow_by_move(erase_labels(state), coin, max_throw).items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
-        step = lambda w, coin, rng, k=k: _word_step(w, k, coin, rng)
         total += plain * sum(
-            q ** -word_inversions(source)
-            * step_law(step, source, coin).probability(word)
+            q ** -word_inversions(source) * _word_law(source, k, coin).get(word, 0)
             for source in sources
         )
-    return group_prefactor(state.labels, q) * total
+    return total
 
 
 def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     """Exact balance check at `state`, the flag counterpart of
     `chain.verify_stationarity`: its stationary weight must equal the
     weight flowing into it in one step, `_flag_inflow` with the far drops
-    summed to infinity in closed form."""
-    return _flag_inflow(state, coin) == flag_stationary_weight(state, coin)
+    summed to infinity in closed form.  Every successor has the same
+    labels, so the group prefactor of each weight cancels."""
+    return _flag_inflow(state, coin) == coin.q ** -flag_inversions(state)
 
 
 def verify_flag_stationarity(
@@ -268,19 +273,32 @@ def verify_flag_stationarity(
     drops and no tail.  Raises ValueError when drop_cap is below the last
     label position + b, and CapTooSmall, before any summing, when the tail
     bound is not below tolerance * weight(state).
+
+    The tail bound: every omitted successor comes from a walk whose final
+    drop lands at a position p > drop_cap; such a target keeps at most b-1
+    other labels left of p, hence has at least p - b + 1 inversions, so
+    its weight is at most prefactor * q^(b-1-p).  At most 2^(b-1) walks
+    end at any given p (a walk is determined by its exchange subset and
+    final drop), and each backward probability is at most 1.  Summing the
+    geometric series over p > drop_cap gives the bound.
     """
-    pi = flag_stationary_weight(state, coin)
+    q = coin.q
+    b = state.balls
+    prefactor = group_prefactor(state.labels, q)
+    pi = prefactor * q ** -flag_inversions(state)
     if state.cells[0] is None:
         return StationarityBracket(
-            expected=pi, partial_sum=_flag_inflow(state, coin), tail_bound=Fraction(0)
+            expected=pi,
+            partial_sum=prefactor * _flag_inflow(state, coin),
+            tail_bound=Fraction(0),
         )
 
-    if drop_cap < len(state.cells) - 1 + state.balls:
+    if drop_cap < len(state.cells) - 1 + b:
         raise ValueError("drop_cap must be at least last label position + b")
-    tail = flag_stationarity_tail_bound(state, coin, drop_cap)
+    tail = 2 ** (b - 1) * prefactor * q ** (b - 1) * q ** -(drop_cap + 1) / (1 - 1 / q)
     if tail >= pi * tolerance:
         raise CapTooSmall(
             f"tail bound {tail} is not below {tolerance} * weight {pi}"
         )
-    partial = _flag_inflow(state, coin, drop_cap)
+    partial = prefactor * _flag_inflow(state, coin, drop_cap)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)

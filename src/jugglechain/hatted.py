@@ -74,10 +74,11 @@ MixedState = Union[FlagState, HattedState]
 
 
 def _make_hatted(cells: tuple[Cell, ...], hat: int) -> HattedState:
-    trimmed = trim_cells(cells)
-    if hat > len(trimmed):
-        raise ValueError(f"hat {hat} beyond trimmed word {render_flag(trimmed)}")
-    return HattedState(trimmed, hat)
+    if not cells or cells[-1] is None:
+        cells = trim_cells(cells)
+    if hat > len(cells):
+        raise ValueError(f"hat {hat} beyond trimmed word {render_flag(cells)}")
+    return HattedState(cells, hat)
 
 
 def _swapped(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:

@@ -23,6 +23,8 @@ from .states import (
 )
 
 DEFAULT_DEGREE = 24
+# the most states an enumerated series may list
+ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,33 @@ def _count_levels(
     level: Callable[[int], Iterable], degree: int, budget: int, what: str
 ) -> TruncSeries:
     """Count the items of level(0), ..., level(degree); raises ResourceLimit
-    once the running total exceeds `budget`."""
+    as soon as the running total exceeds `budget`, so no level is consumed
+    past it."""
     counts = []
     total = 0
     for k in range(degree + 1):
-        c = sum(1 for _ in level(k))
-        total += c
-        if total > budget:
-            raise ResourceLimit(f"{what} enumeration exceeds budget")
-        counts.append(c)
+        before = total
+        for _ in level(k):
+            total += 1
+            if total > budget:
+                raise ResourceLimit(f"{what} enumeration exceeds budget")
+        counts.append(total - before)
     return TruncSeries(tuple(counts))
+
+
+def check_enumeration_budget(
+    balls: int, degree: int, budget: int = ENUMERATION_BUDGET
+) -> None:
+    """Raise ResourceLimit when enumerating the b-ball states or the flag
+    states with labels 1..b up to `degree` inversions would exceed
+    `budget`, from the closed-form counts, before any enumeration.  Both
+    counts grow with b, so this also refuses a sweep over b = 1..balls."""
+    for what, closed in (
+        ("state", state_partition_series(balls, degree)),
+        ("flag state", flag_series(balls, degree)),
+    ):
+        if sum(closed.coeffs) > budget:
+            raise ResourceLimit(f"{what} enumeration exceeds budget")
 
 
 def _count_by_inversions(
@@ -152,7 +171,7 @@ def state_partition_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
 
 
 def state_partition_series_enumerated(
-    balls: int, degree: int = DEFAULT_DEGREE, budget: int = 2_000_000
+    balls: int, degree: int = DEFAULT_DEGREE, budget: int = ENUMERATION_BUDGET
 ) -> TruncSeries:
     """The same series by exhaustive state enumeration, degree by degree."""
     return _count_levels(
@@ -166,7 +185,7 @@ def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
 
 
 def flag_series_enumerated(
-    balls: int, degree: int = DEFAULT_DEGREE, budget: int = 2_000_000
+    balls: int, degree: int = DEFAULT_DEGREE, budget: int = ENUMERATION_BUDGET
 ) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated."""
     labels = tuple(range(1, balls + 1))

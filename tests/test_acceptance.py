@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 
 from jugglechain.asymptotics import (
-    argmax_prob_direct,
     ball_density,
     density_curve,
     empirical_density,
@@ -55,6 +54,7 @@ from jugglechain.states import (
     parse_state,
     states_up_to_inversions,
 )
+from test_asymptotics import argmax_prob_direct
 
 
 def report(number: int, description: str, ok: bool, elapsed: float) -> None:

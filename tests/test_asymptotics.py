@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from jugglechain.asymptotics import (
-    argmax_prob_direct,
     ball_density,
     coin_for_limit,
     density_curve,
@@ -21,6 +20,17 @@ from jugglechain.series import sn
 from jugglechain.states import states_up_to_inversions
 
 Q2 = Fraction(2)
+
+
+def argmax_prob_direct(b: int, h: int, q: Fraction) -> int:
+    """The reference for `most_likely_count`: evaluate every P_c and take
+    the first maximum."""
+    best_c, best = 0, prob_exactly(b, h, 0, q)
+    for c in range(1, min(h, b) + 1):
+        value = prob_exactly(b, h, c, q)
+        if value > best:
+            best_c, best = c, value
+    return best_c
 
 
 class TestOccupancyProbability:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jugglechain.chain import (
     CoinConfig,
+    TransitionDist,
     backward_dist,
     backward_step,
     simulate,
@@ -158,6 +159,59 @@ class TestStepLaw:
         assert step_law(toy, None, Q2).as_dict() == {
             "A": Fraction(5, 6), "B": Fraction(1, 6)
         }
+
+    def test_leaf_denominators_of_different_bases(self):
+        # heads(1/3), then heads(1/4) only after heads: the leaves have
+        # denominators 3, 12 and 12, and A merges 2/3 with 1/12
+        def toy(state, coin, rng):
+            if not rng.heads(Fraction(1, 3)):
+                return "A"
+            return "A" if rng.heads(Fraction(1, 4)) else "B"
+
+        law = step_law(toy, None, Q2)
+        assert law.entries == (("A", Fraction(3, 4)), ("B", Fraction(1, 4)))
+
+
+class TestTransitionDist:
+    def test_entries_sorted_by_rendered_state(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        dist = TransitionDist(((9, half), (10, quarter), (parse_state("-x"), quarter)))
+        # "-x" < "10" < "9" as strings
+        assert dist.entries == ((parse_state("-x"), quarter), (10, quarter), (9, half))
+
+    def test_duplicate_states(self):
+        with pytest.raises(ValueError, match="duplicate states"):
+            TransitionDist(((ground_state(1), Fraction(1, 2)),) * 2)
+        # states are told apart by their rendering
+        with pytest.raises(ValueError, match="duplicate states"):
+            TransitionDist(((1, Fraction(1, 2)), ("1", Fraction(1, 2))))
+
+    def test_duplicates_are_refused_before_the_total(self):
+        with pytest.raises(ValueError, match="duplicate states"):
+            TransitionDist((("a", Fraction(1, 3)), ("a", Fraction(1, 3))))
+
+    @pytest.mark.parametrize(
+        "probs,total",
+        [
+            ((Fraction(1, 2), Fraction(1, 3)), "5/6"),
+            ((Fraction(2, 3), Fraction(3, 4)), "17/12"),
+            ((), "0"),
+        ],
+        ids=["below", "above", "empty"],
+    )
+    def test_total_not_one(self, probs, total):
+        entries = tuple(zip("abc", probs))
+        with pytest.raises(ValueError, match=f"^probabilities sum to {total}, not 1$"):
+            TransitionDist(entries)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [(Fraction(1), Fraction(0)), (Fraction(3, 2), Fraction(-1, 2)), (1, 0)],
+        ids=["zero", "negative", "int-zero"],
+    )
+    def test_non_positive_entry(self, probs):
+        with pytest.raises(ValueError, match="must be positive"):
+            TransitionDist(tuple(zip("ab", probs)))
 
 
 class TestStationaryWeight:

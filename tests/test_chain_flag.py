@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import jugglechain.flagchain as flagchain
 from jugglechain.chain import CoinConfig, backward_dist, step_law
 from jugglechain.errors import CapTooSmall
 from jugglechain.flagchain import (
+    _word_law,
     _word_step,
     flag_backward_dist,
     flag_backward_step,
@@ -153,6 +155,23 @@ class TestBackwardDist:
                 }
                 assert pushed == plain_dist
 
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(5, 4)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2, 3), (1, 1, 2), (1, 2, 3, 4), (2, 2, 2)],
+        ids=lambda labels: "".join(map(str, labels)),
+    )
+    def test_product_law_is_the_sampler_law(self, labels, q):
+        # move law times word law, against the sampler run on every flip
+        # sequence it can draw
+        coin = CoinConfig(q)
+        for state in flag_states_up_to_inversions(labels, 4):
+            assert flag_backward_dist(state, coin) == step_law(
+                flag_backward_step, state, coin
+            ), str(state)
+
     def test_support_matches_forward_edges(self):
         for labels in [(1, 2), (1, 1, 2)]:
             for state in flag_states_up_to_inversions(labels, 4):
@@ -188,6 +207,31 @@ class TestWordKernel:
                 for target, p in law.entries:
                     inflow[target] += q ** -word_inversions(source) * p
             assert inflow == {w: q ** -word_inversions(w) for w in words}, k
+
+
+    def test_memoised_law_is_a_fresh_law(self):
+        coin = CoinConfig(Fraction(5, 2))
+        for word in distinct_permutations((1, 1, 2, 3)):
+            for k in range(len(word) + 1):
+                _word_law.cache_clear()
+                fresh = step_law(
+                    lambda w, coin, rng: _word_step(w, k, coin, rng), word, coin
+                )
+                assert dict(_word_law(word, k, coin)) == fresh.as_dict()
+                # read back from the cache
+                assert dict(_word_law(word, k, coin)) == fresh.as_dict()
+
+    def test_memoised_law_is_read_only(self):
+        law = _word_law((3, 1, 2), 0, Q2)
+        with pytest.raises(TypeError):
+            law[(3, 1, 2)] = Fraction(1)
+        with pytest.raises(TypeError):
+            del law[(1, 3, 2)]
+        # 2 is carried to the front past 1 (a flip) and 3 (no flip)
+        assert _word_law((3, 1, 2), 0, Q2) == {
+            (2, 3, 1): Fraction(1, 2),
+            (1, 3, 2): Fraction(1, 2),
+        }
 
 
 class TestStationaryWeight:
@@ -292,6 +336,18 @@ class TestStationarity:
             coin = CoinConfig(Fraction(q))
             for state in flag_states_up_to_inversions(labels, max_inversions):
                 assert flag_stationarity_holds(state, coin), (str(state), q)
+
+    def test_exact_check_fails_under_a_wrong_word_law(self, monkeypatch):
+        # word laws taken at q = 3 while the chain runs at q = 2: the inflow
+        # misses the weight, above it at some states and below at others,
+        # at every label-initial state
+        wrong = CoinConfig(Fraction(3))
+        monkeypatch.setattr(
+            flagchain, "_word_law", lambda word, k, coin: _word_law(word, k, wrong)
+        )
+        for state in flag_states_up_to_inversions((1, 2, 3), 3):
+            if state.cells[0] is not None:
+                assert not flag_stationarity_holds(state, Q2), str(state)
 
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")

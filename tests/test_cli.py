@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -722,13 +721,12 @@ class TestBadFlags:
         assert message in line
 
     def test_oversized_enumeration(self, capsys, monkeypatch):
-        # at the default budget of 2,000,000 states this command enumerates
-        # for about 20 s (2-vCPU Xeon) before flag b=6 exceeds it; 10,000 takes
-        # the same path and is exceeded at flag b=3 (12,341 states)
-        monkeypatch.setattr(
-            cli,
-            "flag_series_enumerated",
-            functools.partial(cli.flag_series_enumerated, budget=10_000),
-        )
+        # flag b=6 at degree 40 lists 9,366,819 states, over the budget of
+        # 2,000,000; the sweep is refused before any enumeration starts
+        def enumerated(*args, **kwargs):
+            pytest.fail("enumerated a series before refusing the sweep")
+
+        monkeypatch.setattr(cli, "flag_series_enumerated", enumerated)
+        monkeypatch.setattr(cli, "state_partition_series_enumerated", enumerated)
         line = bad_flags(capsys, "series", "--partition-max", "9", "--degree", "40")
         assert "flag state enumeration exceeds budget" in line

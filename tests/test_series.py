@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jugglechain.series as series
+from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
     TruncSeries,
+    _count_levels,
     bundle_factorization_holds,
+    check_enumeration_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
@@ -147,6 +151,49 @@ class TestFlagSeries:
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_identity(self, b):
         assert flag_series(b, 24) == flag_series_enumerated(b, 24)
+
+
+class TestEnumerationBudget:
+    def test_level_is_not_consumed_past_the_budget(self):
+        budget, drawn = 10, 0
+
+        def level(k):
+            nonlocal drawn
+            while True:
+                drawn += 1
+                if drawn > budget + 1:
+                    pytest.fail("level consumed past the budget")
+                yield k
+
+        with pytest.raises(ResourceLimit, match="toy enumeration exceeds budget"):
+            _count_levels(level, 3, budget, "toy")
+        assert drawn == budget + 1
+
+    @pytest.mark.parametrize(
+        "enumerated,closed",
+        [
+            (state_partition_series_enumerated, state_partition_series),
+            (flag_series_enumerated, flag_series),
+        ],
+        ids=["state", "flag"],
+    )
+    def test_budget_is_exact(self, enumerated, closed):
+        total = sum(closed(3, 10).coeffs)
+        assert enumerated(3, 10, budget=total) == closed(3, 10)
+        with pytest.raises(ResourceLimit):
+            enumerated(3, 10, budget=total - 1)
+
+    def test_oversized_sweep_refused_before_enumerating(self, monkeypatch):
+        def never(*args):
+            pytest.fail("enumerated while checking the budget")
+
+        monkeypatch.setattr(series, "flag_states_with_inversions", never)
+        monkeypatch.setattr(series, "states_with_inversions", never)
+        check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
+        with pytest.raises(ResourceLimit, match="^flag state enumeration"):
+            check_enumeration_budget(6, 40)  # 9,366,819 flag states
+        with pytest.raises(ResourceLimit, match="^state enumeration"):
+            check_enumeration_budget(9, 40, budget=90_000)  # 94,760 states
 
 
 class TestPoincare:
