@@ -7,8 +7,11 @@ leaving a - in front.  Tails on flip i: move the i-th last x to the front
 outcomes are exactly the digraph predecessors of the state.
 
 The stationary distribution assigns a state weight
-prefactor * q^-inversions with prefactor = (1-q^-1)...(1-q^-b), and both
-the transition law and stationarity are verified with exact rationals.
+prefactor * q^-inversions with prefactor = (1-q^-1)...(1-q^-b).  The
+transition laws are exact rationals, summed over one integer denominator.
+Stationarity is checked exactly too: the inflow into a state over its own
+weight is a sum of integer monomials in x = 1/q that does not depend on q,
+evaluated for one q in integers alone.
 """
 from __future__ import annotations
 
@@ -178,47 +181,71 @@ def stationary_weight(state: JugglingState, coin: CoinConfig) -> Fraction:
 
 
 def _inflow_by_move(
-    state: JugglingState, coin: CoinConfig, max_throw: int | None = None
-) -> dict[int, Fraction]:
-    """The weight flowing into `state` in one step, without the prefactor
-    sn(b), split by the move k that brings each successor back.
+    state: JugglingState, max_throw: int | None = None
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The weight flowing into `state` in one step over its own weight
+    sn(b) q^-inversions, split by the move k that brings each successor
+    back, as signed monomials (coefficient, e) of x = 1/q: the move's share
+    is the sum of coefficient * x^e, whatever q is.
 
     The successor after a t-throw has inversions(state) + t - b
     inversions, and comes back by moving its j-th x, the move k = b - j of
-    probability (1 - 1/q) q^-k, when t lies strictly between the j-th and
-    (j+1)-th x positions.  So each group is a geometric sum over t of ratio
-    1/q, finite for j < b; the j = b tail is summed in closed form, or up
-    to t = max_throw when that is given.  An empty-front state has one
-    successor, its shift down, which comes back by all b heads.
+    probability (1 - x) x^k, when t lies strictly between the j-th and
+    (j+1)-th x positions, lo = lambda_(j-1) and hi = lambda_j (0-based).
+    So each group is a geometric sum over t of ratio x, which telescopes
+    to x^(lo + 1 - j) - x^(hi - j) for j < b.  The j = b tail has no upper
+    end: its sum is the single monomial x^(lo + 1 - b), or it stops at
+    t = max_throw, x^(lo + 1 - b) - x^(max_throw + 1 - b), when that is
+    given.  An empty-front state has one successor, its shift down, which
+    comes back by all b heads: {b: x^0}.  Every exponent is at least 0.
     """
-    q = coin.q
     b = state.balls
-    inv = inversions(state)
     if not state.occupied(0):
-        # the shift down has inv - b inversions and takes all b heads
-        return {b: q**-inv}
-    # group j sums q^-(inv + t - b) (1 - 1/q) q^(j - b) over lo < t < hi,
-    # which is q^(j - inv) (q^-(lo + 1) - q^-hi)
+        return {b: ((1, 0),)}
     lam = state.positions
     inflow = {}
     for j in range(1, b + 1):
         lo = lam[j - 1]
         if j == b and max_throw is None:
-            inflow[0] = q ** (j - inv - lo - 1)
+            inflow[0] = ((1, lo + 1 - b),)
             continue
         hi = lam[j] if j < b else max_throw + 1
         if hi - lo >= 2:
-            inflow[b - j] = q ** (j - inv - lo - 1) - q ** (j - inv - hi)
+            inflow[b - j] = ((1, lo + 1 - j), (-1, hi - j))
     return inflow
+
+
+def _at_q(
+    terms: list[tuple[int, int, int]], coin: CoinConfig
+) -> tuple[int, int]:
+    """The sum of n/d * x^e over `terms` (n, d, e), e >= 0, at x = 1/q,
+    as integers (num, den) with num/den the sum.  With q = a/c each x^e is
+    c^e a^(E - e) / a^E, E the largest e, so den is a^E times the lcm of
+    the d, and no `Fraction` is built."""
+    if not terms:
+        return 0, 1
+    a, c = coin.q.numerator, coin.q.denominator
+    top = max([e for _, _, e in terms])
+    lcm = math.lcm(*{d for _, d, _ in terms})
+    num = sum([n * (lcm // d) * c**e * a ** (top - e) for n, d, e in terms])
+    return num, lcm * a**top
 
 
 def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
     """Exact balance check: the stationary weight of `state` must equal the
-    weight flowing into it from its digraph successors in one step, summed
-    in closed form by `_inflow_by_move`.  Every successor has b balls, so
-    the prefactor sn(b) of each weight cancels."""
-    inflow = sum(_inflow_by_move(state, coin).values())
-    return inflow == coin.q ** -inversions(state)
+    weight flowing into it from its digraph successors in one step.  Over
+    the state's own weight the inflow is the sum of `_inflow_by_move`'s
+    monomials in x = 1/q (every successor has b balls, so the prefactor
+    sn(b) cancels), and it must be 1; `_at_q` evaluates it in integers."""
+    num, den = _at_q(
+        [
+            (n, 1, e)
+            for monomials in _inflow_by_move(state).values()
+            for n, e in monomials
+        ],
+        coin,
+    )
+    return num == den
 
 
 @dataclass(frozen=True)

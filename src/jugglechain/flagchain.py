@@ -33,6 +33,7 @@ from .chain import (
     CoinConfig,
     FlipSource,
     TransitionDist,
+    _at_q,
     _inflow_by_move,
     _leading_heads,
     _move_law,
@@ -219,34 +220,38 @@ _TOLERANCE = Fraction(1, 1024)
 
 def _flag_inflow(
     state: FlagState, coin: CoinConfig, max_drop: int | None = None
-) -> Fraction:
-    """The balance inflow into `state` without the group prefactor, weight
-    * backward probability summed over its successors, those with every
-    drop at or below `max_drop` when it is given.
+) -> tuple[int, int]:
+    """The balance inflow into `state` over its group prefactor and its
+    plain weight q^-inversions(erase_labels(state)), weight * backward
+    probability summed over its successors, those with every drop at or
+    below `max_drop` when it is given; as integers (num, den) with num/den
+    the inflow.
 
     A successor fills the plain successor after a throw t with a word w'
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
     It comes back by the plain move k = b - 1 - m and then `_word_step`,
     with probability P_k * W_k(w', w) (W_k from `_word_law`), and its
     weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
-    The word part does not depend on t, so the inflow over the prefactor
-    is the sum over k of plain_k * sum_w' q^-inv(w') W_k(w', w), with
-    plain_k from `chain._inflow_by_move`.  The far drops (one label carried
-    ever further past the last label) are the plain j = b tail, k = 0.  An
+    The word part does not depend on t, so the inflow is the sum over k of
+    plain_k * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the
+    monomials of `chain._inflow_by_move`.  Each plain monomial times
+    x^inv(w') W_k(w', w) is one term, and `chain._at_q` sums them all over
+    one integer denominator.  The far drops (one label carried ever
+    further past the last label) are the plain j = b tail, k = 0.  An
     empty-front state comes back from its shift down by k = b, word kept.
     """
-    q = coin.q
     word = tuple([c for c in state.cells if c is not None])
     b = len(word)
     max_throw = None if max_drop is None else max_drop + 1
-    total = Fraction(0)
-    for k, plain in _inflow_by_move(erase_labels(state), coin, max_throw).items():
+    terms = []
+    for k, monomials in _inflow_by_move(erase_labels(state), max_throw).items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
-        total += plain * sum(
-            q ** -word_inversions(source) * _word_law(source, k, coin).get(word, 0)
-            for source in sources
-        )
-    return total
+        for source in sources:
+            law = _word_law(source, k, coin).get(word)
+            if law:
+                n, d, shift = law.numerator, law.denominator, word_inversions(source)
+                terms.extend([(coef * n, d, e + shift) for coef, e in monomials])
+    return _at_q(terms, coin)
 
 
 def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
@@ -254,8 +259,13 @@ def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     `chain.verify_stationarity`: its stationary weight must equal the
     weight flowing into it in one step, `_flag_inflow` with the far drops
     summed to infinity in closed form.  Every successor has the same
-    labels, so the group prefactor of each weight cancels."""
-    return _flag_inflow(state, coin) == coin.q ** -flag_inversions(state)
+    labels, so the group prefactor of each weight cancels, and so does the
+    plain weight: the inflow num/den must be x^inv(w) for the state's word
+    w, x = 1/q = c/a, compared in integers as num * a^inv == den * c^inv."""
+    num, den = _flag_inflow(state, coin)
+    inv = word_inversions([c for c in state.cells if c is not None])
+    q = coin.q
+    return num * q.numerator**inv == den * q.denominator**inv
 
 
 def verify_flag_stationarity(
@@ -272,7 +282,8 @@ def verify_flag_stationarity(
     geometric tail bound covers the rest; a leading-empty state has no far
     drops and no tail.  Raises ValueError when drop_cap is below the last
     label position + b, and CapTooSmall, before any summing, when the tail
-    bound is not below tolerance * weight(state).
+    bound is not below tolerance * weight(state).  The inflow is summed in
+    integers; the three fields are each built once from it, with q = a/c.
 
     The tail bound: every omitted successor comes from a walk whose final
     drop lands at a position p > drop_cap; such a target keeps at most b-1
@@ -280,25 +291,28 @@ def verify_flag_stationarity(
     its weight is at most prefactor * q^(b-1-p).  At most 2^(b-1) walks
     end at any given p (a walk is determined by its exchange subset and
     final drop), and each backward probability is at most 1.  Summing the
-    geometric series over p > drop_cap gives the bound.
+    geometric series over p > drop_cap gives the bound,
+    2^(b-1) * prefactor * q^-n / (q - 1) with n = drop_cap + 1 - b.
     """
-    q = coin.q
+    a, c = coin.q.numerator, coin.q.denominator
     b = state.balls
-    prefactor = group_prefactor(state.labels, q)
-    pi = prefactor * q ** -flag_inversions(state)
+    prefactor = group_prefactor(state.labels, coin.q)
+    inv = flag_inversions(state)
+    pi = prefactor * Fraction(c**inv, a**inv)
     if state.cells[0] is None:
-        return StationarityBracket(
-            expected=pi,
-            partial_sum=prefactor * _flag_inflow(state, coin),
-            tail_bound=Fraction(0),
-        )
-
-    if drop_cap < len(state.cells) - 1 + b:
-        raise ValueError("drop_cap must be at least last label position + b")
-    tail = 2 ** (b - 1) * prefactor * q ** (b - 1) * q ** -(drop_cap + 1) / (1 - 1 / q)
-    if tail >= pi * tolerance:
-        raise CapTooSmall(
-            f"tail bound {tail} is not below {tolerance} * weight {pi}"
-        )
-    partial = prefactor * _flag_inflow(state, coin, drop_cap)
+        tail, max_drop = Fraction(0), None
+    else:
+        if drop_cap < len(state.cells) - 1 + b:
+            raise ValueError("drop_cap must be at least last label position + b")
+        n = drop_cap + 1 - b
+        tail = 2 ** (b - 1) * prefactor * Fraction(c ** (n + 1), a**n * (a - c))
+        if tail >= pi * tolerance:
+            raise CapTooSmall(
+                f"tail bound {tail} is not below {tolerance} * weight {pi}"
+            )
+        max_drop = drop_cap
+    num, den = _flag_inflow(state, coin, max_drop)
+    # _flag_inflow leaves out the plain weight x^(inv - inv(word))
+    plain = inv - word_inversions([cell for cell in state.cells if cell is not None])
+    partial = prefactor * Fraction(num * c**plain, den * a**plain)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)

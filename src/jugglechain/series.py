@@ -149,10 +149,12 @@ def sn(n: int, q: Fraction) -> Fraction:
     with indistinguishable balls.
     """
     q = Fraction(q)
-    out = Fraction(1)
+    # with q = a/c each factor is (a^i - c^i) / a^i
+    a, c = q.numerator, q.denominator
+    num = 1
     for i in range(1, n + 1):
-        out *= 1 - q ** -i
-    return out
+        num *= a**i - c**i
+    return Fraction(num, a ** (n * (n + 1) // 2))
 
 
 def sn_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:

@@ -252,26 +252,30 @@ def trim_cells(cells: Sequence[Cell]) -> tuple[Cell, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration helpers
 
+def _gaps(remaining: int, slots: int, minimum: int) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing tuples of `slots` parts, each at least `minimum`,
+    summing to `remaining`.  Module-level, so no call leaves a reference
+    cycle for the cyclic collector."""
+    if slots == 0:
+        if remaining == 0:
+            yield ()
+        return
+    if slots == 1:
+        if remaining >= minimum:
+            yield (remaining,)
+        return
+    for first in range(minimum, remaining + 1):
+        for rest in _gaps(remaining - first, slots - 1, first):
+            yield (first,) + rest
+
+
 def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
     """All b-ball states with inversion count exactly `count`.
 
     States correspond to weakly increasing gap vectors (a partition with at
     most b parts summing to `count`): position_j = gap_j + j.
     """
-    def gaps(remaining: int, slots: int, minimum: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in gaps(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    for gap in gaps(count, balls, 0):
+    for gap in _gaps(count, balls, 0):
         yield JugglingState(tuple(g + j for j, g in enumerate(gap)))
 
 

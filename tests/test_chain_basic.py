@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jugglechain.chain as chain
 from jugglechain.chain import (
     CoinConfig,
     TransitionDist,
+    _at_q,
+    _inflow_by_move,
     backward_dist,
     backward_step,
     simulate,
@@ -36,6 +39,39 @@ state_strategy = st.lists(
 q_strategy = st.sampled_from(
     [Fraction(2), Fraction(3), Fraction(7, 2), Fraction(5, 4)]
 )
+
+INFLOW_QS = [Fraction(2), Fraction(5, 2), Fraction(5, 4), Fraction(29, 28)]
+
+
+def reference_inflow_by_move(state, q, max_throw=None):
+    """The closed form of the balance inflow into `state` in `Fraction`s,
+    without the prefactor sn(b), per move k: the move's group of throws t
+    is a geometric sum of ratio 1/q, and the j = b tail is summed to
+    infinity or up to t = max_throw."""
+    b = state.balls
+    inv = inversions(state)
+    if not state.occupied(0):
+        return {b: q**-inv}
+    lam = state.positions
+    inflow = {}
+    for j in range(1, b + 1):
+        lo = lam[j - 1]
+        if j == b and max_throw is None:
+            inflow[0] = q ** (j - inv - lo - 1)
+            continue
+        hi = lam[j] if j < b else max_throw + 1
+        if hi - lo >= 2:
+            inflow[b - j] = q ** (j - inv - lo - 1) - q ** (j - inv - hi)
+    return inflow
+
+
+def occupied_front_states(max_balls, max_inversions):
+    return [
+        s
+        for b in range(1, max_balls + 1)
+        for s in states_up_to_inversions(b, max_inversions)
+        if s.occupied(0)
+    ]
 
 
 class TestBackwardStep:
@@ -251,6 +287,72 @@ class TestStationarity:
         for b in (1, 2, 3):
             for state in states_up_to_inversions(b, 5):
                 assert verify_stationarity(state, coin), str(state)
+
+    @pytest.mark.parametrize("q", INFLOW_QS, ids=str)
+    def test_integer_inflow_matches_fraction_reference(self, q):
+        # per move, the monomials evaluated in integers times the state's
+        # own weight q^-inv are the closed-form Fraction sum, with the tail
+        # summed to infinity and cut at several throws
+        coin = CoinConfig(q)
+        for b in range(1, 6):
+            for state in states_up_to_inversions(b, 8):
+                last = state.positions[-1]
+                for cap in (None, last, last + 1, last + 2, last + 7):
+                    inflow = _inflow_by_move(state, cap)
+                    reference = reference_inflow_by_move(state, q, cap)
+                    assert inflow.keys() == reference.keys()
+                    for k, monomials in inflow.items():
+                        assert all(e >= 0 for _, e in monomials)
+                        num, den = _at_q([(n, 1, e) for n, e in monomials], coin)
+                        value = Fraction(num, den) * q ** -inversions(state)
+                        assert value == reference[k], (str(state), cap, k)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 4)], ids=str)
+    def test_fails_without_the_closed_tail(self, monkeypatch, q):
+        real = chain._inflow_by_move
+
+        def without_tail(state, max_throw=None):
+            return {k: m for k, m in real(state, max_throw).items() if k != 0}
+
+        monkeypatch.setattr(chain, "_inflow_by_move", without_tail)
+        coin = CoinConfig(q)
+        for state in occupied_front_states(3, 5):
+            assert not verify_stationarity(state, coin), str(state)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 4)], ids=str)
+    def test_fails_with_one_exponent_shifted(self, monkeypatch, q):
+        real = chain._inflow_by_move
+
+        def shifted(state, max_throw=None):
+            inflow = dict(real(state, max_throw))
+            (n, e), *rest = inflow[0]
+            inflow[0] = ((n, e + 1), *rest)
+            return inflow
+
+        monkeypatch.setattr(chain, "_inflow_by_move", shifted)
+        coin = CoinConfig(q)
+        for state in occupied_front_states(3, 5):
+            assert not verify_stationarity(state, coin), str(state)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 4)], ids=str)
+    def test_fails_with_the_inflow_at_a_wrong_q(self, monkeypatch, q):
+        # the inflow at q^2 over the weight at q: x -> x^2 in the inflow
+        # over its own weight, times x^inv.  A ground state's inflow and
+        # weight are both 1 at every q, so only it still balances.
+        real = chain._inflow_by_move
+
+        def at_q_squared(state, max_throw=None):
+            inv = inversions(state)
+            return {
+                k: tuple((n, 2 * e + inv) for n, e in monomials)
+                for k, monomials in real(state, max_throw).items()
+            }
+
+        monkeypatch.setattr(chain, "_inflow_by_move", at_q_squared)
+        coin = CoinConfig(q)
+        for state in occupied_front_states(3, 5):
+            ground = inversions(state) == 0
+            assert verify_stationarity(state, coin) == ground, str(state)
 
     def test_term_by_term_against_dist(self):
         # every successor's backward law must put the weight the closed-form

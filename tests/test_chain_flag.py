@@ -7,8 +7,10 @@ import jugglechain.flagchain as flagchain
 from jugglechain.chain import CoinConfig, backward_dist, step_law
 from jugglechain.errors import CapTooSmall
 from jugglechain.flagchain import (
+    _flag_inflow,
     _word_law,
     _word_step,
+    _word_walks,
     flag_backward_dist,
     flag_backward_step,
     flag_forward_edges,
@@ -27,12 +29,33 @@ from jugglechain.states import (
     flag_from_parts,
     flag_states_up_to_inversions,
     forward_edges,
+    inversions,
     parse_flag_state,
     states_up_to_inversions,
     word_inversions,
 )
+from test_chain_basic import INFLOW_QS, reference_inflow_by_move
 
 Q2 = CoinConfig(Fraction(2))
+
+
+def reference_flag_inflow(state, coin, max_drop=None):
+    """The balance inflow into `state` without the group prefactor, summed
+    in `Fraction`s: per move k, the plain closed form times
+    sum_w' q^-inv(w') W_k(w', w) over the source words w'."""
+    q = coin.q
+    word = tuple([c for c in state.cells if c is not None])
+    b = len(word)
+    max_throw = None if max_drop is None else max_drop + 1
+    plain = reference_inflow_by_move(erase_labels(state), q, max_throw)
+    total = Fraction(0)
+    for k, inflow in plain.items():
+        sources = [word] if k == b else _word_walks(word, b - 1 - k)
+        total += inflow * sum(
+            q ** -word_inversions(w) * _word_law(w, k, coin).get(word, 0)
+            for w in sources
+        )
+    return total
 
 
 class TestLabelGroups:
@@ -348,6 +371,64 @@ class TestStationarity:
         for state in flag_states_up_to_inversions((1, 2, 3), 3):
             if state.cells[0] is not None:
                 assert not flag_stationarity_holds(state, Q2), str(state)
+
+    @pytest.mark.parametrize("q", INFLOW_QS, ids=str)
+    @pytest.mark.parametrize(
+        "labels,max_inversions", [((1, 2, 3), 5), ((1, 1, 2), 5), ((1, 2, 3, 4), 4)]
+    )
+    def test_integer_inflow_matches_fraction_reference(
+        self, labels, max_inversions, q
+    ):
+        # the integer sum over one denominator, times the plain weight it
+        # leaves out, is the Fraction sum, uncapped and at three caps
+        coin = CoinConfig(q)
+        for state in flag_states_up_to_inversions(labels, max_inversions):
+            plain = q ** -inversions(erase_labels(state))
+            cap = len(state.cells) - 1 + len(labels)
+            for max_drop in (None, cap, cap + 1, cap + 21):
+                num, den = _flag_inflow(state, coin, max_drop)
+                assert Fraction(num, den) * plain == reference_flag_inflow(
+                    state, coin, max_drop
+                ), (str(state), max_drop)
+
+    @pytest.mark.parametrize(
+        "text,q,cap,tolerance,expected,tail_bound,partial_sum",
+        [
+            (
+                "3-12", Fraction(5, 2), 27, Fraction(1, 1024),
+                Fraction(432, 78125),
+                Fraction(2415919104, 37252902984619140625),
+                Fraction(
+                    643730163545227720752, 116415321826934814453125
+                ),
+            ),
+            (
+                "2-1-1", Fraction(7, 2), 7, Fraction(2**40),
+                Fraction(36000, 40353607),
+                Fraction(57600, 40353607),
+                Fraction(4233060000, 4747561509943),
+            ),
+            (
+                "4-3-21", Fraction(29, 28), 13, Fraction(2**40),
+                Fraction(8293509467471872, 8629188747598184440949),
+                Fraction(66348075739774976, 297558232675799463481),
+                Fraction(
+                    32402743962818749805099172757504,
+                    105280501585190501232597819292755591721,
+                ),
+            ),
+        ],
+    )
+    def test_bracket_fields_golden(
+        self, text, q, cap, tolerance, expected, tail_bound, partial_sum
+    ):
+        bracket = verify_flag_stationarity(
+            parse_flag_state(text), CoinConfig(q), cap, tolerance
+        )
+        assert bracket.expected == expected
+        assert bracket.tail_bound == tail_bound
+        assert bracket.partial_sum == partial_sum
+        assert bracket.ok
 
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")

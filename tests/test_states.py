@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -194,6 +195,17 @@ class TestEnumeration:
                 s for k in range(7) for s in states_with_inversions(b, k)
             }
             assert got == expected
+
+    def test_states_with_inversions_leaves_no_cycles(self):
+        # a recursive helper nested in the generator would leave one
+        # function/cell cycle per call, freed only by the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            assert sum(1 for _ in states_with_inversions(3, 6)) == 7
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def brute_partitions(self, total, max_part):
         """Independent oracle: partitions of `total` with parts <= max_part."""
