@@ -22,7 +22,12 @@ from fractions import Fraction
 from typing import Protocol
 
 from .series import sn
-from .states import JugglingState, inversions, states_up_to_inversions
+from .states import (
+    JugglingState,
+    _unchecked_state,
+    inversions,
+    states_up_to_inversions,
+)
 
 
 class FlipSource(Protocol):
@@ -87,11 +92,12 @@ def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     k = b shifts every ball up one; otherwise the (k+1)-th last ball moves
     to position 0 and the others shift up one.
     """
+    shifted = [p + 1 for p in positions]
     moved = len(positions) - 1 - k
     if moved < 0:
-        return tuple([p + 1 for p in positions])
-    rest = positions[:moved] + positions[moved + 1 :]
-    return (0,) + tuple([p + 1 for p in rest])
+        return tuple(shifted)
+    del shifted[moved]
+    return (0, *shifted)
 
 
 def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
@@ -107,9 +113,14 @@ def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
 def backward_step(
     state: JugglingState, coin: CoinConfig, rng: FlipSource
 ) -> JugglingState:
-    """One sampled step."""
-    k = _leading_heads(state.balls, coin, rng)
-    return JugglingState(_plain_step(state.positions, k))
+    """One sampled step: the move k of `_leading_heads`, then `_plain_step`.
+
+    The successor is built without the constructor's checks.  It is valid:
+    `_plain_step` returns a tuple of a checked state's strictly increasing
+    naturals, each shifted up one, with at most one removed and 0 put in
+    front of the rest; these stay strictly increasing naturals."""
+    k = _leading_heads(len(state.positions), coin, rng)
+    return _unchecked_state(_plain_step(state.positions, k))
 
 
 class _FlipTree:

@@ -45,6 +45,7 @@ from .series import sn
 from .states import (
     Cell,
     FlagState,
+    _unchecked_flag,
     erase_labels,
     flag_from_parts,
     flag_inversions,
@@ -151,6 +152,10 @@ def flag_backward_step(
     label from the cell the plain move empties.  A held label stops only at
     smaller labels, never at an empty, so it changes the word alone.  The
     flips come in the sweep's order.
+
+    The successor is built without the constructor's checks.  It is valid:
+    its cells rearrange the labels of a checked state over the plain
+    successor's positions, the last of which bears a label.
     """
     cells = state.cells
     positions = tuple([i for i, c in enumerate(cells) if c is not None])
@@ -160,7 +165,7 @@ def flag_backward_step(
     out: list[Cell] = [None] * (after[-1] + 1)
     for position, label in zip(after, _word_step(word, k, coin, rng)):
         out[position] = label
-    return FlagState(tuple(out))
+    return _unchecked_flag(tuple(out))
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,9 @@ Composing steps from an unhatted state until the next unhatted state
 reproduces the flag chain's one-step law exactly; that equality is the
 contract this module is tested against.  Both the one-step and the
 composed laws are `hatted_backward_step` run on every flip sequence it can
-draw (`chain.step_law`), so the move rule is written once.
+draw (`chain.step_law`), so the move rule is written once.  The step reads
+two cells, slices an exchange back in, and builds its successor without
+re-checking it (`_unchecked_hatted`); its docstring says why that is safe.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from typing import Union
 from .chain import CoinConfig, FlipSource, TransitionDist, step_law
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
-from .states import Cell, FlagState, render_flag, trim_cells
+from .states import Cell, FlagState, _unchecked_flag, render_flag, trim_cells
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,15 @@ class HattedState:
         return self.word()
 
 
+def _unchecked_hatted(cells: tuple[Cell, ...], hat: int) -> HattedState:
+    """A HattedState built without `__post_init__`: for step kernels whose
+    cells are trimmed and checked, and whose hat is in range, by proof."""
+    state = object.__new__(HattedState)
+    object.__setattr__(state, "cells", cells)
+    object.__setattr__(state, "hat", hat)
+    return state
+
+
 MixedState = Union[FlagState, HattedState]
 
 
@@ -99,21 +110,34 @@ def hatted_backward_step(
     state: MixedState, coin: CoinConfig, rng: FlipSource
 ) -> MixedState:
     """One sampled step; flips a coin only on two-outcome branches (heads
-    moves the hatted label, tails moves only the hat)."""
+    moves the hatted label, tails moves only the hat).
+
+    The hatted cell a (an empty when the hat is past the last label) and
+    its left neighbour c are read directly, and an exchange slices them
+    back in swapped.  Every successor is built without the constructors'
+    checks.  It is valid: entering hats the implicit empty past a checked
+    state's trimmed cells, leaving keeps them, and every other step
+    rearranges them and moves the hat one cell left.  Only a forced
+    exchange can empty the last cell, when c is an empty and a the last
+    label; that one cell is trimmed, and the hat stays on a.  (A hat past
+    the last label always has a label left of it, so that branch flips.)
+    """
     if isinstance(state, FlagState):
-        return HattedState(state.cells, len(state.cells))
+        return _unchecked_hatted(state.cells, len(state.cells))
     cells, i = state.cells, state.hat
     if i == 0:
-        return FlagState(cells)
-    a = state.hatted_value
+        return _unchecked_flag(cells)
     c = cells[i - 1]
+    a = cells[i] if i < len(cells) else None
     if c is not None and (a is None or c < a):
-        if rng.heads(coin.heads_probability):
-            return _make_hatted(_swapped(cells, i - 1), i - 1)
-        return _make_hatted(cells, i - 1)
-    # equal labels or an empty to the left: the exchange is forced (for
-    # equal cells the swapped word coincides with the unswapped one)
-    return _make_hatted(_swapped(cells, i - 1), i - 1)
+        if not rng.heads(coin.heads_probability):
+            return _unchecked_hatted(cells, i - 1)
+    elif c is None and i + 1 == len(cells):
+        return _unchecked_hatted(cells[: i - 1] + (a,), i - 1)
+    # heads exchanges the two cells; equal labels or an empty to the left
+    # force the exchange (for equal cells the swapped word coincides with
+    # the unswapped one)
+    return _unchecked_hatted(cells[: i - 1] + (a, c) + cells[i + 1 :], i - 1)
 
 
 def composed_backward_dist(

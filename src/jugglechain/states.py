@@ -31,7 +31,7 @@ class JugglingState:
     def __post_init__(self) -> None:
         pos = tuple(self.positions)
         object.__setattr__(self, "positions", pos)
-        # C-level builtins: every step of every chain builds a state
+        # C-level builtins: enumerations and exact laws build many states
         if pos and min(pos) < 0:
             raise ValueError("positions must be naturals")
         if any(map(operator.ge, pos, pos[1:])):
@@ -55,6 +55,14 @@ class JugglingState:
 
     def __str__(self) -> str:
         return self.word()
+
+
+def _unchecked_state(positions: tuple[int, ...]) -> JugglingState:
+    """A JugglingState built without `__post_init__`: for step kernels
+    whose positions are a tuple of strictly increasing naturals by proof."""
+    state = object.__new__(JugglingState)
+    object.__setattr__(state, "positions", positions)
+    return state
 
 
 def ground_state(balls: int) -> JugglingState:
@@ -177,6 +185,15 @@ class FlagState:
 
     def __str__(self) -> str:
         return self.word()
+
+
+def _unchecked_flag(cells: tuple[Cell, ...]) -> FlagState:
+    """A FlagState built without `__post_init__`: for step kernels whose
+    cells are a tuple of positive labels and empties ending with a label
+    by proof."""
+    state = object.__new__(FlagState)
+    object.__setattr__(state, "cells", cells)
+    return state
 
 
 def render_flag(cells: Sequence[Cell]) -> str:

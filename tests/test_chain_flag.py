@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 import jugglechain.flagchain as flagchain
-from jugglechain.chain import CoinConfig, backward_dist, step_law
+from jugglechain.chain import (
+    CoinConfig,
+    _move_law,
+    _plain_step,
+    backward_dist,
+    step_law,
+)
 from jugglechain.errors import CapTooSmall
 from jugglechain.flagchain import (
     _flag_inflow,
@@ -231,6 +237,41 @@ class TestWordKernel:
                     inflow[target] += q ** -word_inversions(source) * p
             assert inflow == {w: q ** -word_inversions(w) for w in words}, k
 
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 4)], ids=str)
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2, 3), (1, 1, 2), (1, 2, 3, 4)],
+        ids=lambda labels: "".join(map(str, labels)),
+    )
+    def test_word_law_does_not_depend_on_the_positions(self, labels, q):
+        # the sampler run whole: given the plain move k (read off the new
+        # positions), the new word's law is W_k(word) for every state of
+        # the word, wherever its labels sit
+        coin = CoinConfig(q)
+        b = len(labels)
+        by_word = {}
+        for state in flag_states_up_to_inversions(labels, 5):
+            word = tuple([c for c in state.cells if c is not None])
+            by_word.setdefault(word, []).append(state)
+        pairs = 0
+        for word, states in by_word.items():
+            laws = []
+            for state in states:
+                positions = erase_labels(state).positions
+                move = {_plain_step(positions, k): k for k in range(b + 1)}
+                law = {}
+                for outcome, p in step_law(flag_backward_step, state, coin).entries:
+                    k = move[erase_labels(outcome).positions]
+                    new_word = tuple([c for c in outcome.cells if c is not None])
+                    law.setdefault(k, {})[new_word] = p / _move_law(b, coin)[k]
+                assert law == {
+                    k: dict(_word_law(word, k, coin)) for k in range(b + 1)
+                }, str(state)
+                laws.append(law)
+            assert all(law == laws[0] for law in laws)
+            pairs += len(states) * (len(states) - 1) // 2
+        assert pairs > 100
 
     def test_memoised_law_is_a_fresh_law(self):
         coin = CoinConfig(Fraction(5, 2))

@@ -5,6 +5,8 @@ table depends on the exact sequence of `ChainRng` draws, so these values
 pin it: a change to how a flip is drawn must reproduce them bit for bit.
 """
 import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,3 +107,53 @@ def test_coin_equality_and_hash_see_q_alone():
     assert a == b and hash(a) == hash(b)
     assert b.heads_probability == Fraction(1, 2)
     assert a == b and hash(a) == hash(b)  # still equal once both are cached
+
+
+# denominators of one bit (d = 1 still draws one), a few bits, one below,
+# at and above a 64-bit word; each numerator keeps its Fraction in lowest terms
+STREAM_DENOMINATORS = [1, 2, 3, 5, 8, 2**61 - 1, 2**64, 2**70 + 1]
+OUT_OF_RANGE = [Fraction(5, 4), Fraction(-1, 2), 2, -1, 1.5]
+
+
+def stream_probabilities():
+    """Probability objects over every stream denominator, 0 and 1 included,
+    as Fractions, ints and floats."""
+    out = [0, 1, 0.0, 1.0, 0.5, 0.375, Fraction(0), Fraction(1)]
+    for d in STREAM_DENOMINATORS:
+        for n in sorted({1, d // 3, d // 2, d - 1}):
+            if 0 < n < d and math.gcd(n, d) == 1:
+                out.append(Fraction(n, d))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_heads_is_the_randrange_stream(seed):
+    # ChainRng's k-bit rejection loop against randrange(d) < n, draw by
+    # draw; the probability objects change between draws (runs of one to
+    # three) so the remembered one is replaced often, and every third
+    # draw passes an equal but distinct Fraction
+    rng, reference = ChainRng(seed), random.Random(seed)
+    schedule = random.Random(f"schedule/{seed}")
+    probabilities = stream_probabilities()
+    assert {Fraction(p).denominator for p in probabilities} >= set(STREAM_DENOMINATORS)
+    draws = 0
+    for _ in range(300):
+        p = schedule.choice(probabilities)
+        exact = Fraction(p)
+        for _ in range(schedule.randint(1, 3)):
+            if draws % 3 == 2 and isinstance(p, Fraction):
+                p = Fraction(p.numerator, p.denominator)  # not the same object
+            expected = reference.randrange(exact.denominator) < exact.numerator
+            assert rng.heads(p) == expected, (draws, p)
+            draws += 1
+        if schedule.random() < 0.1:
+            # refused before anything is drawn or remembered, so refused again
+            bad = schedule.choice(OUT_OF_RANGE)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="probability out of range"):
+                    rng.heads(bad)
+            expected = reference.randrange(exact.denominator) < exact.numerator
+            assert rng.heads(p) == expected, (draws, p)
+            draws += 1
+    assert rng.heads(Fraction(1, 2)) == (reference.randrange(2) < 1)
+    assert rng._rng.getstate() == reference.getstate()
