@@ -5,16 +5,24 @@ slots, has an exact product form; its consecutive ratio locates the most
 likely c.  Scaling c = lambda*b, h = mu*b and fixing E = q^-b (the
 probability of an all-heads step) gives closed forms for mu(lambda), its
 inverse lambda(mu), and the limiting ball density d lambda / d mu.
+
+`empirical_density` checks that density by simulation.  In a plain step
+every ball moves up one and at most one returns to 0, so a ball's position
+is its age: the run keeps birth steps, not positions, and each lifetime
+adds one range of positions to the occupancy counts, at O(1) expected
+cost per step whatever b.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .chain import CoinConfig, _plain_step
+from .chain import CoinConfig
 from .errors import DomainError
 from .series import sn
 
@@ -139,35 +147,66 @@ def empirical_density(
     """Simulate the plain chain at q = E^(-1/b) and compare per-position
     occupancy frequencies with the closed-form density.
 
+    Step t draws u and the move k with P(k >= j) = E^(j/b); the state
+    after it is sampled when burnin <= t < steps.  Every plain move puts
+    at most one ball at 0 and shifts the rest up one, so a ball's position
+    at step t is its age t - s, s the step that put it at 0 (a ball of the
+    initial ground state at position p counts as put there at -p - 1).  The
+    loop keeps only the birth steps, newest first: move k < b takes out the
+    (k+1)-th oldest and puts t in front, and all heads changes nothing.  A
+    finished lifetime [s, t) occupies one contiguous run of positions over
+    the sampled steps, added as one range to a difference array; so a step
+    costs O(k + 1), not O(b).
+
     Positions are grouped into floor(mu * buckets_per_unit) buckets; the
     default of b buckets per unit compares single positions.
     """
     _check_e(e)
-    if not 0 <= burnin <= steps:
-        raise DomainError("need 0 <= burnin <= steps")
+    if not 0 <= burnin < steps:
+        raise DomainError(f"need 0 <= burnin < steps, got {burnin}, {steps}")
+    if balls < 1:
+        raise DomainError(f"need balls >= 1, got {balls}")
     if buckets_per_unit is None:
         buckets_per_unit = balls
+    elif buckets_per_unit < 1:
+        raise DomainError(f"need buckets_per_unit >= 1, got {buckets_per_unit}")
     rng = random.Random(seed)
     heads = e ** (1.0 / balls)
     log_heads = math.log(heads)
     hmax = int(math.ceil(mu_max * balls))
-    occupancy = [0] * hmax
-    state = tuple(range(balls))
-    samples = 0
+    # occupancy[h] is the prefix sum of starts[0..h]: a lifetime adds one
+    # range of positions, clipped to the sampled steps and to [0, hmax)
+    starts = [0] * (hmax + 1)
+
+    def occupy(born: int, died: int) -> None:
+        lo = burnin - born if born < burnin else 0
+        hi = min(died - born, hmax)
+        if lo < hi:
+            starts[lo] += 1
+            starts[hi] -= 1
+
+    births = deque(range(-1, -balls - 1, -1))
     for step in range(steps):
         u = rng.random()
         # number of leading heads: P(k >= j) = heads^j
         k = balls if u <= 0.0 else min(balls, int(math.log(u) / log_heads))
-        state = _plain_step(state, k)
-        if step >= burnin:
-            for h in state:
-                if h >= hmax:
-                    break
-                occupancy[h] += 1
-            samples += 1
+        if k < balls:
+            occupy(births[-1 - k], step)
+            del births[-1 - k]
+            births.appendleft(step)
+    for born in births:
+        occupy(born, steps)
+    occupancy = list(accumulate(starts[:hmax]))
+    return _density_rows(occupancy, steps - burnin, balls, e, buckets_per_unit)
 
-    bucket_sums: dict[int, list[float]] = {}
-    for h in range(hmax):
+
+def _density_rows(
+    occupancy: list[int], samples: int, balls: int, e: float, buckets_per_unit: int
+) -> list[DensityComparison]:
+    """Rows of `empirical_density` from the counts of balls seen at each
+    position 0 <= h < len(occupancy) over `samples` sampled states."""
+    bucket_sums: dict[int, list[int]] = {}
+    for h in range(len(occupancy)):
         mu = h / balls
         bucket = int(mu * buckets_per_unit)
         bucket_sums.setdefault(bucket, []).append(h)

@@ -67,9 +67,16 @@ def label_groups(labels: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def group_prefactor(labels: Sequence[int], q: Fraction) -> Fraction:
     """Product over groups of equal labels of (1-q^-1)...(1-q^-size)."""
+    return _group_prefactor(label_groups(labels), Fraction(q))
+
+
+@lru_cache(maxsize=256)
+def _group_prefactor(groups: tuple[tuple[int, int], ...], q: Fraction) -> Fraction:
+    """`group_prefactor` of one multiset: every state of it shares the
+    value, so it is memoised per (label groups, q)."""
     out = Fraction(1)
-    for _, size in label_groups(labels):
-        out *= sn(size, Fraction(q))
+    for _, size in groups:
+        out *= sn(size, q)
     return out
 
 

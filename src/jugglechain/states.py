@@ -230,15 +230,20 @@ def flag_inversions(state: FlagState) -> int:
 
 
 def word_inversions(cells: Sequence[Cell]) -> int:
-    total = 0
-    for i in range(len(cells)):
-        left = cells[i]
-        for j in range(i + 1, len(cells)):
-            right = cells[j]
-            if right is None:
-                continue  # empty on the right never inverts
-            if left is None or left > right:
+    """Pairs (i < j) with cells[j] a label and cells[i] empty or a larger
+    label, in one pass: each label counts the empties before it and the
+    earlier labels above it, O(len(cells) + b^2)."""
+    total = empties = 0
+    seen: list[int] = []
+    for cell in cells:
+        if cell is None:
+            empties += 1
+            continue
+        total += empties
+        for earlier in seen:
+            if earlier > cell:
                 total += 1
+        seen.append(cell)
     return total
 
 

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from jugglechain.asymptotics import (
+    _density_rows,
     ball_density,
     coin_for_limit,
     density_curve,
@@ -14,7 +16,7 @@ from jugglechain.asymptotics import (
     prob_exactly,
     prob_ratio,
 )
-from jugglechain.chain import CoinConfig, stationary_weight
+from jugglechain.chain import CoinConfig, _plain_step, stationary_weight
 from jugglechain.errors import DomainError
 from jugglechain.series import sn
 from jugglechain.states import states_up_to_inversions
@@ -31,6 +33,32 @@ def argmax_prob_direct(b: int, h: int, q: Fraction) -> int:
         if value > best:
             best_c, best = c, value
     return best_c
+
+
+def position_scan_density(
+    balls, e, mu_max, steps, burnin, seed, buckets_per_unit=None
+):
+    """The reference for `empirical_density`: on the same draws, step the
+    sorted positions with `_plain_step` and scan them at every sampled
+    step, O(b) per step."""
+    rng = random.Random(seed)
+    heads = e ** (1.0 / balls)
+    log_heads = math.log(heads)
+    hmax = int(math.ceil(mu_max * balls))
+    occupancy = [0] * hmax
+    state = tuple(range(balls))
+    for step in range(steps):
+        u = rng.random()
+        k = balls if u <= 0.0 else min(balls, int(math.log(u) / log_heads))
+        state = _plain_step(state, k)
+        if step >= burnin:
+            for h in state:
+                if h >= hmax:
+                    break
+                occupancy[h] += 1
+    if buckets_per_unit is None:
+        buckets_per_unit = balls
+    return _density_rows(occupancy, steps - burnin, balls, e, buckets_per_unit)
 
 
 class TestOccupancyProbability:
@@ -224,6 +252,55 @@ class TestEmpiricalDensity:
     def test_seed_determinism(self):
         kwargs = dict(balls=32, e=0.3, mu_max=1.5, steps=20_000, burnin=2_000, seed=3)
         assert empirical_density(**kwargs) == empirical_density(**kwargs)
+
+    @pytest.mark.parametrize(
+        "balls, steps, burnin", [(1, 3000, 300), (2, 3000, 300), (8, 3000, 300),
+                                 (64, 3000, 500), (256, 1500, 700)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_equals_the_position_scan(self, balls, steps, burnin, seed):
+        kwargs = dict(balls=balls, e=0.1, mu_max=3.0, steps=steps,
+                      burnin=burnin, seed=seed)
+        assert empirical_density(**kwargs) == position_scan_density(**kwargs)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(balls=8, e=0.1, mu_max=3.0, steps=500, burnin=0),
+            dict(balls=64, e=0.1, mu_max=3.0, steps=500, burnin=0),
+            # one sampled step, early and after a long burn-in
+            dict(balls=8, e=0.1, mu_max=3.0, steps=1, burnin=0),
+            dict(balls=64, e=0.1, mu_max=3.0, steps=2000, burnin=1999),
+            # mu_max < 1: hmax < b, and the oldest balls lie past hmax
+            dict(balls=64, e=0.1, mu_max=0.5, steps=2000, burnin=100),
+            dict(balls=256, e=0.01, mu_max=0.3, steps=1000, burnin=100),
+            dict(balls=8, e=0.1, mu_max=0.0, steps=200, burnin=10),
+            # E near 1: most moves are all heads and leave every ball be
+            dict(balls=8, e=0.99, mu_max=6.0, steps=3000, burnin=100),
+            dict(balls=64, e=0.999, mu_max=3.0, steps=2000, burnin=1000),
+            # E tiny: the first tails comes early, and old balls move
+            dict(balls=64, e=1e-9, mu_max=2.0, steps=2000, burnin=100),
+            dict(balls=48, e=0.2, mu_max=2.0, steps=2000, burnin=200,
+                 buckets_per_unit=4),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_edge_cases_equal_the_position_scan(self, case, seed):
+        kwargs = dict(case, seed=seed)
+        assert empirical_density(**kwargs) == position_scan_density(**kwargs)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(steps=100, burnin=100),  # no sampled step
+            dict(balls=0),
+            dict(buckets_per_unit=0),
+        ],
+    )
+    def test_arguments_refused(self, bad):
+        kwargs = dict(balls=8, e=0.1, mu_max=2.0, steps=100, burnin=10, seed=1)
+        with pytest.raises(DomainError):
+            empirical_density(**dict(kwargs, **bad))
 
     def test_coin_for_limit(self):
         coin = coin_for_limit(32, 0.5)

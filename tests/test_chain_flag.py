@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,21 @@ class TestLabelGroups:
     def test_single_group_prefactor(self):
         q = Fraction(2)
         assert group_prefactor((4, 4, 4), q) == sn(3, q)
+
+    def test_memoised_prefactor_is_the_product_over_groups(self):
+        flagchain._group_prefactor.cache_clear()
+        cases = [(1,), (1, 2, 3), (3, 1, 2), (1, 1, 2), (2, 1, 1), (1, 2, 1),
+                 (4, 4, 4), (1, 1, 2, 2, 2, 5), (5, 2, 1, 2, 1, 2)]
+        for q in (Fraction(2), Fraction(5, 2), Fraction(29, 28), 3):
+            for labels in cases:
+                expected = Fraction(1)
+                for size in Counter(labels).values():
+                    expected *= sn(size, Fraction(q))
+                # the second call is read back from the cache
+                assert group_prefactor(labels, q) == expected
+                assert group_prefactor(labels, q) == expected
+        # one entry per (label groups, q): orders of one multiset share it
+        assert flagchain._group_prefactor.cache_info().currsize == 4 * 5
 
 
 class TestForwardEdges:

@@ -27,6 +27,7 @@ from jugglechain.states import (
     window_dual,
     window_duality_holds,
     window_states,
+    word_inversions,
 )
 
 
@@ -81,7 +82,22 @@ class TestInversions:
         ) * (h - c)
 
 
+def word_inversions_by_pairs(cells):
+    """The reference for `word_inversions`: the definition read pair by
+    pair, quadratic in len(cells)."""
+    return sum(
+        1
+        for i, j in itertools.combinations(range(len(cells)), 2)
+        if cells[j] is not None and (cells[i] is None or cells[i] > cells[j])
+    )
+
+
 class TestFlagInversions:
+    def test_one_pass_equals_the_pairwise_definition(self):
+        for n in range(8):
+            for cells in itertools.product((None, 1, 2, 3), repeat=n):
+                assert word_inversions(cells) == word_inversions_by_pairs(cells)
+
     def test_paper_example(self):
         assert flag_inversions(parse_flag_state("-3-12")) == 7
 
