@@ -12,6 +12,11 @@ transition laws are exact rationals, summed over one integer denominator.
 Stationarity is checked exactly too: the inflow into a state over its own
 weight is a sum of integer monomials in x = 1/q that does not depend on q,
 evaluated for one q in integers alone.
+
+Each sampler steps an inner state of its own (`Sampler`): the plain chain
+steps position tuples (`PLAIN`), and `simulate` tallies inner states and
+builds one output state per distinct state.  `tv_distance` compares a
+histogram with the stationary law exactly, over the visited states alone.
 """
 from __future__ import annotations
 
@@ -19,15 +24,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Protocol
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .series import sn
-from .states import (
-    JugglingState,
-    _unchecked_state,
-    inversions,
-    states_up_to_inversions,
-)
+from .states import JugglingState, _unchecked_state, inversions
 
 
 class FlipSource(Protocol):
@@ -97,7 +98,8 @@ def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     if moved < 0:
         return tuple(shifted)
     del shifted[moved]
-    return (0, *shifted)
+    shifted.insert(0, 0)
+    return tuple(shifted)
 
 
 def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
@@ -110,17 +112,42 @@ def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
     return k
 
 
+class Sampler(NamedTuple):
+    """A chain's sampler on an inner state of its own choosing.
+
+    `step(inner, coin, rng)` is one step of the chain on the inner state,
+    `enter(state)` the inner state of an output state and `leave(inner)`
+    the output state of an inner state.  The two maps are inverse
+    bijections, so the inner states of a run can be counted in place of
+    the output states; `simulate` builds an output state only per distinct
+    inner state, or per step for `on_state`.
+    """
+
+    step: Callable[[Any, CoinConfig, FlipSource], Any]
+    enter: Callable[[Any], Any]
+    leave: Callable[[Any], Any]
+
+
+def _positions_step(
+    positions: tuple[int, ...], coin: CoinConfig, rng: FlipSource
+) -> tuple[int, ...]:
+    """One plain step on sorted positions: the move k of `_leading_heads`,
+    then `_plain_step`."""
+    return _plain_step(positions, _leading_heads(len(positions), coin, rng))
+
+
+# The plain chain steps position tuples.  They leave unchecked: a checked
+# state's strictly increasing naturals, each shifted up one, with at most
+# one removed and 0 put in front of the rest, stay strictly increasing
+# naturals.
+PLAIN = Sampler(_positions_step, attrgetter("positions"), _unchecked_state)
+
+
 def backward_step(
     state: JugglingState, coin: CoinConfig, rng: FlipSource
 ) -> JugglingState:
-    """One sampled step: the move k of `_leading_heads`, then `_plain_step`.
-
-    The successor is built without the constructor's checks.  It is valid:
-    `_plain_step` returns a tuple of a checked state's strictly increasing
-    naturals, each shifted up one, with at most one removed and 0 put in
-    front of the rest; these stay strictly increasing naturals."""
-    k = _leading_heads(len(state.positions), coin, rng)
-    return _unchecked_state(_plain_step(state.positions, k))
+    """One sampled step of the plain chain, `PLAIN` entered and left."""
+    return _unchecked_state(_positions_step(state.positions, coin, rng))
 
 
 class _FlipTree:
@@ -271,55 +298,84 @@ class Histogram:
 
 
 def simulate(
-    start: JugglingState,
+    start,
     coin: CoinConfig,
     steps: int,
     burnin: int,
     rng,
     on_state=None,
-    step=backward_step,
+    sampler: Sampler = PLAIN,
 ) -> Histogram:
     """Run a chain and tally post-burn-in states (one sample per step).
 
-    `step(state, coin, rng)` is the chain's sampler: the plain chain's
-    `backward_step` by default, or for instance `flag_backward_step`.
-    `on_state`, when given, receives every visited state in order (burn-in
-    included), for trajectory dumps.
+    `sampler` is the chain: `PLAIN` by default, or for instance
+    `flagchain.FLAG` or `hatted.HATTED`.  The run enters `start` once,
+    steps and counts inner states, and leaves each distinct inner state
+    once for the histogram, which holds output states ordered by their
+    text.  `on_state`, when given, receives every visited output state in
+    order (burn-in included), for trajectory dumps; only then is a state
+    left on every step.  Needs 0 <= burnin < steps, so that the histogram
+    holds at least one sample.
     """
-    if not 0 <= burnin <= steps:
-        raise ValueError("need 0 <= burnin <= steps")
+    if not 0 <= burnin < steps:
+        raise ValueError("need 0 <= burnin < steps")
+    step, leave = sampler.step, sampler.leave
     counts: dict = {}
-    state = start
+    inner = sampler.enter(start)
     for t in range(steps):
-        state = step(state, coin, rng)
+        inner = step(inner, coin, rng)
         if on_state is not None:
-            on_state(state)
+            on_state(leave(inner))
         if t >= burnin:
-            counts[state] = counts.get(state, 0) + 1
-    ordered = tuple(sorted(counts.items(), key=lambda kv: str(kv[0])))
-    return Histogram(counts=ordered, samples=steps - burnin)
+            counts[inner] = counts.get(inner, 0) + 1
+    ordered = sorted(
+        ((leave(inner), count) for inner, count in counts.items()),
+        key=lambda kv: str(kv[0]),
+    )
+    return Histogram(counts=tuple(ordered), samples=steps - burnin)
 
 
 def tv_distance(
     hist: Histogram, coin: CoinConfig, balls: int, max_inversions: int = 10
 ) -> float:
-    """Total-variation distance between the empirical measure and the
-    stationary law.
+    """Total-variation distance between the empirical measure of a plain
+    histogram and the stationary law, exactly, rounded once to a float.
 
-    The comparison set is every state with inversion count at most
-    `max_inversions` plus every visited state; the stationary mass outside
-    that set is accounted exactly (the empirical measure is zero there).
+    Only the visited states V enter the sum.  The empirical measure is 0
+    off V, so there each state adds pi(s) to sum |emp - pi|, and together
+    they add pi's unvisited mass 1 - sum_V pi:
+
+        TV = 1/2 (sum_V |emp - pi| + 1 - sum_V pi)
+           = 1/2 (1 + sum_V (|emp - pi| - pi)).
+
+    Adding any set of unvisited states to V adds pi(s) and subtracts it
+    again, so this is the rational that the comparison over every state up
+    to some inversion count plus V gives, whichever count is chosen.
+    `max_inversions` therefore does not change the result; it stays in the
+    signature for callers that pass it.
+
+    The sum runs in integers over one denominator: with q = a/c and L the
+    highest visited inversion count, pi at level i is
+    sn(b) c^i / a^i = N c^i a^(L - i) / (D a^L) for sn(b) = N/D, one
+    weight per visited level, and emp = count / samples.  Raises
+    ValueError on a histogram without samples.
     """
-    empirical = hist.as_dict()
-    comparison = set(states_up_to_inversions(balls, max_inversions))
-    comparison.update(empirical)
     n = hist.samples
-    covered = Fraction(0)
-    diff = Fraction(0)
-    for state in comparison:
-        weight = stationary_weight(state, coin)
-        covered += weight
-        emp = Fraction(empirical.get(state, 0), n)
-        diff += abs(emp - weight)
-    remainder = 1 - covered  # stationary mass never compared, empirical 0
-    return float((diff + remainder) / 2)
+    if not n:
+        raise ValueError("the histogram holds no samples")
+    a, c = coin.q.numerator, coin.q.denominator
+    prefactor = sn(balls, coin.q)
+    visited = [(inversions(state), count) for state, count in hist.counts]
+    levels = {level for level, _ in visited}
+    top = max(levels)
+    scale = prefactor.denominator * a**top
+    # n * scale * pi at each visited level, and n * scale * emp = count * scale
+    weight = {i: n * prefactor.numerator * c**i * a ** (top - i) for i in levels}
+    total = n * scale
+    excess = 0
+    for level, count in visited:
+        pi = weight[level]
+        excess += abs(count * scale - pi) - pi
+    # int / int true division rounds the exact quotient once, as float() of
+    # the Fraction does
+    return (total + excess) / (2 * total)

@@ -19,9 +19,9 @@ from fractions import Fraction
 from . import __version__
 from .asymptotics import density_curve, empirical_density
 from .chain import (
+    PLAIN,
     CoinConfig,
     backward_dist,
-    backward_step,
     simulate,
     stationary_weight,
     tv_distance,
@@ -29,8 +29,8 @@ from .chain import (
 )
 from .errors import JuggleError, ParseError, ResourceLimit
 from .flagchain import (
+    FLAG,
     flag_backward_dist,
-    flag_backward_step,
     flag_forward_edges,
     flag_stationarity_holds,
     flag_stationary_weight,
@@ -366,15 +366,15 @@ def cmd_simulate(args) -> int:
     coin = CoinConfig(args.q)
     if args.labels:
         start = FlagState(tuple(sorted(args.labels)))
-        step, weight = flag_backward_step, flag_stationary_weight
+        sampler, weight = FLAG, flag_stationary_weight
     else:
         start = ground_state(args.balls)
-        step, weight = backward_step, stationary_weight
+        sampler, weight = PLAIN, stationary_weight
     with open(args.trajectory, "w") if args.trajectory else nullcontext() as fh:
         sink = (lambda s: fh.write(str(s) + "\n")) if fh else None
         hist = simulate(
             start, coin, args.steps, args.burnin, ChainRng(args.seed),
-            on_state=sink, step=step,
+            on_state=sink, sampler=sampler,
         )
     rows = [
         [str(s), c, str(Fraction(c, hist.samples)), str(weight(s, coin))]
@@ -487,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_natural, default=100_000)
     p.add_argument("--burnin", type=_natural, default=1_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-inversions", type=_natural, default=10)
+    p.add_argument(
+        "--max-inversions", type=_natural, default=10,
+        help="kept for the config hash; the TV row is exact over the visited "
+        "states and does not depend on it",
+    )
     p.add_argument("--trajectory", help="also write one state per line here")
     p.set_defaults(func=cmd_simulate)
 

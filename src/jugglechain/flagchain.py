@@ -9,6 +9,9 @@ Backward step: the plain move k, then for k < b the (k+1)-th last label is
 carried to the front; at each strictly smaller label on the way a coin
 with p(heads) = 1/q is flipped, and tails exchanges the two.  Equal labels
 are passed over, so the all-equal case collapses to the plain chain.  The
+sampler `FLAG` steps (positions, word) pairs, the positions by the plain
+kernel and the word by `_word_step`, and refills the cells only when a
+flag state is asked for; `flag_backward_step` is one step of it.  The
 exact law is the plain move law P(k) times the word law W_k, memoised per
 word; the sampler run on every flip sequence (`chain.step_law`) is the
 reference the tests compare it with.
@@ -26,12 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .chain import (
     CoinConfig,
     FlipSource,
+    Sampler,
     TransitionDist,
     _at_q,
     _inflow_by_move,
@@ -137,19 +142,29 @@ def _word_step(
     moved = len(word) - 1 - k
     if moved < 0:
         return tuple(word)
-    held = word[moved]
-    rest = list(word[:moved])
+    out = list(word)
+    held = out.pop(moved)
     p = coin.heads_probability
     for i in range(moved - 1, -1, -1):
-        if rest[i] < held and not rng.heads(p):
-            held, rest[i] = rest[i], held
-    return (held, *rest, *word[moved + 1 :])
+        if out[i] < held and not rng.heads(p):
+            held, out[i] = out[i], held
+    out.insert(0, held)
+    return tuple(out)
 
 
-def flag_backward_step(
-    state: FlagState, coin: CoinConfig, rng: FlipSource
-) -> FlagState:
-    """One sampled step: the plain move k, then `_word_step`.
+def _flag_enter(state: FlagState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (positions, word) pair of a flag state.  Labels are positive, so
+    the labeled cells are the truthy ones."""
+    cells = state.cells
+    return tuple(compress(range(len(cells)), cells)), tuple(filter(None, cells))
+
+
+def _flag_step(
+    inner: tuple[tuple[int, ...], tuple[int, ...]], coin: CoinConfig, rng: FlipSource
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One step on a (positions, word) pair: the plain move k of
+    `_leading_heads` moves the positions (`_plain_step`) and then the word
+    (`_word_step`).
 
     The paper's sweep holds an empty, points at the rightmost label and
     walks left, flipping at each label smaller than the held item (an
@@ -159,20 +174,37 @@ def flag_backward_step(
     label from the cell the plain move empties.  A held label stops only at
     smaller labels, never at an empty, so it changes the word alone.  The
     flips come in the sweep's order.
-
-    The successor is built without the constructor's checks.  It is valid:
-    its cells rearrange the labels of a checked state over the plain
-    successor's positions, the last of which bears a label.
     """
-    cells = state.cells
-    positions = tuple([i for i, c in enumerate(cells) if c is not None])
-    word = [c for c in cells if c is not None]
+    positions, word = inner
     k = _leading_heads(len(word), coin, rng)
-    after = _plain_step(positions, k)
-    out: list[Cell] = [None] * (after[-1] + 1)
-    for position, label in zip(after, _word_step(word, k, coin, rng)):
+    return _plain_step(positions, k), _word_step(word, k, coin, rng)
+
+
+def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
+    """The flag state of a (positions, word) pair, its cells refilled.
+
+    It is built without the constructor's checks.  It is valid for every
+    pair `_flag_step` reaches from an entered state: the word rearranges a
+    checked state's labels, the positions are a plain successor's strictly
+    increasing naturals, and the last cell, at the last position, bears a
+    label."""
+    positions, word = inner
+    out: list[Cell] = [None] * (positions[-1] + 1)
+    for position, label in zip(positions, word):
         out[position] = label
     return _unchecked_flag(tuple(out))
+
+
+# The flag chain steps (positions, word) pairs: the plain chain's positions
+# and the label word, each moved by its own kernel.
+FLAG = Sampler(_flag_step, _flag_enter, _flag_leave)
+
+
+def flag_backward_step(
+    state: FlagState, coin: CoinConfig, rng: FlipSource
+) -> FlagState:
+    """One sampled step of the flag chain, `FLAG` entered and left."""
+    return _flag_leave(_flag_step(_flag_enter(state), coin, rng))
 
 
 @lru_cache(maxsize=4096)
@@ -196,9 +228,7 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
     from the sampler; the tests compare the two.
     """
-    cells = state.cells
-    positions = tuple([i for i, c in enumerate(cells) if c is not None])
-    word = tuple([c for c in cells if c is not None])
+    positions, word = _flag_enter(state)
     entries = []
     for k, move in enumerate(_move_law(len(word), coin)):
         after = _plain_step(positions, k)

@@ -23,6 +23,8 @@ composed laws are `hatted_backward_step` run on every flip sequence it can
 draw (`chain.step_law`), so the move rule is written once.  The step reads
 two cells, slices an exchange back in, and builds its successor without
 re-checking it (`_unchecked_hatted`); its docstring says why that is safe.
+As a `chain.Sampler` (`HATTED`) it steps the mixed states themselves, so
+entering and leaving are the identity.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .chain import CoinConfig, FlipSource, TransitionDist, step_law
+from .chain import CoinConfig, FlipSource, Sampler, TransitionDist, step_law
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
 from .states import Cell, FlagState, _unchecked_flag, render_flag, trim_cells
@@ -138,6 +140,13 @@ def hatted_backward_step(
     # force the exchange (for equal cells the swapped word coincides with
     # the unswapped one)
     return _unchecked_hatted(cells[: i - 1] + (a, c) + cells[i + 1 :], i - 1)
+
+
+def _same(state: MixedState) -> MixedState:
+    return state
+
+
+HATTED = Sampler(hatted_backward_step, _same, _same)
 
 
 def composed_backward_dist(

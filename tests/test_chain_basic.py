@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from jugglechain.states import (
     prepend_empty,
     recover_throw,
     states_up_to_inversions,
+    states_with_inversions,
 )
 
 Q2 = CoinConfig(Fraction(2))
@@ -382,3 +384,68 @@ class TestSimulation:
         hist = simulate(ground_state(1), Q2, 1_000, 100, ChainRng(3))
         assert hist.samples == 900
         assert sum(c for _, c in hist.counts) == 900
+
+    @pytest.mark.parametrize("burnin", [10, 11, -1])
+    def test_burnin_must_leave_a_sample(self, burnin):
+        # burnin == steps would leave an empty histogram
+        with pytest.raises(ValueError):
+            simulate(ground_state(2), Q2, 10, burnin, ChainRng(1))
+
+    def test_tv_refuses_an_empty_histogram(self):
+        with pytest.raises(ValueError, match="no samples"):
+            tv_distance(chain.Histogram(counts=(), samples=0), Q2, 2)
+
+
+def tv_by_enumeration(hist, coin, balls, max_inversions) -> Fraction:
+    """The reference TV distance, an exact rational: every state up to
+    `max_inversions` plus every visited state is compared one by one, and
+    the stationary mass outside that set is added whole (the empirical
+    measure is zero there)."""
+    empirical = hist.as_dict()
+    comparison = set(states_up_to_inversions(balls, max_inversions))
+    comparison.update(empirical)
+    n = hist.samples
+    covered = Fraction(0)
+    diff = Fraction(0)
+    for state in comparison:
+        weight = stationary_weight(state, coin)
+        covered += weight
+        diff += abs(Fraction(empirical.get(state, 0), n) - weight)
+    return (diff + 1 - covered) / 2
+
+
+TV_QS = [Fraction(2), Fraction(5, 4), Fraction(3), Fraction(7, 2)]
+
+
+def far_histogram(balls, lowest, seed) -> chain.Histogram:
+    """A few states, each with at least `lowest` inversions, with
+    random counts."""
+    rng = random.Random(seed)
+    states = {
+        rng.choice(list(states_with_inversions(balls, lowest + rng.randrange(5))))
+        for _ in range(1 + rng.randrange(6))
+    }
+    counts = tuple((s, 1 + rng.randrange(50)) for s in sorted(states, key=str))
+    return chain.Histogram(counts=counts, samples=sum(c for _, c in counts))
+
+
+class TestExactTV:
+    @pytest.mark.parametrize("max_inversions", [0, 3, 10])
+    @pytest.mark.parametrize("balls", [1, 2, 3, 8])
+    def test_sampled_histograms(self, balls, max_inversions):
+        for seed in range(40):
+            coin = CoinConfig(TV_QS[seed % len(TV_QS)])
+            hist = simulate(ground_state(balls), coin, 200 + seed, seed, ChainRng(seed))
+            expected = tv_by_enumeration(hist, coin, balls, max_inversions)
+            assert tv_distance(hist, coin, balls, max_inversions) == float(expected)
+
+    @pytest.mark.parametrize("max_inversions", [0, 3, 10])
+    @pytest.mark.parametrize("balls", [1, 2, 3, 8])
+    def test_every_visited_state_beyond_the_comparison_set(self, balls, max_inversions):
+        for seed in range(40):
+            coin = CoinConfig(TV_QS[seed % len(TV_QS)])
+            hist = far_histogram(balls, max_inversions + 1, seed)
+            assert all(inversions(s) > max_inversions for s, _ in hist.counts)
+            expected = tv_by_enumeration(hist, coin, balls, max_inversions)
+            assert tv_distance(hist, coin, balls, max_inversions) == float(expected)
+

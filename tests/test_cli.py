@@ -146,17 +146,30 @@ class TestSimulateAndDigraph:
         assert out1 == out2
         assert "<tv-distance>" in out1
 
+    def test_tv_row_does_not_depend_on_max_inversions(self, capsys):
+        # the TV is exact over the visited states; the flag still enters
+        # the config hash, so only the trailer differs
+        args = ["simulate", "--balls", "3", "--q", "5/4", "--steps", "3000", "--seed", "4"]
+        tables = [
+            run_cli(capsys, *args, "--max-inversions", m)[1].splitlines()
+            for m in ("0", "10")
+        ]
+        assert tables[0][:-1] == tables[1][:-1]
+        assert tables[0][-1] != tables[1][-1]
+
     def test_simulate_flag_chain(self, capsys, monkeypatch):
-        step = cli.flag_backward_step
+        sampler = cli.FLAG
 
-        def capped_step(state, coin, rng):
+        def capped_step(inner, coin, rng):
             # pi puts mass 1 - (1 - 2^-63)(1 - 2^-64) < 2^-62 on states
-            # longer than 64 cells; a sampler that lets states grow fails
-            # here instead of swelling the table for minutes
-            assert len(state.cells) <= 64
-            return step(state, coin, rng)
+            # longer than 64 cells (the last label past position 63); a
+            # sampler that lets states grow fails here instead of swelling
+            # the table for minutes
+            positions, _ = inner
+            assert positions[-1] < 64
+            return sampler.step(inner, coin, rng)
 
-        monkeypatch.setattr(cli, "flag_backward_step", capped_step)
+        monkeypatch.setattr(cli, "FLAG", sampler._replace(step=capped_step))
         code, out = run_cli(
             capsys, "simulate", "--labels", "1,2", "--q", "2", "--steps",
             "5000", "--burnin", "100", "--seed", "5",

@@ -57,6 +57,15 @@ class TestInversions:
         assert brute_inversions("-x--x") == 4
         assert inversions(parse_state("-x--x")) == 4
 
+    @pytest.mark.parametrize("balls", range(7))
+    def test_matches_the_sum_definition(self, balls):
+        # inversions is the sum of the positions less 0 + 1 + ... + (b - 1);
+        # the definition sums p_j - j term by term
+        for count in range(9):
+            for state in states_with_inversions(balls, count):
+                by_terms = sum(p - j for j, p in enumerate(state.positions))
+                assert inversions(state) == by_terms == count, str(state)
+
     @given(positions_strategy)
     @settings(max_examples=100, deadline=None)
     def test_matches_word_oracle(self, state):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from jugglechain.chain import CoinConfig, backward_step, simulate, step_law
-from jugglechain.flagchain import flag_backward_step
-from jugglechain.hatted import HattedState, hatted_backward_dist, hatted_backward_step
+from jugglechain.chain import PLAIN, CoinConfig, backward_step, simulate, step_law
+from jugglechain.flagchain import FLAG, flag_backward_step
+from jugglechain.hatted import HATTED, HattedState, hatted_backward_dist
 from jugglechain.rng import ChainRng
 from jugglechain.states import (
     FlagState,
@@ -73,17 +73,17 @@ def test_hatted_successors_on_every_composed_branch(labels):
 
 
 @pytest.mark.parametrize(
-    "step, start, q",
+    "sampler, start, q",
     [
-        (backward_step, ground_state(3), Fraction(5, 4)),
-        (flag_backward_step, FlagState((1, 2, 3, 4)), Fraction(2)),
-        (hatted_backward_step, FlagState((1, 1, 2, 3)), Fraction(3, 2)),
+        (PLAIN, ground_state(3), Fraction(5, 4)),
+        (FLAG, FlagState((1, 2, 3, 4)), Fraction(2)),
+        (HATTED, FlagState((1, 1, 2, 3)), Fraction(3, 2)),
     ],
     ids=["plain", "flag", "hatted"],
 )
-def test_seeded_trajectories(step, start, q):
+def test_seeded_trajectories(sampler, start, q):
     visited = []
-    simulate(start, CoinConfig(q), 2000, 0, ChainRng(13), visited.append, step)
+    simulate(start, CoinConfig(q), 2000, 0, ChainRng(13), visited.append, sampler)
     assert len(visited) == 2000
     for state in visited:
         assert_as_checked(state)
