@@ -6,11 +6,11 @@ likely c.  Scaling c = lambda*b, h = mu*b and fixing E = q^-b (the
 probability of an all-heads step) gives closed forms for mu(lambda), its
 inverse lambda(mu), and the limiting ball density d lambda / d mu.
 
-`empirical_density` checks that density by simulation.  In a plain step
-every ball moves up one and at most one returns to 0, so a ball's position
-is its age: the run keeps birth steps, not positions, and each lifetime
-adds one range of positions to the occupancy counts, at O(1) expected
-cost per step whatever b.
+`empirical_density` checks that density by simulation, one row per
+position.  In a plain step every ball moves up one and at most one returns
+to 0, so a ball's position is its age: the run keeps birth steps, not
+positions, and each lifetime adds one range of positions to the occupancy
+counts, at O(1) expected cost per step whatever b.
 """
 from __future__ import annotations
 
@@ -20,9 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
 
-from .chain import CoinConfig
 from .errors import DomainError
 from .series import sn
 
@@ -127,14 +125,6 @@ class DensityComparison:
         return abs(self.empirical - self.predicted)
 
 
-def coin_for_limit(balls: int, e: float) -> CoinConfig:
-    """The coin matching an all-heads probability of E at this ball count:
-    p(heads) = E^(1/b), approximated by a nearby exact rational."""
-    _check_e(e)
-    heads = Fraction(e ** (1.0 / balls)).limit_denominator(10**12)
-    return CoinConfig(1 / heads)
-
-
 def empirical_density(
     balls: int,
     e: float,
@@ -142,10 +132,10 @@ def empirical_density(
     steps: int,
     burnin: int,
     seed: int,
-    buckets_per_unit: Optional[int] = None,
 ) -> list[DensityComparison]:
-    """Simulate the plain chain at q = E^(-1/b) and compare per-position
-    occupancy frequencies with the closed-form density.
+    """Simulate the plain chain at q = E^(-1/b) and compare the occupancy
+    frequency of each position h < ceil(mu_max * b), at mu = h / b, with
+    the closed-form density.
 
     Step t draws u and the move k with P(k >= j) = E^(j/b); the state
     after it is sampled when burnin <= t < steps.  Every plain move puts
@@ -157,19 +147,12 @@ def empirical_density(
     finished lifetime [s, t) occupies one contiguous run of positions over
     the sampled steps, added as one range to a difference array; so a step
     costs O(k + 1), not O(b).
-
-    Positions are grouped into floor(mu * buckets_per_unit) buckets; the
-    default of b buckets per unit compares single positions.
     """
     _check_e(e)
     if not 0 <= burnin < steps:
         raise DomainError(f"need 0 <= burnin < steps, got {burnin}, {steps}")
     if balls < 1:
         raise DomainError(f"need balls >= 1, got {balls}")
-    if buckets_per_unit is None:
-        buckets_per_unit = balls
-    elif buckets_per_unit < 1:
-        raise DomainError(f"need buckets_per_unit >= 1, got {buckets_per_unit}")
     rng = random.Random(seed)
     heads = e ** (1.0 / balls)
     log_heads = math.log(heads)
@@ -197,28 +180,16 @@ def empirical_density(
     for born in births:
         occupy(born, steps)
     occupancy = list(accumulate(starts[:hmax]))
-    return _density_rows(occupancy, steps - burnin, balls, e, buckets_per_unit)
+    return _density_rows(occupancy, steps - burnin, balls, e)
 
 
 def _density_rows(
-    occupancy: list[int], samples: int, balls: int, e: float, buckets_per_unit: int
+    occupancy: list[int], samples: int, balls: int, e: float
 ) -> list[DensityComparison]:
-    """Rows of `empirical_density` from the counts of balls seen at each
-    position 0 <= h < len(occupancy) over `samples` sampled states."""
-    bucket_sums: dict[int, list[int]] = {}
-    for h in range(len(occupancy)):
-        mu = h / balls
-        bucket = int(mu * buckets_per_unit)
-        bucket_sums.setdefault(bucket, []).append(h)
-    rows = []
-    for bucket in sorted(bucket_sums):
-        members = bucket_sums[bucket]
-        emp = float(sum(occupancy[h] for h in members)) / (samples * len(members))
-        mus = [h / balls for h in members]
-        pred = sum(ball_density(e, m) for m in mus) / len(members)
-        rows.append(
-            DensityComparison(
-                mu=sum(mus) / len(mus), empirical=emp, predicted=pred
-            )
-        )
-    return rows
+    """Rows of `empirical_density`, one per position 0 <= h <
+    len(occupancy), from the count of balls seen there over `samples`
+    sampled states."""
+    return [
+        DensityComparison(h / balls, count / samples, ball_density(e, h / balls))
+        for h, count in enumerate(occupancy)
+    ]

@@ -358,14 +358,19 @@ def tv_distance(
     highest visited inversion count, pi at level i is
     sn(b) c^i / a^i = N c^i a^(L - i) / (D a^L) for sn(b) = N/D, one
     weight per visited level, and emp = count / samples.  Raises
-    ValueError on a histogram without samples.
+    ValueError on a histogram without samples or with a state that does
+    not hold `balls` balls.
     """
     n = hist.samples
     if not n:
         raise ValueError("the histogram holds no samples")
     a, c = coin.q.numerator, coin.q.denominator
     prefactor = sn(balls, coin.q)
-    visited = [(inversions(state), count) for state, count in hist.counts]
+    visited = []
+    for state, count in hist.counts:
+        if state.balls != balls:
+            raise ValueError(f"a visited state holds {state.balls} balls, not {balls}")
+        visited.append((inversions(state), count))
     levels = {level for level, _ in visited}
     top = max(levels)
     scale = prefactor.denominator * a**top

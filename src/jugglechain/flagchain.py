@@ -51,8 +51,7 @@ from .states import (
     Cell,
     FlagState,
     _unchecked_flag,
-    erase_labels,
-    flag_from_parts,
+    _unchecked_state,
     flag_inversions,
     forward_edges,
     word_inversions,
@@ -110,15 +109,15 @@ def _word_walks(word: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
 
 def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
     """All outgoing transitions whose drops stay at positions <= max_drop:
-    a plain throw t of `erase_labels(state)`, the final drop at t - 1, times
+    a plain throw t of the state's positions, the final drop at t - 1, times
     each word of `_word_walks`.  An empty-initial state has the unique edge
     deleting its leading empty.  Drops increase along a walk, so capping
     the final drop caps them all."""
     if state.cells[0] is None:
         return [FlagTransition(FlagState(state.cells[1:]), frozenset())]
-    word = tuple([c for c in state.cells if c is not None])
+    source, word = _flag_enter(state)
     results = []
-    for t, target in forward_edges(erase_labels(state), max_drop + 1):
+    for t, target in forward_edges(_unchecked_state(source), max_drop + 1):
         positions = target.positions
         m = positions.index(t - 1)
         for walked in _word_walks(word, m):
@@ -127,7 +126,7 @@ def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
             drops = {positions[i] for i in range(m) if walked[i] != word[i + 1]}
             drops.add(t - 1)
             results.append(
-                FlagTransition(flag_from_parts(positions, walked), frozenset(drops))
+                FlagTransition(_flag_leave((positions, walked)), frozenset(drops))
             )
     results.sort(key=lambda tr: (sorted(tr.drops), str(tr.target)))
     return results
@@ -184,10 +183,12 @@ def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
     """The flag state of a (positions, word) pair, its cells refilled.
 
     It is built without the constructor's checks.  It is valid for every
-    pair `_flag_step` reaches from an entered state: the word rearranges a
-    checked state's labels, the positions are a plain successor's strictly
-    increasing naturals, and the last cell, at the last position, bears a
-    label."""
+    pair `_flag_step` reaches from an entered state, and for the targets of
+    `flag_backward_dist` and `flag_forward_edges`: the word rearranges a
+    checked state's labels (`_word_step` and `_word_walks` only move and
+    exchange them), the positions are strictly increasing naturals (a plain
+    successor's, or those of a target of `states.forward_edges`, a checked
+    plain state), and the last cell, at the last position, bears a label."""
     positions, word = inner
     out: list[Cell] = [None] * (positions[-1] + 1)
     for position, label in zip(positions, word):
@@ -233,7 +234,7 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     for k, move in enumerate(_move_law(len(word), coin)):
         after = _plain_step(positions, k)
         for outcome, prob in _word_law(word, k, coin).items():
-            entries.append((flag_from_parts(after, outcome), move * prob))
+            entries.append((_flag_leave((after, outcome)), move * prob))
     return TransitionDist(tuple(entries))
 
 
@@ -264,7 +265,7 @@ def _flag_inflow(
     state: FlagState, coin: CoinConfig, max_drop: int | None = None
 ) -> tuple[int, int]:
     """The balance inflow into `state` over its group prefactor and its
-    plain weight q^-inversions(erase_labels(state)), weight * backward
+    plain weight q^-inversions of its positions, weight * backward
     probability summed over its successors, those with every drop at or
     below `max_drop` when it is given; as integers (num, den) with num/den
     the inflow.
@@ -282,11 +283,11 @@ def _flag_inflow(
     further past the last label) are the plain j = b tail, k = 0.  An
     empty-front state comes back from its shift down by k = b, word kept.
     """
-    word = tuple([c for c in state.cells if c is not None])
+    positions, word = _flag_enter(state)
     b = len(word)
     max_throw = None if max_drop is None else max_drop + 1
     terms = []
-    for k, monomials in _inflow_by_move(erase_labels(state), max_throw).items():
+    for k, monomials in _inflow_by_move(_unchecked_state(positions), max_throw).items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
         for source in sources:
             law = _word_law(source, k, coin).get(word)
@@ -305,7 +306,7 @@ def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     plain weight: the inflow num/den must be x^inv(w) for the state's word
     w, x = 1/q = c/a, compared in integers as num * a^inv == den * c^inv."""
     num, den = _flag_inflow(state, coin)
-    inv = word_inversions([c for c in state.cells if c is not None])
+    inv = word_inversions(_flag_enter(state)[1])
     q = coin.q
     return num * q.numerator**inv == den * q.denominator**inv
 
@@ -355,6 +356,6 @@ def verify_flag_stationarity(
         max_drop = drop_cap
     num, den = _flag_inflow(state, coin, max_drop)
     # _flag_inflow leaves out the plain weight x^(inv - inv(word))
-    plain = inv - word_inversions([cell for cell in state.cells if cell is not None])
+    plain = inv - word_inversions(_flag_enter(state)[1])
     partial = prefactor * Fraction(num * c**plain, den * a**plain)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)

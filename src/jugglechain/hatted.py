@@ -59,10 +59,6 @@ class HattedState:
         if not 0 <= self.hat <= len(cells):
             raise ValueError("hat must sit on a cell or just past the last label")
 
-    @property
-    def hatted_value(self) -> Cell:
-        return None if self.hat == len(self.cells) else self.cells[self.hat]
-
     def word(self) -> str:
         tokens = ["-" if c is None else str(c) for c in self.cells]
         if self.hat == len(tokens):

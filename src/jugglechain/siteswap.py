@@ -25,10 +25,6 @@ class Siteswap:
         if any(t < 0 for t in self.throws):
             raise ValueError("throws must be naturals")
 
-    @property
-    def period(self) -> int:
-        return len(self.throws)
-
     def __str__(self) -> str:
         return "".join(_ALPHABET[t] for t in self.throws)
 

@@ -7,7 +7,6 @@ import pytest
 from jugglechain.asymptotics import (
     _density_rows,
     ball_density,
-    coin_for_limit,
     density_curve,
     empirical_density,
     lambda_of_mu,
@@ -35,9 +34,7 @@ def argmax_prob_direct(b: int, h: int, q: Fraction) -> int:
     return best_c
 
 
-def position_scan_density(
-    balls, e, mu_max, steps, burnin, seed, buckets_per_unit=None
-):
+def position_scan_density(balls, e, mu_max, steps, burnin, seed):
     """The reference for `empirical_density`: on the same draws, step the
     sorted positions with `_plain_step` and scan them at every sampled
     step, O(b) per step."""
@@ -56,9 +53,7 @@ def position_scan_density(
                 if h >= hmax:
                     break
                 occupancy[h] += 1
-    if buckets_per_unit is None:
-        buckets_per_unit = balls
-    return _density_rows(occupancy, steps - burnin, balls, e, buckets_per_unit)
+    return _density_rows(occupancy, steps - burnin, balls, e)
 
 
 class TestOccupancyProbability:
@@ -236,18 +231,21 @@ class TestEmpiricalDensity:
             balls=48, e=0.2, mu_max=2.0, steps=120_000, burnin=12_000, seed=9
         )
         assert abs(rows[0].empirical - 0.8) < 0.05
-        # averaged over coarse buckets the occupancy decreases
-        coarse = empirical_density(
-            balls=48,
-            e=0.2,
-            mu_max=2.0,
-            steps=120_000,
-            burnin=12_000,
-            seed=9,
-            buckets_per_unit=4,
-        )
-        values = [r.empirical for r in coarse]
+        # averaged over four buckets per unit of mu the occupancy decreases
+        buckets = [[] for _ in range(8)]
+        for h, row in enumerate(rows):
+            buckets[h * 4 // 48].append(row.empirical)
+        values = [sum(bucket) / len(bucket) for bucket in buckets]
         assert all(a >= b - 0.02 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("balls", [11, 13, 100])
+    def test_one_row_per_position(self, balls):
+        # at these b, h / b * b rounds below h for some h
+        rows = empirical_density(
+            balls=balls, e=0.1, mu_max=3.0, steps=2000, burnin=200, seed=1
+        )
+        assert len(rows) == 3 * balls
+        assert [r.mu for r in rows] == [h / balls for h in range(3 * balls)]
 
     def test_seed_determinism(self):
         kwargs = dict(balls=32, e=0.3, mu_max=1.5, steps=20_000, burnin=2_000, seed=3)
@@ -280,8 +278,7 @@ class TestEmpiricalDensity:
             dict(balls=64, e=0.999, mu_max=3.0, steps=2000, burnin=1000),
             # E tiny: the first tails comes early, and old balls move
             dict(balls=64, e=1e-9, mu_max=2.0, steps=2000, burnin=100),
-            dict(balls=48, e=0.2, mu_max=2.0, steps=2000, burnin=200,
-                 buckets_per_unit=4),
+            dict(balls=48, e=0.2, mu_max=2.0, steps=2000, burnin=200),
         ],
     )
     @pytest.mark.parametrize("seed", [3, 4])
@@ -294,15 +291,9 @@ class TestEmpiricalDensity:
         [
             dict(steps=100, burnin=100),  # no sampled step
             dict(balls=0),
-            dict(buckets_per_unit=0),
         ],
     )
     def test_arguments_refused(self, bad):
         kwargs = dict(balls=8, e=0.1, mu_max=2.0, steps=100, burnin=10, seed=1)
         with pytest.raises(DomainError):
             empirical_density(**dict(kwargs, **bad))
-
-    def test_coin_for_limit(self):
-        coin = coin_for_limit(32, 0.5)
-        assert float(coin.heads_probability) == pytest.approx(0.5 ** (1 / 32))
-        assert coin.q > 1

@@ -395,6 +395,13 @@ class TestSimulation:
         with pytest.raises(ValueError, match="no samples"):
             tv_distance(chain.Histogram(counts=(), samples=0), Q2, 2)
 
+    def test_tv_refuses_a_wrong_ball_count(self):
+        hist = simulate(ground_state(2), Q2, 20_000, 1_000, ChainRng(1))
+        for balls in (1, 3):
+            with pytest.raises(ValueError, match="holds 2 balls"):
+                tv_distance(hist, Q2, balls)
+        assert tv_distance(hist, Q2, 2) == 0.012084247629893453
+
 
 def tv_by_enumeration(hist, coin, balls, max_inversions) -> Fraction:
     """The reference TV distance, an exact rational: every state up to
