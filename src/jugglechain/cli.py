@@ -188,8 +188,28 @@ def _positive_real(text: str) -> float:
     return value
 
 
-def _check_burnin(args) -> None:
-    if args.burnin >= args.steps:
+# the --burnin of each sampling subcommand when omitted, unless --steps is
+# at most this; then half the steps are burnt in
+_DENSITY_BURNIN = 20_000
+_SIMULATE_BURNIN = 1_000
+
+
+def _burnin_help(default: int) -> str:
+    return (
+        f"steps run before counting (default {default}, or steps // 2 when "
+        f"--steps is at most {default}); must be below --steps"
+    )
+
+
+def _resolve_burnin(args, default: int, sampling: bool = True) -> None:
+    """Fill in an omitted --burnin and check it against --steps.  Omitted,
+    it is `default`, or steps // 2 when a sampling run has at most
+    `default` steps.  A run that samples nothing keeps `default` unchecked:
+    its --burnin only feeds the config hash."""
+    if args.burnin is None:
+        halve = sampling and args.steps <= default
+        args.burnin = args.steps // 2 if halve else default
+    if sampling and args.burnin >= args.steps:
         raise _FlagError(
             f"--burnin ({args.burnin}) must be below --steps ({args.steps})"
         )
@@ -340,8 +360,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_density(args) -> int:
+    _resolve_burnin(args, _DENSITY_BURNIN, sampling=args.empirical)
     if args.empirical:
-        _check_burnin(args)
         rows_data = empirical_density(
             balls=args.balls,
             e=args.e,
@@ -362,7 +382,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_burnin(args)
+    _resolve_burnin(args, _SIMULATE_BURNIN)
     coin = CoinConfig(args.q)
     if args.labels:
         start = FlagState(tuple(sorted(args.labels)))
@@ -474,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--balls", type=_positive, default=64)
     p.add_argument("--steps", type=_natural, default=200_000)
-    p.add_argument("--burnin", type=_natural, default=20_000)
+    p.add_argument("--burnin", type=_natural, help=_burnin_help(_DENSITY_BURNIN))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_density)
 
@@ -485,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--steps", type=_natural, default=100_000)
-    p.add_argument("--burnin", type=_natural, default=1_000)
+    p.add_argument("--burnin", type=_natural, help=_burnin_help(_SIMULATE_BURNIN))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--max-inversions", type=_natural, default=10,

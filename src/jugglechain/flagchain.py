@@ -219,6 +219,14 @@ def _word_law(
     return MappingProxyType(law.as_dict())
 
 
+@lru_cache(maxsize=4096)
+def _word_inversions(word: tuple[int, ...]) -> int:
+    """`word_inversions` of a label word.  The balance checks read it for
+    every source word of every state, and `_word_walks` leaves the same
+    few words for many states, so it is memoised like `_word_law`."""
+    return word_inversions(word)
+
+
 def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: the plain move k with probability P(k)
     (`chain._move_law`), times the word law W_k (`_word_law`).
@@ -292,7 +300,7 @@ def _flag_inflow(
         for source in sources:
             law = _word_law(source, k, coin).get(word)
             if law:
-                n, d, shift = law.numerator, law.denominator, word_inversions(source)
+                n, d, shift = law.numerator, law.denominator, _word_inversions(source)
                 terms.extend([(coef * n, d, e + shift) for coef, e in monomials])
     return _at_q(terms, coin)
 
@@ -306,7 +314,7 @@ def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     plain weight: the inflow num/den must be x^inv(w) for the state's word
     w, x = 1/q = c/a, compared in integers as num * a^inv == den * c^inv."""
     num, den = _flag_inflow(state, coin)
-    inv = word_inversions(_flag_enter(state)[1])
+    inv = _word_inversions(_flag_enter(state)[1])
     q = coin.q
     return num * q.numerator**inv == den * q.denominator**inv
 
@@ -356,6 +364,6 @@ def verify_flag_stationarity(
         max_drop = drop_cap
     num, den = _flag_inflow(state, coin, max_drop)
     # _flag_inflow leaves out the plain weight x^(inv - inv(word))
-    plain = inv - word_inversions(_flag_enter(state)[1])
+    plain = inv - _word_inversions(_flag_enter(state)[1])
     partial = prefactor * Fraction(num * c**plain, den * a**plain)
     return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)

@@ -4,10 +4,15 @@ Exhaustive enumeration of b x N matrices tallies pivot-column states and
 their labeled refinement, giving the fractions and transition laws that
 the chains must reproduce with q = p.  Both come from one row reduction:
 each row's pivot is its leading column once reduced against the rows
-above it.  The counts enumerate the matrices depth first, row by row, so
-the reduction of a prefix of rows is done once and shared by every
-matrix that starts with it; each matrix is still classified by its own
-reduction.
+above it.  The counts draw each entry from a set of values (all of Z/p
+in a sweep; in a column-prepend law, all of Z/p in the new column 0 and
+the matrix's own entry elsewhere) and enumerate the rows above the last
+depth first, so the reduction of a prefix of rows is done
+once and shared by every matrix that starts with it.  The last row is
+reduced column by column: its lead is fixed at the first column whose
+entry survives the reduction and no reduced row can clear, so all of its
+completions past that column are counted at once.  Each matrix is still
+classified exactly as its own reduction classifies it.
 """
 from __future__ import annotations
 
@@ -130,34 +135,98 @@ def _leading_columns(matrix: FqMatrix) -> Optional[list[int]]:
 def _lead_counts(
     p: int, choices: Sequence[Sequence[Sequence[int]]]
 ) -> Counter:
-    """How many matrices, row i drawn from choices[i], have each lead
-    tuple of `_leading_columns` (None: rank deficient).
+    """How many matrices, entry (i, j) drawn from the values choices[i][j]
+    (distinct values, every row the same width), have each lead tuple of
+    `_leading_columns` (None: rank deficient).
 
-    Depth first over the rows: a prefix of rows is reduced once, and its
-    reduced rows stay in `reduced` for every extension and leave it on
-    backtrack.  This classifies every matrix exactly as
-    `_leading_columns` does, which reads the rows top to bottom:
-    - row i's reduction depends only on the reduced rows above it, which
-      depend only on the prefix, so each matrix's leads are those of its
-      own row reduction;
-    - when row i reduces to zero, `_leading_columns` returns None without
-      reading later rows, so every one of the prefix's completions is
-      rank deficient: prod(len(choices[j]) for j > i) matrices, counted
-      at once.
+    Rows above the last are enumerated depth first: a prefix of rows is
+    reduced once, and its reduced rows stay in `reduced` for every
+    extension and leave it on backtrack.  Row i's reduction depends only
+    on the reduced rows above it, which depend only on the prefix, so each
+    matrix's leads are those of its own row reduction.  When row i reduces
+    to zero, `_leading_columns` returns None without reading later rows,
+    so all of the prefix's completions are rank deficient, counted at once.
+
+    The last row is reduced column by column (`walk`), all candidates
+    that agree on the columns read so far together.  `_reduce` finds the
+    row's first nonzero column j; if j is a reduced row's lead, it
+    subtracts the multiple of that row which clears column j.  That row is
+    zero left of its lead, so the columns already read stay zero, and
+    column j, when read, holds its entry minus sum(f_l * reduced[l][j])
+    over the leads l < j, each factor f_l fixed when column l was read.
+    So the multiple subtracted at column j depends only on the entries of
+    columns < j.  At column j:
+    - not a lead: a value that the subtracted multiple does not cancel
+      leaves a nonzero entry that no reduced row can clear, so the row's
+      final lead is j and `_reduce` reads no later column: all
+      completions of the later columns share it, prod(len(choices[-1][k])
+      for k > j) of them, counted at once.  The one value that cancels, if
+      drawable, continues;
+    - a lead: every value continues, with factor (value - subtracted) /
+      reduced[j][j] (zero when it cancels).  When every later column takes
+      all of Z/p, each later non-lead column cancels exactly one of its
+      values whatever was subtracted, so the values all count alike: they
+      continue as one walk of weight len(choices[-1][j]) times its own.
+    A candidate that continues past the last column reduces to zero: rank
+    deficient.
     """
-    height = len(choices)
-    completions = [1] * (height + 1)  # completions[i]: rows i.. drawn
-    for i in reversed(range(height)):
-        completions[i] = completions[i + 1] * len(choices[i])
     counts: Counter = Counter()
+    if not choices:
+        counts[()] = 1  # the one 0 x w matrix has full rank
+        return counts
+    *upper, last = choices
+    width = len(last)
+    # after[j]: the completions of the last row's columns past j; free[j]:
+    # each of those columns takes all of Z/p
+    after, free = [1] * width, [True] * width
+    for j in reversed(range(width - 1)):
+        size = len(last[j + 1])
+        after[j] = after[j + 1] * size
+        free[j] = free[j + 1] and size == p
+    rows = [list(itertools.product(*row)) for row in upper]
+    completions = [after[0] * len(last[0]) if width else 1]
+    for candidates in reversed(rows):
+        completions.append(completions[-1] * len(candidates))
+    completions.reverse()  # completions[i]: rows i.. drawn
+    inverse = [0] + [pow(a, -1, p) for a in range(1, p)]
     reduced: dict[int, Sequence[int]] = {}
     leads: list[int] = []
 
+    def walk(j: int, subtracted: Sequence[int], weight: int, prefix: tuple) -> None:
+        # subtracted[k]: sum(f_l * reduced[l][k]) over the leads l < j,
+        # shared by `weight` candidates
+        while j < width:
+            values = last[j]
+            w = reduced.get(j)
+            if w is not None and free[j]:
+                weight *= len(values)
+                j += 1
+                continue
+            s = subtracted[j] % p
+            if w is not None:
+                scale = inverse[w[j]]
+                for c in values:
+                    f = (c - s) * scale % p
+                    walk(
+                        j + 1,
+                        [a + f * b for a, b in zip(subtracted, w)] if f else subtracted,
+                        weight,
+                        prefix,
+                    )
+                return
+            cancels = s in values
+            if len(values) > cancels:
+                counts[(*prefix, j)] += (len(values) - cancels) * weight * after[j]
+            if not cancels:
+                return
+            j += 1
+        counts[None] += weight
+
     def descend(i: int) -> None:
-        if i == height:
-            counts[tuple(leads)] += 1
+        if i == len(rows):
+            walk(0, [0] * width, 1, tuple(leads))
             return
-        for row in choices[i]:
+        for row in rows[i]:
             v, lead = _reduce(row, reduced, p)
             if lead is None:
                 counts[None] += completions[i + 1]
@@ -269,8 +338,7 @@ def _fraction_sweep(
     total = p ** (height * width)
     if total > budget:
         raise ResourceLimit(f"{total} matrices exceeds the budget of {budget}")
-    vectors = list(itertools.product(range(p), repeat=width))
-    counts = _state_counts(p, [vectors] * height, ordered)
+    counts = _state_counts(p, [[range(p)] * width] * height, ordered)
     return {k: Fraction(v, total) for k, v in counts.items()}
 
 
@@ -301,7 +369,7 @@ def _prepend_law(
     if _leading_columns(matrix) is None:
         raise ValueError("matrix must have full rank")
     p = matrix.p
-    choices = [[(c, *row) for c in range(p)] for row in matrix.rows]
+    choices = [[range(p), *((e,) for e in row)] for row in matrix.rows]
     counts = _state_counts(p, choices, ordered)
     assert None not in counts  # prepending preserves full rank
     total = p**matrix.height

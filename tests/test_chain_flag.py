@@ -15,6 +15,7 @@ from jugglechain.chain import (
 from jugglechain.errors import CapTooSmall
 from jugglechain.flagchain import (
     _flag_inflow,
+    _word_inversions,
     _word_law,
     _word_step,
     _word_walks,
@@ -312,6 +313,15 @@ class TestWordKernel:
             (2, 3, 1): Fraction(1, 2),
             (1, 3, 2): Fraction(1, 2),
         }
+
+    @pytest.mark.parametrize(
+        "labels", [(1, 2, 3, 4), (1, 1, 2, 2), (1, 1, 2, 2, 3)], ids=str
+    )
+    def test_memoised_inversions(self, labels):
+        _word_inversions.cache_clear()
+        for _ in range(2):  # computed, then read back from the cache
+            for word in distinct_permutations(labels):
+                assert _word_inversions(word) == word_inversions(word)
 
 
 class TestStationaryWeight:

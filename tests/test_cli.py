@@ -133,8 +133,41 @@ class TestDensity:
         assert code == 0
         assert out.splitlines()[0] == "mu,empirical,predicted,absdiff"
 
+    def test_short_run_burns_in_half_its_steps(self, capsys):
+        # --steps at most the default burn-in, --burnin omitted: steps // 2,
+        # the same table and config trailer as asking for it
+        args = ["density", "--E", "0.1", "--empirical", "--balls", "64",
+                "--steps", "20000", "--seed", "7"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == run_cli(capsys, *args, "--burnin", "10000")[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--empirical", "--balls", "8", "--steps", "20001"],
+            ["--mu-max", "1", "--step", "0.5", "--steps", "10"],
+        ],
+        ids=["long-run", "curve"],
+    )
+    def test_omitted_burnin_is_the_default(self, capsys, argv):
+        # a long run, and a curve that samples nothing, keep 20,000
+        args = ["density", "--E", "0.1", *argv, "--seed", "3"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == run_cli(capsys, *args, "--burnin", "20000")[1]
+
 
 class TestSimulateAndDigraph:
+    @pytest.mark.parametrize(
+        "steps, burnin", [("1000", "500"), ("1001", "1000")], ids=["short", "long"]
+    )
+    def test_omitted_burnin(self, capsys, steps, burnin):
+        args = ["simulate", "--balls", "2", "--q", "2", "--steps", steps, "--seed", "1"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == run_cli(capsys, *args, "--burnin", burnin)[1]
+
     def test_simulate_deterministic(self, capsys):
         args = [
             "simulate", "--balls", "2", "--q", "2", "--steps", "20000",

@@ -10,6 +10,8 @@ from jugglechain.errors import ResourceLimit
 from jugglechain.flagchain import flag_backward_dist
 from jugglechain.fqoracle import (
     FqMatrix,
+    _lead_counts,
+    _leading_columns,
     column_prepend_dist,
     coarse_flag_pivot_state,
     enumerate_matrices,
@@ -395,3 +397,40 @@ class TestPerMatrixReference:
                     tuple((s, Fraction(c, p**b)) for s, c in counts.items())
                 )
                 assert law(matrix) == expected
+
+
+def mixed_choices(b, w, p, rng, budget=1500):
+    """Per-entry value sets for a b x w matrix, at most `budget` matrices in
+    all: free (all of Z/p), fixed (one value) or, for p > 2, partial (a
+    proper subset of two or more values, such as {0, 2}), each in a random
+    order.
+    Entries are drawn in a random order, each of a size that still fits."""
+    choices = [[None] * w for _ in range(b)]
+    entries = [(i, j) for i in range(b) for j in range(w)]
+    rng.shuffle(entries)
+    total = 1
+    for i, j in entries:
+        partial = rng.randrange(2, p) if p > 2 else 1
+        size = rng.choice([s for s in (p, 1, partial) if total * s <= budget])
+        choices[i][j] = rng.sample(range(p), size)
+        total *= size
+    return choices
+
+
+class TestLeadCounts:
+    """`_lead_counts` on mixed value sets against `_leading_columns` of
+    every matrix of the explicit product of rows."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("w", range(6))
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_mixed_value_sets(self, b, w, p):
+        rng = random.Random(1000 * p + 10 * b + w)
+        for _ in range(4):
+            choices = mixed_choices(b, w, p, rng)
+            rows = [list(itertools.product(*row)) for row in choices]
+            expected = Counter()
+            for matrix_rows in itertools.product(*rows):
+                leads = _leading_columns(FqMatrix(p, matrix_rows))
+                expected[None if leads is None else tuple(leads)] += 1
+            assert _lead_counts(p, choices) == expected
