@@ -206,10 +206,14 @@ def _resolve_burnin(args, default: int, sampling: bool = True) -> None:
     it is `default`, or steps // 2 when a sampling run has at most
     `default` steps.  A run that samples nothing keeps `default` unchecked:
     its --burnin only feeds the config hash."""
-    if args.burnin is None:
+    omitted = args.burnin is None
+    if omitted:
         halve = sampling and args.steps <= default
         args.burnin = args.steps // 2 if halve else default
     if sampling and args.burnin >= args.steps:
+        # an omitted --burnin is below any --steps but 0
+        if omitted:
+            raise _FlagError(f"--steps must be at least 1, got {args.steps}")
         raise _FlagError(
             f"--burnin ({args.burnin}) must be below --steps ({args.steps})"
         )

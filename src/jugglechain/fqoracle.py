@@ -11,8 +11,16 @@ depth first, so the reduction of a prefix of rows is done
 once and shared by every matrix that starts with it.  The last row is
 reduced column by column: its lead is fixed at the first column whose
 entry survives the reduction and no reduced row can clear, so all of its
-completions past that column are counted at once.  Each matrix is still
-classified exactly as its own reduction classifies it.
+completions past that column are counted at once.
+
+When column 0 takes all of Z/p in every row, as in every sweep and every
+column-prepend law, a row's column-0 values 1..p-1 count alike while no
+row above leads at column 0, so only the value 1 is enumerated, weighted
+p - 1.  The rows above are then zero in column 0, and multiplying column 0
+by a unit u keeps every northwest rank, hence every lead tuple, while it
+fixes the rows above and maps a row's value c, with all of its
+completions, one to one onto the value u*c.  Each matrix is still
+counted exactly as its own reduction classifies it.
 """
 from __future__ import annotations
 
@@ -167,8 +175,26 @@ def _lead_counts(
       all of Z/p, each later non-lead column cancels exactly one of its
       values whatever was subtracted, so the values all count alike: they
       continue as one walk of weight len(choices[-1][j]) times its own.
+      The first value continues in this walk and each other value in a
+      walk of its own, so a fixed entry costs no call.
     A candidate that continues past the last column reduces to zero: rank
     deficient.
+
+    Column-0 scaling: when column 0 takes all of Z/p in every row and 0 is
+    no reduced row's lead as row i is drawn, row i's candidates with
+    column-0 value c != 0 count as those with value 1, so `descend`
+    enumerates the values 0 and 1 only, the value 1 weighted p - 1, and
+    that weight multiplies every count of its subtree.  Proof:
+    - the reduced rows have distinct leads, none at column 0, and span what
+      the rows above span, so every row above is zero in column 0;
+    - multiplying column 0 by a unit u is an invertible column operation
+      within every left-j submatrix, so it keeps every northwest rank and,
+      by `_leading_columns`, every lead tuple;
+    - it fixes the rows above, maps row i's value c to u*c and permutes the
+      column-0 values of each later row, which range over all of Z/p, so
+      it maps the matrices whose row i has value c one to one onto those
+      whose row i has value u*c, with the same leads;
+    - u = 1/c maps every c != 0 to 1.
     """
     counts: Counter = Counter()
     if not choices:
@@ -184,6 +210,10 @@ def _lead_counts(
         after[j] = after[j + 1] * size
         free[j] = free[j + 1] and size == p
     rows = [list(itertools.product(*row)) for row in upper]
+    # column-0 scaling (see above) needs column 0 to take all of Z/p in
+    # every row; scaled[i]: row i's candidates with column-0 value 0 or 1
+    scalable = width > 0 and all(len(row[0]) == p for row in choices)
+    scaled = [[r for r in rs if r[0] < 2] for rs in rows] if scalable else rows
     completions = [after[0] * len(last[0]) if width else 1]
     for candidates in reversed(rows):
         completions.append(completions[-1] * len(candidates))
@@ -205,7 +235,7 @@ def _lead_counts(
             s = subtracted[j] % p
             if w is not None:
                 scale = inverse[w[j]]
-                for c in values:
+                for c in values[1:]:
                     f = (c - s) * scale % p
                     walk(
                         j + 1,
@@ -213,7 +243,11 @@ def _lead_counts(
                         weight,
                         prefix,
                     )
-                return
+                f = (values[0] - s) * scale % p
+                if f:
+                    subtracted = [a + f * b for a, b in zip(subtracted, w)]
+                j += 1
+                continue
             cancels = s in values
             if len(values) > cancels:
                 counts[(*prefix, j)] += (len(values) - cancels) * weight * after[j]
@@ -222,22 +256,24 @@ def _lead_counts(
             j += 1
         counts[None] += weight
 
-    def descend(i: int) -> None:
+    def descend(i: int, weight: int) -> None:
         if i == len(rows):
-            walk(0, [0] * width, 1, tuple(leads))
+            walk(0, [0] * width, weight, tuple(leads))
             return
-        for row in rows[i]:
+        scaling = scalable and 0 not in reduced
+        for row in scaled[i] if scaling else rows[i]:
+            share = weight * (p - 1) if scaling and row[0] else weight
             v, lead = _reduce(row, reduced, p)
             if lead is None:
-                counts[None] += completions[i + 1]
+                counts[None] += share * completions[i + 1]
                 continue
             reduced[lead] = v
             leads.append(lead)
-            descend(i + 1)
+            descend(i + 1, share)
             leads.pop()
             del reduced[lead]
 
-    descend(0)
+    descend(0, 1)
     return counts
 
 

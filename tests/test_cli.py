@@ -300,7 +300,8 @@ class TestSimulateAndDigraph:
         assert "-x,1,1/4,1/4,pass" in out
 
 
-# whole tables of three oracle sweeps, pinned byte for byte
+# whole tables of four oracle sweeps, pinned byte for byte (p = 5 weights a
+# column-0 subtree by p - 1 = 4, the largest weight)
 ORACLE_GOLDEN = {
     "flag": (
         ["--balls", "3", "--width", "3", "--p", "2", "--flag"],
@@ -331,6 +332,15 @@ ORACLE_GOLDEN = {
         "xx,432,16/27,16/27,pass\n"
         "<rank-deficient>,105,35/243,-,-\n"
         "# jugglechain {version} seed=- config=5792dc96ca5c\n",
+    ),
+    "plain-p5": (
+        ["--balls", "2", "--width", "3", "--p", "5"],
+        "state,count,fraction,formula,match\n"
+        "-xx,480,96/3125,96/3125,pass\n"
+        "x-x,2400,96/625,96/625,pass\n"
+        "xx,12000,96/125,96/125,pass\n"
+        "<rank-deficient>,745,149/3125,-,-\n"
+        "# jugglechain {version} seed=- config=e8389d3bf226\n",
     ),
 }
 
@@ -670,6 +680,19 @@ class TestBadFlags:
             "--burnin", "20",
         )
         assert "--burnin" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--balls", "2", "--q", "2"],
+            ["density", "--E", "0.1", "--empirical", "--balls", "8", "--seed", "7"],
+        ],
+        ids=["simulate", "density"],
+    )
+    def test_no_steps_without_burnin(self, capsys, argv):
+        # the omitted --burnin is not the user's to fix: name --steps alone
+        line = bad_flags(capsys, *argv, "--steps", "0")
+        assert "--steps" in line and "--burnin" not in line
 
     def test_series_negative_degree(self, capsys):
         line = bad_flags(capsys, "series", "--degree", "-1")

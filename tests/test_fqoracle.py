@@ -282,20 +282,25 @@ class TestColumnPrepend:
         with pytest.raises(ValueError):
             column_prepend_dist(FqMatrix(2, ((0, 0), (0, 1))))
 
-    @pytest.mark.parametrize("p", [2, 3])
+    # (height, width) of the shapes checked whole; p = 5 weights a column-0
+    # subtree by p - 1 = 4, the largest weight
+    EVERYWHERE = {2: [(2, 3)], 3: [(2, 3)], 5: [(2, 2), (1, 4)]}
+
+    @pytest.mark.parametrize("p", sorted(EVERYWHERE))
     def test_matches_chains_everywhere(self, p):
         coin = CoinConfig(Fraction(p))
-        checked = 0
-        for m in enumerate_matrices(2, 3, p):
-            plain = pivot_state(m)
-            if plain is None:
-                continue
-            checked += 1
-            assert column_prepend_dist(m) == backward_dist(plain, coin)
-            assert flag_column_prepend_dist(m) == flag_backward_dist(
-                flag_pivot_state(m), coin
-            )
-        assert checked > 0
+        for b, w in self.EVERYWHERE[p]:
+            checked = 0
+            for m in enumerate_matrices(b, w, p):
+                plain = pivot_state(m)
+                if plain is None:
+                    continue
+                checked += 1
+                assert column_prepend_dist(m) == backward_dist(plain, coin)
+                assert flag_column_prepend_dist(m) == flag_backward_dist(
+                    flag_pivot_state(m), coin
+                )
+            assert checked > 0
 
 
 # every (b, w, p) with at most 5,000 matrices, empty shapes included
@@ -417,6 +422,17 @@ def mixed_choices(b, w, p, rng, budget=1500):
     return choices
 
 
+def leading_column_counts(p, choices):
+    """`_leading_columns` of every matrix of the explicit product of rows,
+    counted by lead tuple (None: rank deficient)."""
+    rows = [list(itertools.product(*row)) for row in choices]
+    counts = Counter()
+    for matrix_rows in itertools.product(*rows):
+        leads = _leading_columns(FqMatrix(p, matrix_rows))
+        counts[None if leads is None else tuple(leads)] += 1
+    return counts
+
+
 class TestLeadCounts:
     """`_lead_counts` on mixed value sets against `_leading_columns` of
     every matrix of the explicit product of rows."""
@@ -428,9 +444,25 @@ class TestLeadCounts:
         rng = random.Random(1000 * p + 10 * b + w)
         for _ in range(4):
             choices = mixed_choices(b, w, p, rng)
-            rows = [list(itertools.product(*row)) for row in choices]
-            expected = Counter()
-            for matrix_rows in itertools.product(*rows):
-                leads = _leading_columns(FqMatrix(p, matrix_rows))
-                expected[None if leads is None else tuple(leads)] += 1
-            assert _lead_counts(p, choices) == expected
+            assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_column_zero_scaling(self, b, p):
+        # column 0 all of Z/p in every row: the column-0 values 1..p-1 of a
+        # row count alike, so only 1 is drawn, weighted p - 1.  One row's
+        # column 0 limited to {0, 2}: the rule must not apply
+        rng = random.Random(100 * p + b)
+        for w in range(1, 5):
+            for _ in range(3):
+                rest = mixed_choices(b, w - 1, p, rng, budget=2000 // p**b)
+                full = [[rng.sample(range(p), p), *row] for row in rest]
+                assert _lead_counts(p, full) == leading_column_counts(p, full)
+                for limited in range(b):
+                    choices = [
+                        [(0, 2), *row[1:]] if i == limited else row
+                        for i, row in enumerate(full)
+                    ]
+                    assert _lead_counts(p, choices) == (
+                        leading_column_counts(p, choices)
+                    )
