@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .series import sn
 
 
@@ -103,15 +103,15 @@ def ball_density(e: float, mu: float) -> float:
 def density_curve(
     e: float, mu_max: float, step: float
 ) -> list[tuple[float, float]]:
-    """Sampled (mu, density) rows for plotting; row 0 is (0, 1-E)."""
+    """Sampled (mu, density) rows for plotting; row 0 is (0, 1-E).
+    ResourceLimit when the row count is not finite or exceeds the
+    enumeration budget."""
     if step <= 0:
         raise DomainError("step must be positive")
-    rows = []
-    n = int(math.floor(mu_max / step + 1e-9))
-    for i in range(n + 1):
-        mu = i * step
-        rows.append((mu, ball_density(e, mu)))
-    return rows
+    # floor division keeps an infinite quotient a float (NaN), for the guard
+    rows = (mu_max / step + 1e-9) // 1 + 1
+    check_budget(rows, "density row")
+    return [(i * step, ball_density(e, i * step)) for i in range(int(rows))]
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def empirical_density(
 ) -> list[DensityComparison]:
     """Simulate the plain chain at q = E^(-1/b) and compare the occupancy
     frequency of each position h < ceil(mu_max * b), at mu = h / b, with
-    the closed-form density.
+    the closed-form density.  ResourceLimit when the ceil(mu_max * b) rows
+    are not finite or exceed the enumeration budget.
 
     Step t draws u and the move k with P(k >= j) = E^(j/b); the state
     after it is sampled when burnin <= t < steps.  Every plain move puts
@@ -156,7 +157,8 @@ def empirical_density(
     rng = random.Random(seed)
     heads = e ** (1.0 / balls)
     log_heads = math.log(heads)
-    hmax = int(math.ceil(mu_max * balls))
+    check_budget(mu_max * balls, "density row")
+    hmax = math.ceil(mu_max * balls)
     # occupancy[h] is the prefix sum of starts[0..h]: a lifetime adds one
     # range of positions, clipped to the sampled steps and to [0, hmax)
     starts = [0] * (hmax + 1)

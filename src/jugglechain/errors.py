@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one bound on how
+much an exhaustive enumeration may list."""
+
+# the most matrices, states, sequences or table rows one call may list
+ENUMERATION_BUDGET = 2_000_000
 
 
 class JuggleError(Exception):
@@ -19,7 +23,14 @@ class InvalidPattern(JuggleError):
 
 
 class ResourceLimit(JuggleError):
-    """An exhaustive enumeration would exceed its configured budget."""
+    """An exhaustive enumeration would exceed ENUMERATION_BUDGET."""
+
+
+def check_budget(total: float, what: str) -> None:
+    """Raise ResourceLimit unless listing `total` items (`what` names them)
+    stays within ENUMERATION_BUDGET; a NaN or infinite total is refused."""
+    if not total <= ENUMERATION_BUDGET:
+        raise ResourceLimit(f"{what} enumeration exceeds budget")
 
 
 class CapTooSmall(JuggleError):
@@ -27,7 +38,7 @@ class CapTooSmall(JuggleError):
 
 
 class NonTermination(JuggleError):
-    """A branch of a supposedly finite process exceeded its step budget."""
+    """A branch of a supposedly finite process ran past its proven length."""
 
 
 class DomainError(JuggleError):

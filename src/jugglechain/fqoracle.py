@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .chain import TransitionDist
-from .errors import ResourceLimit
+from .errors import check_budget
 from .flagchain import group_prefactor
 from .states import (
     Cell,
@@ -76,13 +76,9 @@ class FqMatrix:
         )
 
 
-def enumerate_matrices(
-    height: int, width: int, p: int, budget: int = 2_000_000
-) -> Iterator[FqMatrix]:
+def enumerate_matrices(height: int, width: int, p: int) -> Iterator[FqMatrix]:
     """All p^(b*N) matrices, columns varying lexicographically."""
-    total = p ** (height * width)
-    if total > budget:
-        raise ResourceLimit(f"{total} matrices exceeds the budget of {budget}")
+    check_budget(p ** (height * width), "matrix")
     column_space = list(itertools.product(range(p), repeat=height))
     for cols in itertools.product(column_space, repeat=width):
         # zip over no columns gives no rows: width 0 has b empty ones
@@ -363,38 +359,31 @@ def formula_group_fraction(
 
 
 def _fraction_sweep(
-    height: int,
-    width: int,
-    p: int,
-    ordered: Optional[Sequence[int]],
-    budget: int,
+    height: int, width: int, p: int, ordered: Optional[Sequence[int]]
 ) -> dict:
     """Fraction of all height x width matrices over Z/p by state: plain
     when `ordered` is None, else row i labeled ordered[i]."""
     total = p ** (height * width)
-    if total > budget:
-        raise ResourceLimit(f"{total} matrices exceeds the budget of {budget}")
+    check_budget(total, "matrix")
     counts = _state_counts(p, [[range(p)] * width] * height, ordered)
     return {k: Fraction(v, total) for k, v in counts.items()}
 
 
 def pivot_fraction_sweep(
-    b: int, n: int, p: int, budget: int = 2_000_000
+    b: int, n: int, p: int
 ) -> dict[Optional[JugglingState], Fraction]:
     """Fraction of b x N matrices by pivot state (None = rank deficient)."""
-    return _fraction_sweep(b, n, p, None, budget)
+    return _fraction_sweep(b, n, p, None)
 
 
-def flag_fraction_sweep(
-    b: int, w: int, p: int, budget: int = 2_000_000
-) -> dict[Optional[FlagState], Fraction]:
-    return _fraction_sweep(b, w, p, range(1, b + 1), budget)
+def flag_fraction_sweep(b: int, w: int, p: int) -> dict[Optional[FlagState], Fraction]:
+    return _fraction_sweep(b, w, p, range(1, b + 1))
 
 
 def group_fraction_sweep(
-    labels: Sequence[int], w: int, p: int, budget: int = 2_000_000
+    labels: Sequence[int], w: int, p: int
 ) -> dict[Optional[FlagState], Fraction]:
-    return _fraction_sweep(len(labels), w, p, sorted(labels), budget)
+    return _fraction_sweep(len(labels), w, p, sorted(labels))
 
 
 def _prepend_law(

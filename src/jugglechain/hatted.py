@@ -145,25 +145,25 @@ def _same(state: MixedState) -> MixedState:
 HATTED = Sampler(hatted_backward_step, _same, _same)
 
 
-def composed_backward_dist(
-    state: FlagState, coin: CoinConfig, step_budget: int | None = None
-) -> TransitionDist:
+def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     """Start at an unhatted state, run the hatted chain backward, and stop
     at the next unhatted state; the stopped law must equal the flag
     chain's one-step law.
 
-    Each step moves the hat one cell left, so every branch takes exactly
-    len(cells) + 2 steps; exceeding the budget signals a convention bug.
+    Entering puts the hat past the last of the len(cells) cells, each
+    later step moves it one cell left, and the step from cell 0 removes
+    it: every branch takes exactly len(cells) + 2 steps.  So each runs
+    that many, and a branch still hatted after them (a convention bug)
+    raises NonTermination.
     """
-    if step_budget is None:
-        step_budget = len(state.cells) + 4
+    steps = len(state.cells) + 2
 
     def until_unhatted(current: MixedState, coin: CoinConfig, rng: FlipSource):
-        for _ in range(step_budget + 1):
+        for _ in range(steps):
             current = hatted_backward_step(current, coin, rng)
-            if isinstance(current, FlagState):
-                return current
-        raise NonTermination(f"branch exceeded {step_budget} steps")
+        if isinstance(current, FlagState):
+            return current
+        raise NonTermination(f"branch still hatted after {steps} steps")
 
     return step_law(until_unhatted, state, coin)
 

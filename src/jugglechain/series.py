@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ResourceLimit
+from . import errors
+from .errors import ResourceLimit, check_budget
 from .states import (
     flag_states_with_inversions,
     inversions,
@@ -23,8 +24,6 @@ from .states import (
 )
 
 DEFAULT_DEGREE = 24
-# the most states an enumerated series may list
-ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,12 @@ class TruncSeries:
 
 
 def _count_levels(
-    level: Callable[[int], Iterable], degree: int, budget: int, what: str
+    level: Callable[[int], Iterable], degree: int, what: str
 ) -> TruncSeries:
     """Count the items of level(0), ..., level(degree); raises ResourceLimit
-    as soon as the running total exceeds `budget`, so no level is consumed
-    past it."""
+    as soon as the running total exceeds the enumeration budget, so no
+    level is consumed past it."""
+    budget = errors.ENUMERATION_BUDGET
     counts = []
     total = 0
     for k in range(degree + 1):
@@ -109,24 +109,19 @@ def _count_levels(
         for _ in level(k):
             total += 1
             if total > budget:
-                raise ResourceLimit(f"{what} enumeration exceeds budget")
+                check_budget(total, what)
         counts.append(total - before)
     return TruncSeries(tuple(counts))
 
 
-def check_enumeration_budget(
-    balls: int, degree: int, budget: int = ENUMERATION_BUDGET
-) -> None:
+def check_enumeration_budget(balls: int, degree: int) -> None:
     """Raise ResourceLimit when enumerating the b-ball states or the flag
-    states with labels 1..b up to `degree` inversions would exceed
-    `budget`, from the closed-form counts, before any enumeration.  Both
-    counts grow with b, so this also refuses a sweep over b = 1..balls."""
-    for what, closed in (
-        ("state", state_partition_series(balls, degree)),
-        ("flag state", flag_series(balls, degree)),
-    ):
-        if sum(closed.coeffs) > budget:
-            raise ResourceLimit(f"{what} enumeration exceeds budget")
+    states with labels 1..b up to `degree` inversions would exceed the
+    enumeration budget, from the closed-form counts, before any
+    enumeration.  Both counts grow with b, so this also refuses a sweep
+    over b = 1..balls."""
+    check_budget(sum(state_partition_series(balls, degree).coeffs), "state")
+    check_budget(sum(flag_series(balls, degree).coeffs), "flag state")
 
 
 def _count_by_inversions(
@@ -173,12 +168,11 @@ def state_partition_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
 
 
 def state_partition_series_enumerated(
-    balls: int, degree: int = DEFAULT_DEGREE, budget: int = ENUMERATION_BUDGET
+    balls: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
-    """The same series by exhaustive state enumeration, degree by degree."""
-    return _count_levels(
-        lambda k: states_with_inversions(balls, k), degree, budget, "state"
-    )
+    """The same series by exhaustive state enumeration, degree by degree;
+    ResourceLimit once it lists more states than the enumeration budget."""
+    return _count_levels(lambda k: states_with_inversions(balls, k), degree, "state")
 
 
 def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
@@ -186,13 +180,12 @@ def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     return sn_series(1, degree) ** -balls
 
 
-def flag_series_enumerated(
-    balls: int, degree: int = DEFAULT_DEGREE, budget: int = ENUMERATION_BUDGET
-) -> TruncSeries:
-    """Sum of x^inversions over flag states with labels 1..b, enumerated."""
+def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
+    """Sum of x^inversions over flag states with labels 1..b, enumerated;
+    ResourceLimit once it lists more states than the enumeration budget."""
     labels = tuple(range(1, balls + 1))
     return _count_levels(
-        lambda k: flag_states_with_inversions(labels, k), degree, budget, "flag state"
+        lambda k: flag_states_with_inversions(labels, k), degree, "flag state"
     )
 
 

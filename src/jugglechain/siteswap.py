@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidPattern, ParseError, ResourceLimit
+from .errors import InvalidPattern, ParseError, check_budget
 from .states import JugglingState, throw_state
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -101,22 +101,19 @@ def is_valid(sw: Siteswap) -> bool:
         return False
 
 
-def count_patterns(length: int, max_balls: int, budget: int = 5_000_000) -> int:
+def count_patterns(length: int, max_balls: int) -> int:
     """Count throw sequences of the given length that form a pattern with
     at most `max_balls` balls, by brute force over throws in [0, n*b].
 
     The count always comes out to (max_balls + 1) ** length; the
     enumeration is the independent check of that formula.  Sequences are
-    counted linearly, not up to cyclic rotation.
+    counted linearly, not up to cyclic rotation.  ResourceLimit when the
+    (n*b + 1)^n sequences exceed the enumeration budget.
     """
     if length < 1 or max_balls < 0:
         raise ValueError("need length >= 1 and max_balls >= 0")
     top = length * max_balls
-    total_sequences = (top + 1) ** length
-    if total_sequences > budget:
-        raise ResourceLimit(
-            f"{total_sequences} sequences exceeds the budget of {budget}"
-        )
+    check_budget((top + 1) ** length, "sequence")
     count = 0
     for throws in itertools.product(range(top + 1), repeat=length):
         if sum(throws) > length * max_balls:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import jugglechain.errors as errors
 from jugglechain.asymptotics import (
     _density_rows,
     ball_density,
@@ -16,7 +17,7 @@ from jugglechain.asymptotics import (
     prob_ratio,
 )
 from jugglechain.chain import CoinConfig, _plain_step, stationary_weight
-from jugglechain.errors import DomainError
+from jugglechain.errors import DomainError, ResourceLimit
 from jugglechain.series import sn
 from jugglechain.states import states_up_to_inversions
 
@@ -218,6 +219,19 @@ class TestDensityCurve:
         assert rows[0.5] > 0.99
         assert rows[3.0] < 0.01
 
+    @pytest.mark.parametrize(
+        "mu_max,step", [(2.0, 1e-6), (1e308, 1e-308), (math.nan, 0.1)]
+    )
+    def test_oversized_table_refused(self, mu_max, step):
+        with pytest.raises(ResourceLimit, match="density row enumeration"):
+            density_curve(0.1, mu_max, step)
+
+    def test_budget_is_exact(self, monkeypatch):
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 100)
+        assert len(density_curve(0.1, 0.99, 0.01)) == 100
+        with pytest.raises(ResourceLimit):
+            density_curve(0.1, 1.0, 0.01)
+
 
 class TestEmpiricalDensity:
     def test_matches_closed_form(self):
@@ -246,6 +260,22 @@ class TestEmpiricalDensity:
         )
         assert len(rows) == 3 * balls
         assert [r.mu for r in rows] == [h / balls for h in range(3 * balls)]
+
+    @pytest.mark.parametrize(
+        "balls,mu_max", [(64, 1e308), (1_000_000, 1e7), (1000, 2000.001)]
+    )
+    def test_oversized_table_refused(self, balls, mu_max):
+        with pytest.raises(ResourceLimit, match="density row enumeration"):
+            empirical_density(
+                balls=balls, e=0.1, mu_max=mu_max, steps=10, burnin=0, seed=1
+            )
+
+    def test_budget_is_exact(self, monkeypatch):
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 100)
+        kwargs = dict(balls=10, e=0.1, steps=10, burnin=0, seed=1)
+        assert len(empirical_density(mu_max=10.0, **kwargs)) == 100
+        with pytest.raises(ResourceLimit):
+            empirical_density(mu_max=10.01, **kwargs)
 
     def test_seed_determinism(self):
         kwargs = dict(balls=32, e=0.3, mu_max=1.5, steps=20_000, burnin=2_000, seed=3)

@@ -768,8 +768,26 @@ class TestBadFlags:
             (["oracle", "--balls", "4", "--width", "6", "--p", "3"], "budget"),
             (["series", "--perm-max", "9"], "capped at n = 8"),
             (["series", "--grassmann-max", "13"], "capped at h = 12"),
+            (
+                ["density", "--E", "0.1", "--empirical", "--balls", "64",
+                 "--mu-max", "1e308", "--steps", "10"],
+                "density row enumeration exceeds budget",
+            ),
+            (
+                ["density", "--E", "0.1", "--mu-max", "1e308", "--step", "1e-308"],
+                "density row enumeration exceeds budget",
+            ),
+            (
+                ["density", "--E", "0.1", "--empirical", "--balls", "1000000",
+                 "--mu-max", "10000000", "--steps", "10"],
+                "density row enumeration exceeds budget",
+            ),
         ],
-        ids=["oracle-matrices", "series-perm-max", "series-grassmann-max"],
+        ids=[
+            "oracle-matrices", "series-perm-max", "series-grassmann-max",
+            "density-empirical-infinite-rows", "density-infinite-rows",
+            "density-empirical-rows",
+        ],
     )
     def test_oversized_request(self, capsys, argv, message):
         line = bad_flags(capsys, *argv)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from jugglechain.chain import CoinConfig
+import jugglechain.hatted as hatted_module
+from jugglechain.chain import CoinConfig, step_law
 from jugglechain.errors import NonTermination
 from jugglechain.flagchain import flag_backward_dist, flag_forward_edges
 from jugglechain.hatted import (
@@ -134,9 +135,26 @@ class TestComposition:
                 state, Q3
             ), str(state)
 
-    def test_budget_guard(self):
+    @pytest.mark.parametrize(
+        "labels", [(1, 2, 3), (1, 1, 2), (1, 1, 2, 2), (1, 2, 3, 4)]
+    )
+    def test_every_branch_takes_len_plus_two_steps(self, labels):
+        def steps_to_unhat(current, coin, rng):
+            for taken in range(1, 2 * len(current.cells) + 5):
+                current = hatted_backward_step(current, coin, rng)
+                if isinstance(current, FlagState):
+                    return taken
+            pytest.fail("branch never unhatted")
+
+        for state in flag_states_up_to_inversions(labels, 5):
+            law = step_law(steps_to_unhat, state, Q3)
+            assert [n for n, _ in law.entries] == [len(state.cells) + 2], str(state)
+
+    def test_budget_guard(self, monkeypatch):
+        stuck = hatted("12", 1)
+        monkeypatch.setattr(hatted_module, "hatted_backward_step", lambda *_: stuck)
         with pytest.raises(NonTermination):
-            composed_backward_dist(parse_flag_state("12"), Q2, step_budget=1)
+            composed_backward_dist(parse_flag_state("12"), Q2)
 
 
 class TestPathEquivalence:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jugglechain.errors as errors
 import jugglechain.series as series
 from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
@@ -154,8 +155,9 @@ class TestFlagSeries:
 
 
 class TestEnumerationBudget:
-    def test_level_is_not_consumed_past_the_budget(self):
+    def test_level_is_not_consumed_past_the_budget(self, monkeypatch):
         budget, drawn = 10, 0
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", budget)
 
         def level(k):
             nonlocal drawn
@@ -166,7 +168,7 @@ class TestEnumerationBudget:
                 yield k
 
         with pytest.raises(ResourceLimit, match="toy enumeration exceeds budget"):
-            _count_levels(level, 3, budget, "toy")
+            _count_levels(level, 3, "toy")
         assert drawn == budget + 1
 
     @pytest.mark.parametrize(
@@ -177,11 +179,13 @@ class TestEnumerationBudget:
         ],
         ids=["state", "flag"],
     )
-    def test_budget_is_exact(self, enumerated, closed):
+    def test_budget_is_exact(self, monkeypatch, enumerated, closed):
         total = sum(closed(3, 10).coeffs)
-        assert enumerated(3, 10, budget=total) == closed(3, 10)
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total)
+        assert enumerated(3, 10) == closed(3, 10)
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total - 1)
         with pytest.raises(ResourceLimit):
-            enumerated(3, 10, budget=total - 1)
+            enumerated(3, 10)
 
     def test_oversized_sweep_refused_before_enumerating(self, monkeypatch):
         def never(*args):
@@ -192,8 +196,9 @@ class TestEnumerationBudget:
         check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):
             check_enumeration_budget(6, 40)  # 9,366,819 flag states
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 90_000)
         with pytest.raises(ResourceLimit, match="^state enumeration"):
-            check_enumeration_budget(9, 40, budget=90_000)  # 94,760 states
+            check_enumeration_budget(9, 40)  # 94,760 states
 
 
 class TestPoincare:
