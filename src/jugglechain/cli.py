@@ -27,13 +27,14 @@ from .chain import (
     tv_distance,
     verify_stationarity,
 )
-from .errors import JuggleError, ParseError, ResourceLimit
+from .errors import JuggleError, ParseError, ResourceLimit, check_budget
 from .flagchain import (
     FLAG,
     flag_backward_dist,
     flag_forward_edges,
     flag_stationarity_holds,
     flag_stationary_weight,
+    label_groups,
 )
 from .fqoracle import (
     formula_group_fraction,
@@ -44,6 +45,7 @@ from .fqoracle import (
 from .rng import ChainRng
 from .series import (
     DEFAULT_DEGREE,
+    TruncSeries,
     bundle_factorization_holds,
     check_enumeration_budget,
     flag_series,
@@ -52,6 +54,7 @@ from .series import (
     grassmannian_series_enumerated,
     perm_inversion_series,
     perm_series_closed,
+    sn_series,
     state_partition_series,
     state_partition_series_enumerated,
 )
@@ -259,12 +262,20 @@ def cmd_dist(args) -> int:
 
 
 def cmd_stationary_check(args) -> int:
-    coin = CoinConfig(args.q)
+    coin, k = CoinConfig(args.q), args.max_inversions
+    # refuse an oversized sweep before enumerating anything: b!/prod m_g! label
+    # words for group sizes m_g, and states counted by 1/prod sn_series(m_g)
     if args.labels:
-        states = flag_states_up_to_inversions(args.labels, args.max_inversions)
+        sizes = [size for _, size in label_groups(args.labels)]
+        words = math.factorial(len(args.labels)) // math.prod(map(math.factorial, sizes))
+        check_budget(words, "label word")
+        flags = math.prod((sn_series(m, k) for m in sizes), start=TruncSeries.one(k))
+        check_budget(sum(flags.inverse().coeffs), "flag state")
+        states = flag_states_up_to_inversions(args.labels, k)
         check, weight = flag_stationarity_holds, flag_stationary_weight
     else:
-        states = states_up_to_inversions(args.balls, args.max_inversions)
+        check_budget(sum(state_partition_series(args.balls, k).coeffs), "state")
+        states = states_up_to_inversions(args.balls, k)
         check, weight = verify_stationarity, stationary_weight
     rows = []
     all_ok = True

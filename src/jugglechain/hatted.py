@@ -28,14 +28,13 @@ entering and leaving are the identity.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
 from .chain import CoinConfig, FlipSource, Sampler, TransitionDist, step_law
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
-from .states import Cell, FlagState, _unchecked_flag, render_flag, trim_cells
+from .states import Cell, FlagState, _unchecked_flag
 
 
 @dataclass(frozen=True)
@@ -80,23 +79,6 @@ def _unchecked_hatted(cells: tuple[Cell, ...], hat: int) -> HattedState:
 
 
 MixedState = Union[FlagState, HattedState]
-
-
-def _make_hatted(cells: tuple[Cell, ...], hat: int) -> HattedState:
-    if not cells or cells[-1] is None:
-        cells = trim_cells(cells)
-    if hat > len(cells):
-        raise ValueError(f"hat {hat} beyond trimmed word {render_flag(cells)}")
-    return HattedState(cells, hat)
-
-
-def _swapped(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
-    """Exchange cells i and i+1, materializing the implicit empty when
-    i + 1 == len(cells)."""
-    padded = cells + (None,) if i + 1 == len(cells) else cells
-    out = list(padded)
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
 
 
 def hatted_backward_dist(state: MixedState, coin: CoinConfig) -> TransitionDist:
@@ -174,10 +156,11 @@ def hatted_forward_edges(state: MixedState) -> list[MixedState]:
 
     From an unhatted state: hat position 0.  From a hatted state: remove
     the hat when it sits just past the last label; otherwise always swap
-    the hatted cell one step right (the hat traveling with it), and
-    additionally jump the hat one step right with cells fixed when the
-    hatted cell is a label and the next cell is strictly larger (empty
-    counting as +infinity).
+    the hatted cell a with its right neighbour c (an empty past the last
+    label), the hat traveling with a, and additionally move only the hat
+    when a is a label and c is strictly larger (empty = +infinity).  The
+    exchange slices the two cells back in swapped; only carrying an empty
+    past the last label empties the last cell, and that cell is trimmed.
     """
     if isinstance(state, FlagState):
         return [HattedState(state.cells, 0)]
@@ -186,46 +169,42 @@ def hatted_forward_edges(state: MixedState) -> list[MixedState]:
         return [FlagState(cells)]
     edges: list[MixedState] = []
     a = cells[i]
-    nxt = cells[i + 1] if i + 1 < len(cells) else None
-    if a is not None and (nxt is None or a < nxt):
-        edges.append(_make_hatted(cells, i + 1))
-    edges.append(_make_hatted(_swapped(cells, i), i + 1))
+    c = cells[i + 1] if i + 1 < len(cells) else None
+    if a is not None and (c is None or a < c):
+        edges.append(HattedState(cells, i + 1))
+    if a is None and i + 2 == len(cells):
+        edges.append(HattedState(cells[:i] + (c,), i + 1))
+    else:
+        edges.append(HattedState(cells[:i] + (c, a) + cells[i + 2 :], i + 1))
     return edges
 
 
-def hatted_path_exists(
-    source: FlagState, target: FlagState, max_extent: int
-) -> bool:
+def hatted_path_exists(source: FlagState, target: FlagState) -> bool:
     """Is there a directed path source -> ... -> target through hatted
     states only?
 
-    The hat moves strictly right along any such path, so the search is
-    finite once words longer than max_extent are pruned.
+    Every edge between hatted states moves the hat exactly one cell right.
+    A path enters at the source's cells hatted at 0 and leaves from the
+    target's cells hatted at len(target.cells), so it takes exactly that
+    many hatted steps: expand the set reachable in k steps that many
+    times, then test membership once.
     """
-    goal = HattedState(target.cells, len(target.cells))
-    start = HattedState(source.cells, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        if current == goal:
-            return True
-        for nxt in hatted_forward_edges(current):
-            if isinstance(nxt, FlagState):
-                continue  # paths must stay inside hatted states
-            if len(nxt.cells) > max_extent or nxt in seen:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
+    frontier = {HattedState(source.cells, 0)}
+    for _ in range(len(target.cells)):
+        frontier = {
+            nxt
+            for current in frontier
+            for nxt in hatted_forward_edges(current)
+            if isinstance(nxt, HattedState)  # paths stay inside hatted states
+        }
+    return HattedState(target.cells, len(target.cells)) in frontier
 
 
-def path_equivalence_check(
-    source: FlagState, target: FlagState, max_drop: int
-) -> tuple[bool, bool]:
+def path_equivalence_check(source: FlagState, target: FlagState) -> tuple[bool, bool]:
     """(flag digraph has edge source -> target, hatted path exists); the
-    two verdicts should always agree."""
-    flag_edge = any(
-        tr.target == target for tr in flag_forward_edges(source, max_drop)
-    )
-    return flag_edge, hatted_path_exists(source, target, max_drop + 2)
+    two verdicts should always agree.  Every drop of an edge into target
+    puts a label on one of its cells, so drops up to len(target.cells) - 1
+    list every edge into it."""
+    drops = len(target.cells) - 1
+    flag_edge = any(tr.target == target for tr in flag_forward_edges(source, drops))
+    return flag_edge, hatted_path_exists(source, target)

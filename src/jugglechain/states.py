@@ -314,11 +314,33 @@ def state_count_by_inversions(balls: int, count: int) -> int:
 
 
 def distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    seen = set()
-    for perm in itertools.permutations(items):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
+    """Each distinct ordering of `items` once, in the order itertools.permutations
+    first yields it: each distinct value by first appearance, followed by each
+    ordering of the items left once that value's first copy is removed."""
+    items = tuple(items)
+    if len(items) < 2:
+        yield items
+        return
+    for value in dict.fromkeys(items):
+        i = items.index(value)
+        for rest in distinct_permutations(items[:i] + items[i + 1 :]):
+            yield (value,) + rest
+
+
+def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
+    """The flag states over `labels` with each inversion count in `counts`
+    in turn; the label words are listed once for all of them."""
+    words: dict[int, list[tuple[int, ...]]] = {}
+    for word in distinct_permutations(sorted(labels)):
+        words.setdefault(word_inversions(word), []).append(word)
+    for count in counts:
+        for plain_inv in range(count + 1):
+            fills = words.get(count - plain_inv)
+            if not fills:
+                continue
+            for state in states_with_inversions(len(labels), plain_inv):
+                for fill in fills:
+                    yield flag_from_parts(state.positions, fill)
 
 
 def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[FlagState]:
@@ -329,24 +351,11 @@ def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[F
     + (inversions among the label word), so enumerate plain states first
     and fill in label arrangements.
     """
-    labels = tuple(sorted(labels))
-    b = len(labels)
-    arrangements: dict[int, list[tuple[int, ...]]] = {}
-    for perm in distinct_permutations(labels):
-        inv = word_inversions(perm)
-        arrangements.setdefault(inv, []).append(perm)
-    for plain_inv in range(count + 1):
-        fills = arrangements.get(count - plain_inv)
-        if not fills:
-            continue
-        for state in states_with_inversions(b, plain_inv):
-            for fill in fills:
-                yield flag_from_parts(state.positions, fill)
+    return _flag_states(labels, range(count, count + 1))
 
 
 def flag_states_up_to_inversions(labels: Sequence[int], max_count: int) -> Iterator[FlagState]:
-    for k in range(max_count + 1):
-        yield from flag_states_with_inversions(labels, k)
+    return _flag_states(labels, range(max_count + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,9 +8,13 @@ from pathlib import Path
 import pytest
 
 import jugglechain
-from jugglechain import cli
+from jugglechain import cli, errors
 from jugglechain.cli import main
-from jugglechain.states import parse_flag_state
+from jugglechain.states import (
+    flag_states_up_to_inversions,
+    parse_flag_state,
+    states_up_to_inversions,
+)
 
 
 def run_cli(capsys, *argv):
@@ -782,11 +787,22 @@ class TestBadFlags:
                  "--mu-max", "10000000", "--steps", "10"],
                 "density row enumeration exceeds budget",
             ),
+            (
+                ["stationary-check", "--balls", "60", "--q", "2",
+                 "--max-inversions", "60"],
+                "state enumeration exceeds budget",
+            ),
+            (
+                ["stationary-check", "--labels", "1,2,3,4,5,6,7,8,9,10",
+                 "--q", "2", "--max-inversions", "1"],
+                "label word enumeration exceeds budget",
+            ),
         ],
         ids=[
             "oracle-matrices", "series-perm-max", "series-grassmann-max",
             "density-empirical-infinite-rows", "density-infinite-rows",
-            "density-empirical-rows",
+            "density-empirical-rows", "stationary-check-states",
+            "stationary-check-label-words",
         ],
     )
     def test_oversized_request(self, capsys, argv, message):
@@ -817,3 +833,59 @@ class TestBadFlags:
         monkeypatch.setattr(cli, "state_partition_series_enumerated", enumerated)
         line = bad_flags(capsys, "series", "--partition-max", "9", "--degree", "40")
         assert "flag state enumeration exceeds budget" in line
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # 6,639,349 states
+            (["--balls", "60", "--max-inversions", "60"], "state"),
+            # 10! = 3,628,800 label words
+            (["--labels", "1,2,3,4,5,6,7,8,9,10", "--max-inversions", "1"],
+             "label word"),
+            # 10,678,615 flag states: the 10 label words fit the budget
+            (["--labels", "1,1,1,1,1,1,1,1,1,2", "--max-inversions", "60"],
+             "flag state"),
+        ],
+        ids=["plain", "label-words", "flag-states"],
+    )
+    def test_oversized_stationary_sweep(self, capsys, monkeypatch, argv, message):
+        # the sweep is refused from the closed-form counts, before any
+        # state is listed
+        def enumerated(*args, **kwargs):
+            pytest.fail("enumerated before refusing the sweep")
+
+        monkeypatch.setattr(cli, "states_up_to_inversions", enumerated)
+        monkeypatch.setattr(cli, "flag_states_up_to_inversions", enumerated)
+        line = bad_flags(capsys, "stationary-check", "--q", "2", *argv)
+        assert line.endswith(f"error: {message} enumeration exceeds budget")
+
+    @pytest.mark.parametrize(
+        "labels,k",
+        [((1, 1, 2), 4), ((1, 2, 3), 5), ((1, 1, 2, 2), 6), ((1, 1, 1, 2, 3), 5),
+         ((2, 2, 2), 7)],
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_stationary_sweep_budget_is_exact(self, capsys, monkeypatch, labels, k):
+        # the closed-form counts equal the enumerated ones: a budget of
+        # exactly the label words (at 0 inversions, one state), then of the
+        # flag states up to k inversions, runs; one less is refused
+        argv = ["stationary-check", "--labels", ",".join(map(str, labels)), "--q", "2"]
+        words = len(set(itertools.permutations(labels)))
+        states = sum(1 for _ in flag_states_up_to_inversions(labels, k))
+        for total, what, inv in [(words, "label word", 0), (states, "flag state", k)]:
+            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total)
+            assert main([*argv, "--max-inversions", str(inv)]) == 0
+            capsys.readouterr()
+            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total - 1)
+            line = bad_flags(capsys, *argv, "--max-inversions", str(inv))
+            assert line.endswith(f"error: {what} enumeration exceeds budget")
+
+    def test_plain_stationary_sweep_budget_is_exact(self, capsys, monkeypatch):
+        argv = ["stationary-check", "--balls", "4", "--q", "2", "--max-inversions", "8"]
+        states = sum(1 for _ in states_up_to_inversions(4, 8))
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states - 1)
+        line = bad_flags(capsys, *argv)
+        assert line.endswith("error: state enumeration exceeds budget")

@@ -77,6 +77,17 @@ class TestForwardEdges:
                         assert back.probability(src) > 0, (str(src), str(dst))
 
 
+    @pytest.mark.parametrize("labels", [(1, 2), (1, 1, 2), (1, 2, 3)])
+    def test_hatted_edges_move_the_hat_one_cell_right(self, labels):
+        # the premise of hatted_path_exists' fixed path length
+        for base in flag_states_up_to_inversions(labels, 5):
+            for h in range(len(base.cells)):
+                for dst in hatted_forward_edges(HattedState(base.cells, h)):
+                    assert isinstance(dst, HattedState), str(base)
+                    assert dst.hat == h + 1 and dst.cells[-1] is not None
+                    assert sorted(filter(None, dst.cells)) == list(labels)
+
+
 class TestBackwardStep:
     def test_unhatted_enters_deterministically(self):
         out = hatted_backward_step(parse_flag_state("3-21"), Q2, ScriptedRng([]))
@@ -160,20 +171,20 @@ class TestComposition:
 class TestPathEquivalence:
     def test_empty_front_edge(self):
         assert path_equivalence_check(
-            parse_flag_state("-21"), parse_flag_state("21"), 8
+            parse_flag_state("-21"), parse_flag_state("21")
         ) == (True, True)
 
     def test_carry_to_the_end(self):
         assert path_equivalence_check(
-            parse_flag_state("3-21"), parse_flag_state("-213"), 8
+            parse_flag_state("3-21"), parse_flag_state("-213")
         ) == (True, True)
 
     def test_non_edge(self):
         assert path_equivalence_check(
-            parse_flag_state("3-21"), parse_flag_state("1-23"), 8
+            parse_flag_state("3-21"), parse_flag_state("1-23")
         ) == (False, False)
 
-    @pytest.mark.parametrize("labels", [[1], [1, 2]])
+    @pytest.mark.parametrize("labels", [[1], [1, 2], [1, 1, 2], [1, 2, 3]])
     def test_exhaustive_small(self, labels):
         # every pair of states over the multiset within a window of 5 cells
         seen = set()
@@ -185,12 +196,14 @@ class TestPathEquivalence:
                 trimmed = trimmed[:-1]
             seen.add(trimmed)
         states = [FlagState(t) for t in sorted(seen, key=str)]
-        assert len(states) == (5 if labels == [1] else 20)
+        counts = {(1,): 5, (1, 2): 20, (1, 1, 2): 30, (1, 2, 3): 60}
+        assert len(states) == counts[tuple(labels)]
         for src in states:
             flag_targets = {
                 tr.target for tr in flag_forward_edges(src, 8)
             }
             for dst in states:
-                assert (dst in flag_targets) == hatted_path_exists(
-                    src, dst, 10
-                ), (str(src), str(dst))
+                assert (dst in flag_targets) == hatted_path_exists(src, dst), (
+                    str(src),
+                    str(dst),
+                )

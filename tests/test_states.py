@@ -1,18 +1,22 @@
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jugglechain.states as states_module
 from jugglechain.errors import IllegalThrow, ParseError
 from jugglechain.hatted import HattedState
 from jugglechain.states import (
     FlagState,
     JugglingState,
+    distinct_permutations,
     erase_labels,
     flag_from_parts,
     flag_inversions,
+    flag_states_up_to_inversions,
     flag_states_with_inversions,
     forward_edges,
     ground_state,
@@ -260,6 +264,35 @@ class TestEnumeration:
         for state in flag_states_with_inversions((1, 1, 2), 5):
             assert flag_inversions(state) == 5
             assert state.labels == (1, 1, 2)
+
+    def test_distinct_permutations_keep_first_appearance_order(self, monkeypatch):
+        # the reference deduplicates itertools.permutations in order of first
+        # appearance; the recursion yields the same words in the same order
+        # without walking all b! orders
+        rng = random.Random(2)
+        multisets = [
+            [rng.randint(1, 4) for _ in range(rng.randint(0, 7))] for _ in range(300)
+        ]
+        expected = [list(dict.fromkeys(itertools.permutations(m))) for m in multisets]
+
+        def walked(*args):
+            pytest.fail("walked every order")
+
+        monkeypatch.setattr(itertools, "permutations", walked)
+        for items, words in zip(multisets, expected):
+            assert list(distinct_permutations(items)) == words, items
+
+    def test_label_words_listed_once_per_sweep(self, monkeypatch):
+        # 1,1,2 has three words; a table per inversion level would count 18
+        counted = []
+        real = states_module.word_inversions
+        monkeypatch.setattr(
+            states_module,
+            "word_inversions",
+            lambda word: counted.append(word) or real(word),
+        )
+        assert sum(1 for _ in flag_states_up_to_inversions((1, 1, 2), 5)) == 34
+        assert len(counted) == 3
 
 
 class TestWindowDuality:
