@@ -8,7 +8,11 @@ outcomes are exactly the digraph predecessors of the state.
 
 The stationary distribution assigns a state weight
 prefactor * q^-inversions with prefactor = (1-q^-1)...(1-q^-b).  The
-transition laws are exact rationals, summed over one integer denominator.
+exact one-step laws are built on inner states, as integer numerators over
+one denominator per law (with q = a/c, the move law is over a^b), and a
+`TransitionDist` is made once, at the public boundary, without re-checking
+what the builder proves (`_unchecked_dist`).  `step_law` and the public
+`TransitionDist(...)` keep every check and stay the reference.
 Stationarity is checked exactly too: the inflow into a state over its own
 weight is a sum of integer monomials in x = 1/q that does not depend on q,
 evaluated for one q in integers alone.
@@ -24,8 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Protocol
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from .series import sn
 from .states import JugglingState, _unchecked_state, inversions
@@ -194,23 +198,57 @@ def step_law(step, state, coin: CoinConfig) -> TransitionDist:
     )
 
 
+def _unchecked_dist(
+    numerators: Iterable[tuple[object, int]], den: int
+) -> TransitionDist:
+    """The law with probability n/den at each (state, n) of `numerators`,
+    built without `TransitionDist.__post_init__`: for inner law builders
+    whose outcomes are distinct, whose numerators are positive and sum to
+    `den`, by proof.
+
+    Those three facts are what the checked constructor tests, so the law
+    is the one it would build: its entries sorted by the text of their
+    states, each probability a reduced `Fraction`.  Within one law the
+    text is distinct as the states are (each state class renders
+    injectively, and a law's outcomes share one class and one ball count
+    or label multiset), so the stable sort by text alone gives the
+    checked order.
+    """
+    keyed = sorted([(str(s), s, n) for s, n in numerators], key=itemgetter(0))
+    dist = object.__new__(TransitionDist)
+    object.__setattr__(
+        dist, "entries", tuple([(s, Fraction(n, den)) for _, s, n in keyed])
+    )
+    return dist
+
+
 @lru_cache(maxsize=256)
-def _move_law(b: int, coin: CoinConfig) -> tuple[Fraction, ...]:
-    """P(k) for the plain move k = 0..b of one step on b balls: k leading
-    heads then tails (k < b) has probability (1 - 1/q) q^-k; all b heads
-    has probability q^-b."""
-    p = coin.heads_probability
-    return tuple([(1 - p) * p**k for k in range(b)] + [p**b])
+def _move_law(b: int, coin: CoinConfig) -> tuple[tuple[int, ...], int]:
+    """P(k) for the plain move k = 0..b of one step on b balls, as integer
+    numerators over one denominator a^b, q = a/c: k leading heads then
+    tails (k < b) has probability (1 - 1/q) q^-k = (a - c) c^k a^(b-1-k) /
+    a^b, and all b heads has c^b / a^b.  Every numerator is positive
+    (a > c >= 1), and they sum to a^b: (a - c) sum_k c^k a^(b-1-k) is
+    a^b - c^b."""
+    a, c = coin.q.numerator, coin.q.denominator
+    nums = [(a - c) * c**k * a ** (b - 1 - k) for k in range(b)]
+    nums.append(c**b)
+    return tuple(nums), a**b
 
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: b+1 outcomes, the move k with probability
-    `_move_law`."""
-    return TransitionDist(
-        tuple(
-            (JugglingState(_plain_step(state.positions, k)), prob)
-            for k, prob in enumerate(_move_law(state.balls, coin))
-        )
+    `_move_law`.
+
+    The outcomes are distinct: a move k < b puts a ball at 0 and leaves
+    out the shifted (k+1)-th last ball, a different one for each k, and
+    k = b leaves 0 empty.  They are strictly increasing naturals
+    (`PLAIN`), so the law is built unchecked (`_unchecked_dist`)."""
+    nums, den = _move_law(len(state.positions), coin)
+    positions = state.positions
+    return _unchecked_dist(
+        [(_unchecked_state(_plain_step(positions, k)), n) for k, n in enumerate(nums)],
+        den,
     )
 
 

@@ -12,9 +12,11 @@ are passed over, so the all-equal case collapses to the plain chain.  The
 sampler `FLAG` steps (positions, word) pairs, the positions by the plain
 kernel and the word by `_word_step`, and refills the cells only when a
 flag state is asked for; `flag_backward_step` is one step of it.  The
-exact law is the plain move law P(k) times the word law W_k, memoised per
-word; the sampler run on every flip sequence (`chain.step_law`) is the
-reference the tests compare it with.
+exact law is the plain move law P(k) times the word law W_k, both integer
+numerators over one denominator: W_k is memoised per (word, k), and its
+product with the move law per word, so a state's law is b + 1 plain moves
+and one flag state per outcome.  The sampler run on every flip sequence
+(`chain.step_law`) is the reference the tests compare it with.
 
 Forward edges: a plain throw t, with the final drop at t - 1, times the
 front label's walks over the labels left of it (`_word_walks`).
@@ -43,6 +45,7 @@ from .chain import (
     _leading_heads,
     _move_law,
     _plain_step,
+    _unchecked_dist,
     step_law,
 )
 from .errors import CapTooSmall
@@ -211,12 +214,60 @@ def flag_backward_step(
 @lru_cache(maxsize=4096)
 def _word_law(
     word: tuple[int, ...], k: int, coin: CoinConfig
-) -> Mapping[tuple[int, ...], Fraction]:
+) -> tuple[Mapping[tuple[int, ...], int], int]:
     """W_k(word, .): the exact law of `_word_step` after the plain move k,
-    by `step_law`.  Many states share a word, so it is memoised, and every
-    caller shares the one read-only mapping."""
-    law = step_law(lambda w, coin, rng: _word_step(w, k, coin, rng), word, coin)
-    return MappingProxyType(law.as_dict())
+    as integer numerators over one denominator a^(b-1), q = a/c, with b
+    labels.  Many states share a word, so it is memoised, and every caller
+    shares the one read-only mapping.
+
+    The carried label walks left over the labels before it, as in
+    `_word_step`, all branches at once: a branch is the labels passed so
+    far and the label held, and equal branches merge.  At a label below
+    the held one, heads (c of a) passes it and tails (a - c) puts the held
+    label down and carries that one on; any other label is passed, all a
+    of the weight.  The walk covers b - 1 - k labels, each multiplying the
+    denominator by a, and it starts at a^k, so every branch is over
+    a^(b-1).  The move k = b keeps the word, with all of the weight.
+    `step_law` of `_word_step` is the same law; the tests compare the two.
+    """
+    a, c = coin.q.numerator, coin.q.denominator
+    top = a ** (len(word) - 1)
+    moved = len(word) - 1 - k
+    if moved < 0:
+        return MappingProxyType({word: top}), top
+    branches = {((), word[moved]): a**k}
+    for label in reversed(word[:moved]):
+        grown: dict = {}
+        for (passed, held), n in branches.items():
+            kept = ((label,) + passed, held)
+            if label < held:
+                swapped = ((held,) + passed, label)
+                grown[kept] = grown.get(kept, 0) + n * c
+                grown[swapped] = grown.get(swapped, 0) + n * (a - c)
+            else:
+                grown[kept] = grown.get(kept, 0) + n * a
+        branches = grown
+    law: dict = {}
+    after = word[moved + 1 :]
+    for (passed, held), n in branches.items():
+        outcome = (held,) + passed + after
+        law[outcome] = law.get(outcome, 0) + n
+    return MappingProxyType(law), top
+
+
+@lru_cache(maxsize=4096)
+def _flag_law(
+    word: tuple[int, ...], coin: CoinConfig
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """P(k) W_k(word, w') for every move k, as integer numerators over one
+    denominator a^b a^(b-1): per move k, the pairs (w', numerator).  It
+    depends on the word alone, so it is memoised per (word, coin)."""
+    moves, den = _move_law(len(word), coin)
+    laws = []
+    for k, move in enumerate(moves):
+        law, top = _word_law(word, k, coin)
+        laws.append(tuple([(w, move * n) for w, n in law.items()]))
+    return tuple(laws), den * top
 
 
 @lru_cache(maxsize=4096)
@@ -229,21 +280,29 @@ def _word_inversions(word: tuple[int, ...]) -> int:
 
 def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: the plain move k with probability P(k)
-    (`chain._move_law`), times the word law W_k (`_word_law`).
+    (`chain._move_law`), times the word law W_k (`_word_law`), in integers
+    over one denominator (`_flag_law`).
 
     `flag_backward_step` draws k first and then flips only inside
-    `_word_step`, so each outcome's probability is the product.  Distinct
-    moves leave distinct positions, so no outcome is counted twice.
+    `_word_step`, so each outcome's probability is the product.  The law
+    is built unchecked (`chain._unchecked_dist`), as it may be:
+    - distinct moves leave distinct positions (`chain.backward_dist`), and
+      one move's words are the distinct keys of W_k, so no outcome is
+      listed twice;
+    - every P(k) and every listed W_k numerator is positive;
+    - the numerators sum to the denominator, as sum_k P(k) sum_w' W_k = 1;
+    - each outcome is a valid flag state (`_flag_leave`).
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
-    from the sampler; the tests compare the two.
+    from the sampler and checked; the tests compare the two.
     """
     positions, word = _flag_enter(state)
+    laws, den = _flag_law(word, coin)
     entries = []
-    for k, move in enumerate(_move_law(len(word), coin)):
+    for k, law in enumerate(laws):
         after = _plain_step(positions, k)
-        for outcome, prob in _word_law(word, k, coin).items():
-            entries.append((_flag_leave((after, outcome)), move * prob))
-    return TransitionDist(tuple(entries))
+        for outcome, n in law:
+            entries.append((_flag_leave((after, outcome)), n))
+    return _unchecked_dist(entries, den)
 
 
 def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:
@@ -281,7 +340,8 @@ def _flag_inflow(
     A successor fills the plain successor after a throw t with a word w'
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
     It comes back by the plain move k = b - 1 - m and then `_word_step`,
-    with probability P_k * W_k(w', w) (W_k from `_word_law`), and its
+    with probability P_k * W_k(w', w) (W_k from `_word_law`, an integer
+    numerator over its denominator), and its
     weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
     The word part does not depend on t, so the inflow is the sum over k of
     plain_k * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the
@@ -298,9 +358,10 @@ def _flag_inflow(
     for k, monomials in _inflow_by_move(_unchecked_state(positions), max_throw).items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
         for source in sources:
-            law = _word_law(source, k, coin).get(word)
-            if law:
-                n, d, shift = law.numerator, law.denominator, _word_inversions(source)
+            law, d = _word_law(source, k, coin)
+            n = law.get(word)
+            if n:
+                shift = _word_inversions(source)
                 terms.extend([(coef * n, d, e + shift) for coef, e in monomials])
     return _at_q(terms, coin)
 

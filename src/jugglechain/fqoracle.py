@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .chain import TransitionDist
+from .chain import TransitionDist, _unchecked_dist
 from .errors import check_budget
 from .flagchain import group_prefactor
 from .states import (
     Cell,
     FlagState,
     JugglingState,
+    _unchecked_flag,
+    _unchecked_state,
     flag_inversions,
     inversions,
 )
@@ -274,18 +276,23 @@ def _lead_counts(
 
 
 def _state(
-    leads: Sequence[int], ordered: Optional[Sequence[int]]
+    leads: Sequence[int], ordered: Optional[Sequence[int]], checked: bool = True
 ) -> JugglingState | FlagState:
     """The state of a full-rank lead tuple: the sorted leads when
-    `ordered` is None, else row i's label ordered[i] placed at its lead."""
+    `ordered` is None, else row i's label ordered[i] placed at its lead.
+    With `checked` False it is built without the constructor's checks, for
+    callers whose labels are positive by proof (the leads always are
+    distinct naturals: `_leading_columns` keys each reduced row by its
+    lead)."""
     if ordered is None:
-        return JugglingState(tuple(sorted(leads)))
+        positions = tuple(sorted(leads))
+        return JugglingState(positions) if checked else _unchecked_state(positions)
     if not ordered:  # no flag state has zero labels
         raise ValueError("a labeled state needs at least one row")
     cells: list[Cell] = [None] * (max(leads) + 1)
     for lead, label in zip(leads, ordered):
         cells[lead] = label
-    return FlagState(tuple(cells))
+    return FlagState(tuple(cells)) if checked else _unchecked_flag(tuple(cells))
 
 
 def _state_counts(
@@ -390,17 +397,28 @@ def _prepend_law(
     matrix: FqMatrix, ordered: Optional[Sequence[int]]
 ) -> TransitionDist:
     """Law of the state of `matrix` (as in `_fraction_sweep`) after
-    prepending a uniformly random column."""
+    prepending a uniformly random column, `ordered` None or the labels
+    1..height.
+
+    It is built unchecked (`chain._unchecked_dist`), each state as well
+    (`_state`):
+    - prepending keeps full rank, so each of the p^height columns leaves a
+      lead tuple of distinct naturals, which sorted are a plain state's
+      strictly increasing positions; labeled, each lead's cell holds a
+      positive label, and the last cell, at the largest lead, bears one;
+    - states are merged in a Counter, so they are distinct, and each count
+      is positive;
+    - `_lead_counts` classifies every one of the p^height matrices once,
+      so the counts sum to the denominator p^height.
+    """
     if _leading_columns(matrix) is None:
         raise ValueError("matrix must have full rank")
     p = matrix.p
     choices = [[range(p), *((e,) for e in row)] for row in matrix.rows]
-    counts = _state_counts(p, choices, ordered)
-    assert None not in counts  # prepending preserves full rank
-    total = p**matrix.height
-    return TransitionDist(
-        tuple((s, Fraction(c, total)) for s, c in counts.items())
-    )
+    counts: Counter = Counter()
+    for leads, count in _lead_counts(p, choices).items():
+        counts[_state(leads, ordered, checked=False)] += count
+    return _unchecked_dist(counts.items(), p**matrix.height)
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:

@@ -18,20 +18,31 @@ Backward step (normative; each step flips at most one coin):
 
 Composing steps from an unhatted state until the next unhatted state
 reproduces the flag chain's one-step law exactly; that equality is the
-contract this module is tested against.  Both the one-step and the
-composed laws are `hatted_backward_step` run on every flip sequence it can
-draw (`chain.step_law`), so the move rule is written once.  The step reads
-two cells, slices an exchange back in, and builds its successor without
-re-checking it (`_unchecked_hatted`); its docstring says why that is safe.
+contract this module is tested against.  The one-step law is
+`hatted_backward_step` run on every flip sequence it can draw
+(`chain.step_law`).  The composed law propagates the same step level by
+level, in integers over one denominator, with equal states merged at each
+level rather than each branch replayed to its leaf.  So the move rule is
+written once.  The step reads two cells, slices an exchange back in, and
+builds its successor without re-checking it (`_unchecked_hatted`); its
+docstring says why that is safe.
 As a `chain.Sampler` (`HATTED`) it steps the mixed states themselves, so
 entering and leaving are the identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
-from .chain import CoinConfig, FlipSource, Sampler, TransitionDist, step_law
+from .chain import (
+    CoinConfig,
+    FlipSource,
+    Sampler,
+    TransitionDist,
+    _unchecked_dist,
+    step_law,
+)
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
 from .states import Cell, FlagState, _unchecked_flag
@@ -101,6 +112,12 @@ def hatted_backward_step(
     exchange can empty the last cell, when c is an empty and a the last
     label; that one cell is trimmed, and the hat stays on a.  (A hat past
     the last label always has a label left of it, so that branch flips.)
+
+    It flips at most one coin, of probability 1/q: the one `rng.heads`
+    call, with `coin.heads_probability`, is on the branch of a hat at
+    i > 0 with a label c < a to its left, no loop surrounds it, and every
+    other branch returns without flipping.  `composed_backward_dist`
+    rests on this.
     """
     if isinstance(state, FlagState):
         return _unchecked_hatted(state.cells, len(state.cells))
@@ -127,6 +144,27 @@ def _same(state: MixedState) -> MixedState:
 HATTED = Sampler(hatted_backward_step, _same, _same)
 
 
+class _OneFlip:
+    """A flip source of the hatted steps in `composed_backward_dist`: it
+    answers one flip with `value` and records that it was asked, and the
+    caller clears `asked` before each step.  A second flip in one step, or
+    a coin other than the chain's, raises ValueError: the law's weights
+    rest on one flip of probability 1/q per step at most."""
+
+    __slots__ = ("value", "probability", "asked")
+
+    def __init__(self, value: bool, probability: Fraction) -> None:
+        self.value, self.probability, self.asked = value, probability, False
+
+    def heads(self, probability: Fraction) -> bool:
+        if self.asked or (
+            probability is not self.probability and probability != self.probability
+        ):
+            raise ValueError("a hatted step flips at most one coin, of probability 1/q")
+        self.asked = True
+        return self.value
+
+
 def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     """Start at an unhatted state, run the hatted chain backward, and stop
     at the next unhatted state; the stopped law must equal the flag
@@ -134,20 +172,47 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
 
     Entering puts the hat past the last of the len(cells) cells, each
     later step moves it one cell left, and the step from cell 0 removes
-    it: every branch takes exactly len(cells) + 2 steps.  So each runs
-    that many, and a branch still hatted after them (a convention bug)
-    raises NonTermination.
+    it: every branch takes exactly len(cells) + 2 steps.  So the law is
+    propagated level by level for that many steps, as integer numerators
+    over a^level, q = a/c, equal states merged at each level.  Each state
+    steps once with a source answering heads (`_OneFlip`); when the step
+    asked for a flip, that outcome takes c of its weight and a second
+    step, answering tails, takes a - c; otherwise the one outcome takes
+    all a.  That is exact because each hatted step flips at most one coin
+    (`hatted_backward_step`).  A state still hatted after the last level
+    (a convention bug) raises NonTermination.
+
+    The law is then built unchecked (`chain._unchecked_dist`): its states
+    are the distinct keys of the last level, every numerator is a product
+    of positive factors c, a - c and a, each level's numerators sum to
+    a^level since each state's shares sum to a, and every state is valid
+    (`hatted_backward_step`).  `step_law` run on the composed steps is the
+    checked reference the tests compare it with.
     """
     steps = len(state.cells) + 2
-
-    def until_unhatted(current: MixedState, coin: CoinConfig, rng: FlipSource):
-        for _ in range(steps):
-            current = hatted_backward_step(current, coin, rng)
-        if isinstance(current, FlagState):
-            return current
-        raise NonTermination(f"branch still hatted after {steps} steps")
-
-    return step_law(until_unhatted, state, coin)
+    a, c = coin.q.numerator, coin.q.denominator
+    step = hatted_backward_step
+    heads = _OneFlip(True, coin.heads_probability)
+    tails = _OneFlip(False, coin.heads_probability)
+    level: dict = {state: 1}
+    for _ in range(steps):
+        grown: dict = {}
+        for current, n in level.items():
+            heads.asked = False
+            out = step(current, coin, heads)
+            if heads.asked:
+                grown[out] = grown.get(out, 0) + n * c
+                tails.asked = False
+                out = step(current, coin, tails)
+                n *= a - c
+            else:
+                n *= a
+            grown[out] = grown.get(out, 0) + n
+        level = grown
+    for out in level:
+        if not isinstance(out, FlagState):
+            raise NonTermination(f"branch still hatted after {steps} steps")
+    return _unchecked_dist(level.items(), a**steps)
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:

@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Sequence
 from . import errors
 from .errors import ResourceLimit, check_budget
 from .states import (
-    flag_states_with_inversions,
+    _flag_level,
+    _label_words,
     inversions,
     states_with_inversions,
     window_states,
@@ -183,10 +184,8 @@ def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
 def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated;
     ResourceLimit once it lists more states than the enumeration budget."""
-    labels = tuple(range(1, balls + 1))
-    return _count_levels(
-        lambda k: flag_states_with_inversions(labels, k), degree, "flag state"
-    )
+    words = _label_words(range(1, balls + 1), degree)  # listed once per call
+    return _count_levels(lambda k: _flag_level(words, balls, k), degree, "flag state")
 
 
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:

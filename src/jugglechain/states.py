@@ -198,12 +198,19 @@ def _unchecked_flag(cells: tuple[Cell, ...]) -> FlagState:
     return state
 
 
+# the one-character token of each cell whose label is below 10
+_SHORT_TOKENS = {None: "-", **{label: str(label) for label in range(10)}}
+
+
 def render_flag(cells: Sequence[Cell]) -> str:
     """Cells as text: contiguous digits when every label is < 10, else
-    space-separated decimal tokens.  '-' marks an empty cell."""
-    if any(c is not None and c >= 10 for c in cells):
+    space-separated decimal tokens.  '-' marks an empty cell.  Laws sort
+    their states by this text, so the short form is one lookup per cell;
+    a label of 10 or more has no short token and falls to the long form."""
+    try:
+        return "".join([_SHORT_TOKENS[c] for c in cells])
+    except KeyError:
         return " ".join("-" if c is None else str(c) for c in cells)
-    return "".join("-" if c is None else str(c) for c in cells)
 
 
 def parse_flag_state(text: str) -> FlagState:
@@ -327,20 +334,71 @@ def distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (value,) + rest
 
 
+def _extend_words(
+    prefix: tuple[int, ...],
+    rest: tuple[int, ...],
+    made: int,
+    budget: int,
+    out: dict[int, list[tuple[int, ...]]],
+) -> None:
+    """Append to out[i] each distinct ordering of `rest` (ascending) put
+    after `prefix`, whose word has i <= budget inversions, `made` of them
+    within the prefix and against `rest`; as `distinct_permutations` of
+    prefix + rest orders them.
+
+    Each distinct value of `rest` goes next in turn, ascending, which is
+    its first-appearance order.  The items it is put before and exceeds
+    are those of `rest` below it, as many as the index of its first copy,
+    as `rest` is ascending, and removing that copy keeps it ascending.  So
+    the inversions made grow with the value, and the first value past the
+    budget ends the loop.  Module-level, like `_gaps`."""
+    if not rest:
+        out.setdefault(made, []).append(prefix)
+        return
+    for i, value in enumerate(rest):
+        if i and rest[i - 1] == value:
+            continue
+        if made + i > budget:
+            return
+        _extend_words(prefix + (value,), rest[:i] + rest[i + 1 :], made + i, budget, out)
+
+
+def _label_words(
+    labels: Sequence[int], max_count: int
+) -> dict[int, list[tuple[int, ...]]]:
+    """The distinct words over the label multiset with at most `max_count`
+    inversions, listed by inversion count, each list in the order of
+    `distinct_permutations(sorted(labels))`; no word past the count is
+    made."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    _extend_words((), tuple(sorted(labels)), 0, max_count, out)
+    return out
+
+
+def _flag_level(
+    words: dict[int, list[tuple[int, ...]]], balls: int, count: int
+) -> Iterator[FlagState]:
+    """The flag states with exactly `count` inversions, from a table of
+    `_label_words` that reaches that count: plain states with plain_inv
+    inversions, each filled with every word of count - plain_inv."""
+    for plain_inv in range(count + 1):
+        fills = words.get(count - plain_inv)
+        if not fills:
+            continue
+        for state in states_with_inversions(balls, plain_inv):
+            for fill in fills:
+                yield flag_from_parts(state.positions, fill)
+
+
 def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
     """The flag states over `labels` with each inversion count in `counts`
-    in turn; the label words are listed once for all of them."""
-    words: dict[int, list[tuple[int, ...]]] = {}
-    for word in distinct_permutations(sorted(labels)):
-        words.setdefault(word_inversions(word), []).append(word)
+    in turn; the label words are listed once for all of them, up to the
+    last count."""
+    if not counts:
+        return
+    words = _label_words(labels, counts[-1])
     for count in counts:
-        for plain_inv in range(count + 1):
-            fills = words.get(count - plain_inv)
-            if not fills:
-                continue
-            for state in states_with_inversions(len(labels), plain_inv):
-                for fill in fills:
-                    yield flag_from_parts(state.positions, fill)
+        yield from _flag_level(words, len(labels), count)
 
 
 def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[FlagState]:

@@ -47,6 +47,18 @@ from test_chain_basic import INFLOW_QS, reference_inflow_by_move
 Q2 = CoinConfig(Fraction(2))
 
 
+def word_law(word, k, coin):
+    """W_k as `Fraction`s: `_word_law`'s numerators over its denominator."""
+    law, den = _word_law(word, k, coin)
+    return {w: Fraction(n, den) for w, n in law.items()}
+
+
+def move_law(b, coin):
+    """P(k) for k = 0..b as `Fraction`s, from `_move_law`'s integers."""
+    nums, den = _move_law(b, coin)
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def reference_flag_inflow(state, coin, max_drop=None):
     """The balance inflow into `state` without the group prefactor, summed
     in `Fraction`s: per move k, the plain closed form times
@@ -60,7 +72,7 @@ def reference_flag_inflow(state, coin, max_drop=None):
     for k, inflow in plain.items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
         total += inflow * sum(
-            q ** -word_inversions(w) * _word_law(w, k, coin).get(word, 0)
+            q ** -word_inversions(w) * word_law(w, k, coin).get(word, 0)
             for w in sources
         )
     return total
@@ -281,9 +293,9 @@ class TestWordKernel:
                 for outcome, p in step_law(flag_backward_step, state, coin).entries:
                     k = move[erase_labels(outcome).positions]
                     new_word = tuple([c for c in outcome.cells if c is not None])
-                    law.setdefault(k, {})[new_word] = p / _move_law(b, coin)[k]
+                    law.setdefault(k, {})[new_word] = p / move_law(b, coin)[k]
                 assert law == {
-                    k: dict(_word_law(word, k, coin)) for k in range(b + 1)
+                    k: word_law(word, k, coin) for k in range(b + 1)
                 }, str(state)
                 laws.append(law)
             assert all(law == laws[0] for law in laws)
@@ -298,18 +310,20 @@ class TestWordKernel:
                 fresh = step_law(
                     lambda w, coin, rng: _word_step(w, k, coin, rng), word, coin
                 )
-                assert dict(_word_law(word, k, coin)) == fresh.as_dict()
+                assert word_law(word, k, coin) == fresh.as_dict()
                 # read back from the cache
-                assert dict(_word_law(word, k, coin)) == fresh.as_dict()
+                assert word_law(word, k, coin) == fresh.as_dict()
 
     def test_memoised_law_is_read_only(self):
-        law = _word_law((3, 1, 2), 0, Q2)
+        law, den = _word_law((3, 1, 2), 0, Q2)
         with pytest.raises(TypeError):
-            law[(3, 1, 2)] = Fraction(1)
+            law[(3, 1, 2)] = 1
         with pytest.raises(TypeError):
             del law[(1, 3, 2)]
-        # 2 is carried to the front past 1 (a flip) and 3 (no flip)
-        assert _word_law((3, 1, 2), 0, Q2) == {
+        # 2 is carried to the front past 1 (a flip) and 3 (no flip), over
+        # the one denominator a^(b-1) = 4
+        assert (dict(law), den) == ({(2, 3, 1): 2, (1, 3, 2): 2}, 4)
+        assert word_law((3, 1, 2), 0, Q2) == {
             (2, 3, 1): Fraction(1, 2),
             (1, 3, 2): Fraction(1, 2),
         }

@@ -363,6 +363,21 @@ class TestOracleGolden:
 # run with repeated labels and flag digraph edges, pinned byte for byte:
 # exact weights, verdicts, coefficients, visit counts and drop sets
 CHECK_GOLDEN = {
+    # labels of 10 and more render as space-separated tokens, and the law
+    # is sorted by that text, not by number: "- 9 ..." first, "9 11 ..." last
+    "dist-labels-over-9": (
+        ["dist", "--flag-state", "9 - 10 - 11", "--q", "2"],
+        "state,probability\n"
+        "- 9 - 10 - 11,1/8\n"
+        "10 9 - - - 11,1/8\n"
+        "10 9 - 11,1/8\n"
+        "11 9 - 10,1/8\n"
+        "9 - - 10 - 11,1/8\n"
+        "9 10 - - - 11,1/8\n"
+        "9 10 - 11,1/8\n"
+        "9 11 - 10,1/8\n"
+        "# jugglechain {version} seed=- config=7ce15f4c5efe\n",
+    ),
     "flag-123": (
         ["stationary-check", "--labels", "1,2,3", "--q", "2", "--max-inversions", "4"],
         "state,weight,verdict\n"

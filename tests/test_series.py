@@ -153,6 +153,12 @@ class TestFlagSeries:
     def test_identity(self, b):
         assert flag_series(b, 24) == flag_series_enumerated(b, 24)
 
+    def test_identity_below_the_longest_word(self):
+        # four labels have words of up to 6 inversions, so a label-word table
+        # listed only up to the degree must still reach the degree itself
+        for degree in range(8):
+            assert flag_series(4, degree) == flag_series_enumerated(4, degree)
+
 
 class TestEnumerationBudget:
     def test_level_is_not_consumed_past_the_budget(self, monkeypatch):
@@ -191,7 +197,7 @@ class TestEnumerationBudget:
         def never(*args):
             pytest.fail("enumerated while checking the budget")
 
-        monkeypatch.setattr(series, "flag_states_with_inversions", never)
+        monkeypatch.setattr(series, "_label_words", never)
         monkeypatch.setattr(series, "states_with_inversions", never)
         check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):

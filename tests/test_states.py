@@ -191,6 +191,9 @@ class TestText:
         state = flag_from_parts((0, 2), (12, 3))
         assert state.word() == "12 - 3"
         assert parse_flag_state("12 - 3") == state
+        # 10 is the least label without a one-character token
+        assert flag_from_parts((0, 1), (10, 9)).word() == "10 9"
+        assert flag_from_parts((0, 1), (9, 1)).word() == "91"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -283,16 +286,44 @@ class TestEnumeration:
             assert list(distinct_permutations(items)) == words, items
 
     def test_label_words_listed_once_per_sweep(self, monkeypatch):
-        # 1,1,2 has three words; a table per inversion level would count 18
-        counted = []
-        real = states_module.word_inversions
+        # 1,1,2 has three words, listed in one table for the whole sweep; a
+        # table per inversion level would be listed six times
+        tables = []
+        real = states_module._label_words
         monkeypatch.setattr(
             states_module,
-            "word_inversions",
-            lambda word: counted.append(word) or real(word),
+            "_label_words",
+            lambda labels, k: tables.append(real(labels, k)) or tables[-1],
         )
         assert sum(1 for _ in flag_states_up_to_inversions((1, 1, 2), 5)) == 34
-        assert len(counted) == 3
+        assert tables == [{0: [(1, 1, 2)], 1: [(1, 2, 1)], 2: [(2, 1, 1)]}]
+
+    def test_label_words_stop_past_the_count(self, monkeypatch):
+        # nine distinct labels at 0 inversions: one prefix of each length is
+        # begun, where all 9! orders take 986,410
+        prefixes = []
+        real = states_module._extend_words
+        monkeypatch.setattr(
+            states_module,
+            "_extend_words",
+            lambda prefix, *rest: prefixes.append(prefix) or real(prefix, *rest),
+        )
+        labels = tuple(range(1, 10))
+        assert states_module._label_words(labels, 0) == {0: [labels]}
+        assert prefixes == [labels[:n] for n in range(10)]
+
+    def test_label_words_are_the_distinct_words_up_to_the_count(self):
+        # the words of distinct_permutations(sorted(labels)) with at most k
+        # inversions, grouped by count, each group in the same order
+        rng = random.Random(4)
+        for _ in range(200):
+            labels = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+            k = rng.randint(0, 12)
+            expected = {}
+            for word in distinct_permutations(sorted(labels)):
+                if word_inversions(word) <= k:
+                    expected.setdefault(word_inversions(word), []).append(word)
+            assert states_module._label_words(labels, k) == expected, (labels, k)
 
 
 class TestWindowDuality:
