@@ -27,7 +27,7 @@ from .chain import (
     tv_distance,
     verify_stationarity,
 )
-from .errors import JuggleError, ParseError, ResourceLimit, check_budget
+from .errors import JuggleError, ParseError, ResourceLimit
 from .flagchain import (
     FLAG,
     flag_backward_dist,
@@ -45,16 +45,15 @@ from .fqoracle import (
 from .rng import ChainRng
 from .series import (
     DEFAULT_DEGREE,
-    TruncSeries,
     bundle_factorization_holds,
     check_enumeration_budget,
+    check_state_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
     grassmannian_series_enumerated,
     perm_inversion_series,
     perm_series_closed,
-    sn_series,
     state_partition_series,
     state_partition_series_enumerated,
 )
@@ -263,18 +262,13 @@ def cmd_dist(args) -> int:
 
 def cmd_stationary_check(args) -> int:
     coin, k = CoinConfig(args.q), args.max_inversions
-    # refuse an oversized sweep before enumerating anything: b!/prod m_g! label
-    # words for group sizes m_g, and states counted by 1/prod sn_series(m_g)
+    # refuse an oversized sweep before enumerating anything
     if args.labels:
-        sizes = [size for _, size in label_groups(args.labels)]
-        words = math.factorial(len(args.labels)) // math.prod(map(math.factorial, sizes))
-        check_budget(words, "label word")
-        flags = math.prod((sn_series(m, k) for m in sizes), start=TruncSeries.one(k))
-        check_budget(sum(flags.inverse().coeffs), "flag state")
+        check_state_budget([m for _, m in label_groups(args.labels)], k, "flag state")
         states = flag_states_up_to_inversions(args.labels, k)
         check, weight = flag_stationarity_holds, flag_stationary_weight
     else:
-        check_budget(sum(state_partition_series(args.balls, k).coeffs), "state")
+        check_state_budget([args.balls], k, "state")
         states = states_up_to_inversions(args.balls, k)
         check, weight = verify_stationarity, stationary_weight
     rows = []
@@ -426,7 +420,7 @@ def cmd_digraph(args) -> int:
     if args.flag_state is not None:
         state = parse_flag_state(args.flag_state)
         rows = [
-            [str(state), ",".join(map(str, sorted(tr.drops))) or "-", str(tr.target)]
+            [str(state), " ".join(map(str, sorted(tr.drops))) or "-", str(tr.target)]
             for tr in flag_forward_edges(state, args.max_drop)
         ]
         _emit(args, ["source", "drops", "target"], rows)

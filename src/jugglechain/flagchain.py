@@ -1,7 +1,7 @@
 """The backward Markov chain on labeled (flag) states, and its digraph.
 
-A flag state is its positions (`erase_labels`) and its label word w, the
-labels read left to right.  Each routine is the plain chain's on the
+A flag state is its positions (`erase_labels`) and its word w, the labels
+read left to right.  Each routine is the plain chain's on the
 positions times one on the word: positions move only in `chain` and
 `states`, and this module reads and writes words.
 
@@ -200,7 +200,7 @@ def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
 
 
 # The flag chain steps (positions, word) pairs: the plain chain's positions
-# and the label word, each moved by its own kernel.
+# and the word of labels, each moved by its own kernel.
 FLAG = Sampler(_flag_step, _flag_enter, _flag_leave)
 
 
@@ -272,9 +272,9 @@ def _flag_law(
 
 @lru_cache(maxsize=4096)
 def _word_inversions(word: tuple[int, ...]) -> int:
-    """`word_inversions` of a label word.  The balance checks read it for
-    every source word of every state, and `_word_walks` leaves the same
-    few words for many states, so it is memoised like `_word_law`."""
+    """`word_inversions` of a word of labels.  The balance checks read it
+    for every source word of every state, and `_word_walks` leaves the
+    same few words for many states, so it is memoised like `_word_law`."""
     return word_inversions(word)
 
 

@@ -332,13 +332,14 @@ def coarse_flag_pivot_state(
     matrix: FqMatrix, labels: Sequence[int]
 ) -> Optional[FlagState]:
     """flag_pivot_state with row i relabeled by the i-th entry of the
-    sorted label multiset (rows come in contiguous equal-label groups)."""
-    leads = _leading_columns(matrix)
-    if leads is None:
-        return None
+    sorted label multiset (rows come in contiguous equal-label groups);
+    ValueError, whatever the rank, if its size is not the row count."""
     ordered = sorted(labels)
     if len(ordered) != matrix.height:
         raise ValueError("label multiset size must match the row count")
+    leads = _leading_columns(matrix)
+    if leads is None:
+        return None
     return _state(leads, ordered)
 
 

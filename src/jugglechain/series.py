@@ -19,7 +19,7 @@ from .states import (
     _flag_level,
     _label_words,
     inversions,
-    states_with_inversions,
+    state_count_by_inversions,
     window_states,
     word_inversions,
 )
@@ -96,33 +96,32 @@ class TruncSeries:
         return acc
 
 
-def _count_levels(
-    level: Callable[[int], Iterable], degree: int, what: str
-) -> TruncSeries:
-    """Count the items of level(0), ..., level(degree); raises ResourceLimit
-    as soon as the running total exceeds the enumeration budget, so no
-    level is consumed past it."""
-    budget = errors.ENUMERATION_BUDGET
-    counts = []
-    total = 0
-    for k in range(degree + 1):
-        before = total
-        for _ in level(k):
-            total += 1
-            if total > budget:
-                check_budget(total, what)
-        counts.append(total - before)
-    return TruncSeries(tuple(counts))
+def check_state_budget(sizes: Iterable[int], degree: int, what: str) -> None:
+    """Raise ResourceLimit, before anything is listed, if a sweep up to
+    `degree` inversions over the flag states of a multiset with groups of
+    these sizes ([b]: b-ball states; [1]*b: labels 1..b) lists more than
+    the budget.  Its count, 1/prod_m sn_series(m), is built one running sum
+    1/(1 - x^i) at a time; each is 1 plus nonnegative terms, so the first
+    partial count over the budget refuses.  A ball puts a state on every
+    level, so the table can stop at the budget's degree.  The words a sweep
+    lists never outnumber its states: each, put on positions 0..b-1, is a
+    distinct state with its inversions."""
+    top = min(degree, errors.ENUMERATION_BUDGET)
+    counts = [1] + [0] * top
+    for m in sizes:
+        for i in range(1, min(m, top) + 1):
+            for k in range(i, top + 1):
+                counts[k] += counts[k - i]
+            check_budget(sum(counts), what)
 
 
 def check_enumeration_budget(balls: int, degree: int) -> None:
     """Raise ResourceLimit when enumerating the b-ball states or the flag
     states with labels 1..b up to `degree` inversions would exceed the
-    enumeration budget, from the closed-form counts, before any
-    enumeration.  Both counts grow with b, so this also refuses a sweep
-    over b = 1..balls."""
-    check_budget(sum(state_partition_series(balls, degree).coeffs), "state")
-    check_budget(sum(flag_series(balls, degree).coeffs), "flag state")
+    enumeration budget, before any enumeration.  Both counts grow with b,
+    so this also refuses a sweep over b = 1..balls."""
+    check_state_budget([balls], degree, "state")
+    check_state_budget(itertools.repeat(1, balls), degree, "flag state")
 
 
 def _count_by_inversions(
@@ -172,8 +171,9 @@ def state_partition_series_enumerated(
     balls: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
     """The same series by exhaustive state enumeration, degree by degree;
-    ResourceLimit once it lists more states than the enumeration budget."""
-    return _count_levels(lambda k: states_with_inversions(balls, k), degree, "state")
+    ResourceLimit, before any is listed, if the states exceed the budget."""
+    check_state_budget([balls], degree, "state")
+    return TruncSeries(state_count_by_inversions(balls, k) for k in range(degree + 1))
 
 
 def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
@@ -183,9 +183,11 @@ def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
 
 def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated;
-    ResourceLimit once it lists more states than the enumeration budget."""
+    ResourceLimit, before any is listed, if the states exceed the budget."""
+    check_state_budget(itertools.repeat(1, balls), degree, "flag state")
     words = _label_words(range(1, balls + 1), degree)  # listed once per call
-    return _count_levels(lambda k: _flag_level(words, balls, k), degree, "flag state")
+    levels = (_flag_level(words, balls, k) for k in range(degree + 1))
+    return TruncSeries(sum(1 for _ in level) for level in levels)
 
 
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:

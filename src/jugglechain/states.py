@@ -392,8 +392,8 @@ def _flag_level(
 
 def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
     """The flag states over `labels` with each inversion count in `counts`
-    in turn; the label words are listed once for all of them, up to the
-    last count."""
+    in turn; the words over the labels are listed once for all of them, up
+    to the last count."""
     if not counts:
         return
     words = _label_words(labels, counts[-1])
@@ -406,8 +406,8 @@ def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[F
     `count`.
 
     The count splits as (plain inversions of the occupied positions)
-    + (inversions among the label word), so enumerate plain states first
-    and fill in label arrangements.
+    + (inversions among the word of labels), so enumerate plain states
+    first and fill in label arrangements.
     """
     return _flag_states(labels, range(count, count + 1))
 

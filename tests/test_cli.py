@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import subprocess
@@ -90,6 +89,18 @@ class TestVerificationCommands:
         assert code == 0
         rows = out.splitlines()[1:-1]
         assert rows and all(row.endswith(",pass") for row in rows)
+
+    def test_distinct_labels_sweep_lists_only_its_states(self, capsys):
+        # ten distinct labels have 10! words, but up to one inversion the
+        # sweep lists 10 of them and 11 flag states, well inside the budget
+        code, out = run_cli(
+            capsys, "stationary-check", "--labels", "1,2,3,4,5,6,7,8,9,10",
+            "--q", "2", "--max-inversions", "1",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:-1]
+        assert len(rows) == 11
+        assert all(row.endswith(",pass") for row in rows)
 
     def test_oracle(self, capsys):
         code, out = run_cli(
@@ -226,6 +237,17 @@ class TestSimulateAndDigraph:
         )
         assert code == 0
         assert "3-21,0,321" in out
+
+    def test_digraph_flag_drops_stay_in_one_field(self, capsys):
+        # several drops are joined by spaces, so every row has the three
+        # columns of the header
+        code, out = run_cli(
+            capsys, "digraph", "--flag-state", "123", "--max-drop", "4"
+        )
+        assert code == 0
+        rows = out.splitlines()[:-1]  # the header and one row per edge
+        assert all(len(row.split(",")) == 3 for row in rows)
+        assert "123,0 1 2,123" in out.splitlines()
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
@@ -618,23 +640,23 @@ CHECK_GOLDEN = {
         ["digraph", "--flag-state", "1-2-3", "--max-drop", "8"],
         "source,drops,target\n"
         "1-2-3,0,12-3\n"
-        "1-2-3,1,2,-123\n"
-        "1-2-3,1,3,4,-1-23\n"
-        "1-2-3,1,3,5,-1-2-3\n"
-        "1-2-3,1,3,6,-1-2--3\n"
-        "1-2-3,1,3,7,-1-2---3\n"
-        "1-2-3,1,3,8,-1-2----3\n"
-        "1-2-3,1,4,-1-32\n"
-        "1-2-3,1,5,-1-3-2\n"
-        "1-2-3,1,6,-1-3--2\n"
-        "1-2-3,1,7,-1-3---2\n"
-        "1-2-3,1,8,-1-3----2\n"
+        "1-2-3,1 2,-123\n"
+        "1-2-3,1 3 4,-1-23\n"
+        "1-2-3,1 3 5,-1-2-3\n"
+        "1-2-3,1 3 6,-1-2--3\n"
+        "1-2-3,1 3 7,-1-2---3\n"
+        "1-2-3,1 3 8,-1-2----3\n"
+        "1-2-3,1 4,-1-32\n"
+        "1-2-3,1 5,-1-3-2\n"
+        "1-2-3,1 6,-1-3--2\n"
+        "1-2-3,1 7,-1-3---2\n"
+        "1-2-3,1 8,-1-3----2\n"
         "1-2-3,2,-213\n"
-        "1-2-3,3,4,-2-13\n"
-        "1-2-3,3,5,-2-1-3\n"
-        "1-2-3,3,6,-2-1--3\n"
-        "1-2-3,3,7,-2-1---3\n"
-        "1-2-3,3,8,-2-1----3\n"
+        "1-2-3,3 4,-2-13\n"
+        "1-2-3,3 5,-2-1-3\n"
+        "1-2-3,3 6,-2-1--3\n"
+        "1-2-3,3 7,-2-1---3\n"
+        "1-2-3,3 8,-2-1----3\n"
         "1-2-3,4,-2-31\n"
         "1-2-3,5,-2-3-1\n"
         "1-2-3,6,-2-3--1\n"
@@ -809,15 +831,15 @@ class TestBadFlags:
             ),
             (
                 ["stationary-check", "--labels", "1,2,3,4,5,6,7,8,9,10",
-                 "--q", "2", "--max-inversions", "1"],
-                "label word enumeration exceeds budget",
+                 "--q", "2", "--max-inversions", "15"],
+                "flag state enumeration exceeds budget",
             ),
         ],
         ids=[
             "oracle-matrices", "series-perm-max", "series-grassmann-max",
             "density-empirical-infinite-rows", "density-infinite-rows",
             "density-empirical-rows", "stationary-check-states",
-            "stationary-check-label-words",
+            "stationary-check-flag-states",
         ],
     )
     def test_oversized_request(self, capsys, argv, message):
@@ -854,14 +876,17 @@ class TestBadFlags:
         [
             # 6,639,349 states
             (["--balls", "60", "--max-inversions", "60"], "state"),
-            # 10! = 3,628,800 label words
-            (["--labels", "1,2,3,4,5,6,7,8,9,10", "--max-inversions", "1"],
-             "label word"),
-            # 10,678,615 flag states: the 10 label words fit the budget
+            # 2,500,100,001 states, refused in two running sums of 100,001
+            # terms, not a series inverse quadratic in the degree
+            (["--balls", "2", "--max-inversions", "100000"], "state"),
+            # C(25, 10) = 3,268,760 flag states over ten distinct labels
+            (["--labels", "1,2,3,4,5,6,7,8,9,10", "--max-inversions", "15"],
+             "flag state"),
+            # 10,678,615 flag states over one repeated label
             (["--labels", "1,1,1,1,1,1,1,1,1,2", "--max-inversions", "60"],
              "flag state"),
         ],
-        ids=["plain", "label-words", "flag-states"],
+        ids=["plain", "plain-deep", "distinct-flag-states", "flag-states"],
     )
     def test_oversized_stationary_sweep(self, capsys, monkeypatch, argv, message):
         # the sweep is refused from the closed-form counts, before any
@@ -881,19 +906,19 @@ class TestBadFlags:
         ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_stationary_sweep_budget_is_exact(self, capsys, monkeypatch, labels, k):
-        # the closed-form counts equal the enumerated ones: a budget of
-        # exactly the label words (at 0 inversions, one state), then of the
-        # flag states up to k inversions, runs; one less is refused
-        argv = ["stationary-check", "--labels", ",".join(map(str, labels)), "--q", "2"]
-        words = len(set(itertools.permutations(labels)))
+        # the closed-form count equals the enumerated one: a budget of
+        # exactly the flag states up to k inversions runs; one less is refused
+        argv = [
+            "stationary-check", "--labels", ",".join(map(str, labels)), "--q", "2",
+            "--max-inversions", str(k),
+        ]
         states = sum(1 for _ in flag_states_up_to_inversions(labels, k))
-        for total, what, inv in [(words, "label word", 0), (states, "flag state", k)]:
-            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total)
-            assert main([*argv, "--max-inversions", str(inv)]) == 0
-            capsys.readouterr()
-            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total - 1)
-            line = bad_flags(capsys, *argv, "--max-inversions", str(inv))
-            assert line.endswith(f"error: {what} enumeration exceeds budget")
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states - 1)
+        line = bad_flags(capsys, *argv)
+        assert line.endswith("error: flag state enumeration exceeds budget")
 
     def test_plain_stationary_sweep_budget_is_exact(self, capsys, monkeypatch):
         argv = ["stationary-check", "--balls", "4", "--q", "2", "--max-inversions", "8"]

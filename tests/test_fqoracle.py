@@ -264,6 +264,15 @@ class TestGroupCoarsening:
         coarse = coarse_flag_pivot_state(m, (1, 1, 2))
         assert coarse == parse_flag_state("112")
 
+    @pytest.mark.parametrize(
+        "rows", [((1, 0), (0, 1)), ((0, 0), (1, 0))], ids=["full-rank", "rank-deficient"]
+    )
+    def test_coarse_state_refuses_wrong_label_count(self, rows):
+        # the label count is checked before the rank: a rank-deficient
+        # matrix is refused too, not mapped to None
+        with pytest.raises(ValueError, match="label multiset size"):
+            coarse_flag_pivot_state(FqMatrix(2, rows), [1, 2, 3])
+
 
 class TestColumnPrepend:
     def test_one_ball(self):

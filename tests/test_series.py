@@ -9,9 +9,9 @@ import jugglechain.series as series
 from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
     TruncSeries,
-    _count_levels,
     bundle_factorization_holds,
     check_enumeration_budget,
+    check_state_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
@@ -23,7 +23,12 @@ from jugglechain.series import (
     state_partition_series,
     state_partition_series_enumerated,
 )
-from jugglechain.states import flag_states_with_inversions, state_count_by_inversions
+from jugglechain.states import (
+    _label_words,
+    flag_states_up_to_inversions,
+    flag_states_with_inversions,
+    state_count_by_inversions,
+)
 
 
 class TestTruncSeries:
@@ -161,21 +166,51 @@ class TestFlagSeries:
 
 
 class TestEnumerationBudget:
-    def test_level_is_not_consumed_past_the_budget(self, monkeypatch):
-        budget, drawn = 10, 0
-        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", budget)
+    @pytest.mark.parametrize(
+        "labels,k",
+        [((1, 2, 3), 5), ((1, 1, 2), 4), ((1, 1, 2, 2), 6), ((1, 1, 1, 2, 3), 7),
+         ((2, 2, 2), 3), ((1, 2, 3, 4), 2)],
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_state_budget_counts_the_flag_states(self, monkeypatch, labels, k):
+        # the closed form counts the flag states of the multiset exactly, and
+        # its words up to k inversions never outnumber them
+        sizes = [labels.count(v) for v in sorted(set(labels))]
+        states = sum(1 for _ in flag_states_up_to_inversions(labels, k))
+        assert sum(map(len, _label_words(labels, k).values())) <= states
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states)
+        check_state_budget(sizes, k, "flag state")
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", states - 1)
+        with pytest.raises(ResourceLimit, match="^flag state enumeration"):
+            check_state_budget(sizes, k, "flag state")
 
-        def level(k):
-            nonlocal drawn
-            while True:
-                drawn += 1
-                if drawn > budget + 1:
-                    pytest.fail("level consumed past the budget")
-                yield k
+    def test_count_table_stops_at_the_budget(self, monkeypatch):
+        # a ball puts a state on every level, so a degree past the budget
+        # is refused from a table of budget + 1 terms; no balls make one
+        # state at any degree
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 1000)
+        with pytest.raises(ResourceLimit, match="^state enumeration"):
+            check_state_budget([1], 10**12, "state")
+        check_state_budget([], 10**12, "state")
 
-        with pytest.raises(ResourceLimit, match="toy enumeration exceeds budget"):
-            _count_levels(level, 3, "toy")
-        assert drawn == budget + 1
+    def test_refused_at_the_first_factor_over_the_budget(self):
+        # labels 1..6 up to 40 inversions make 9,366,819 flag states, so
+        # the guard reads no seventh size
+        def sizes():
+            yield from [1] * 6
+            pytest.fail("read a size past the refusal")
+
+        with pytest.raises(ResourceLimit, match="^flag state enumeration"):
+            check_state_budget(sizes(), 40, "flag state")
+
+    def test_flag_series_refused_before_listing_words(self, monkeypatch):
+        def never(*args):
+            pytest.fail("listed label words before refusing the sweep")
+
+        monkeypatch.setattr(series, "_label_words", never)
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 10)
+        with pytest.raises(ResourceLimit, match="^flag state enumeration"):
+            flag_series_enumerated(8, 12)
 
     @pytest.mark.parametrize(
         "enumerated,closed",
@@ -198,7 +233,7 @@ class TestEnumerationBudget:
             pytest.fail("enumerated while checking the budget")
 
         monkeypatch.setattr(series, "_label_words", never)
-        monkeypatch.setattr(series, "states_with_inversions", never)
+        monkeypatch.setattr(series, "state_count_by_inversions", never)
         check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):
             check_enumeration_budget(6, 40)  # 9,366,819 flag states
