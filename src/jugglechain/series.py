@@ -4,6 +4,9 @@ All series are truncated formal power series in x = q^{-1}.  Each one
 counts states, permutations or subspaces by inversions, so its
 coefficients are ints and every identity is checked coefficient by
 coefficient with no rounding.  The default truncation degree is 24.
+
+Every closed form is one ratio of q-factorials (x;x)_n = (1 - x)...(1 - x^n),
+built in place one factor 1 - x^i at a time by `_factorial_ratio`.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import errors
 from .errors import ResourceLimit, check_budget
@@ -38,15 +41,6 @@ class TruncSeries:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
-    @classmethod
-    def one(cls, degree: int) -> "TruncSeries":
-        return cls((1,) + (0,) * degree)
-
-    @classmethod
-    def from_ints(cls, coeffs: Sequence[int], degree: int) -> "TruncSeries":
-        padded = list(coeffs) + [0] * (degree + 1 - len(coeffs))
-        return cls(tuple(padded[: degree + 1]))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -62,32 +56,6 @@ class TruncSeries:
             tuple(sum(map(operator.mul, a, b[k::-1])) for k in range(len(a)))
         )
 
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term a_0 must be 1 or -1.
-
-        Then 1/a_0 = a_0, so the inverse has the integer coefficients
-        b_0 = a_0 and b_k = -a_0 * sum_{j=1..k} a_j * b_(k-j).
-        """
-        a0, *rest = self.coeffs
-        if a0 not in (1, -1):
-            raise ZeroDivisionError(f"constant term {a0} is not 1 or -1")
-        inv = [a0]
-        for _ in rest:
-            inv.append(-a0 * sum(map(operator.mul, rest, reversed(inv))))
-        return TruncSeries(tuple(inv))
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncSeries.one(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def evaluate(self, x: Fraction) -> Fraction:
         """Evaluate the truncated polynomial at an exact point."""
         acc = Fraction(0)
@@ -96,22 +64,53 @@ class TruncSeries:
         return acc
 
 
+def _divide_step(counts: list[int], i: int) -> None:
+    """Divide the truncated series `counts` by 1 - x^i in place: a running
+    sum with stride i, taken with k ascending so each term adds one
+    already divided."""
+    for k in range(i, len(counts)):
+        counts[k] += counts[k - i]
+
+
+def _factorial_ratio(
+    tops: Iterable[int], bottoms: Iterable[int], degree: int
+) -> TruncSeries:
+    """prod_{n in tops} (x;x)_n / prod_{m in bottoms} (x;x)_m, truncated
+    at x^degree, where (x;x)_n = (1 - x)(1 - x^2)...(1 - x^n).
+
+    A factor 1 - x^i with i > degree is 1 in the truncated ring, so only
+    the factors with i <= degree are applied.  Multiplying by 1 - x^i is a
+    running difference, taken with k descending so each term subtracts one
+    not yet multiplied; dividing is `_divide_step`.  Every factor has
+    constant term 1, so it is a unit of the truncated ring, which is
+    commutative: each product and quotient is exact there, and the order
+    in which the factors are applied does not change the result."""
+    counts = [1] + [0] * degree
+    for n in tops:
+        for i in range(1, min(n, degree) + 1):
+            for k in range(degree, i - 1, -1):
+                counts[k] -= counts[k - i]
+    for m in bottoms:
+        for i in range(1, min(m, degree) + 1):
+            _divide_step(counts, i)
+    return TruncSeries(counts)
+
+
 def check_state_budget(sizes: Iterable[int], degree: int, what: str) -> None:
     """Raise ResourceLimit, before anything is listed, if a sweep up to
     `degree` inversions over the flag states of a multiset with groups of
     these sizes ([b]: b-ball states; [1]*b: labels 1..b) lists more than
-    the budget.  Its count, 1/prod_m sn_series(m), is built one running sum
-    1/(1 - x^i) at a time; each is 1 plus nonnegative terms, so the first
-    partial count over the budget refuses.  A ball puts a state on every
-    level, so the table can stop at the budget's degree.  The words a sweep
-    lists never outnumber its states: each, put on positions 0..b-1, is a
-    distinct state with its inversions."""
+    the budget.  Its count, 1/prod_m (x;x)_m, is built one `_divide_step`
+    by 1 - x^i at a time; each quotient is 1 plus nonnegative terms, so
+    the first partial count over the budget refuses.  A ball puts a state
+    on every level, so the table can stop at the budget's degree.  The
+    words a sweep lists never outnumber its states: each, put on positions
+    0..b-1, is a distinct state with its inversions."""
     top = min(degree, errors.ENUMERATION_BUDGET)
     counts = [1] + [0] * top
     for m in sizes:
         for i in range(1, min(m, top) + 1):
-            for k in range(i, top + 1):
-                counts[k] += counts[k - i]
+            _divide_step(counts, i)
             check_budget(sum(counts), what)
 
 
@@ -152,19 +151,10 @@ def sn(n: int, q: Fraction) -> Fraction:
     return Fraction(num, a ** (n * (n + 1) // 2))
 
 
-def sn_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
-    """(1 - x)(1 - x^2)...(1 - x^n) as a truncated series in x = q^-1."""
-    poly = [1] + [0] * degree
-    for i in range(1, n + 1):
-        for k in range(degree, i - 1, -1):
-            poly[k] -= poly[k - i]
-    return TruncSeries.from_ints(poly, degree)
-
-
 def state_partition_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Closed form of sum over b-ball states of x^inversions: the inverse
     of the product of (1 - x^i) for i = 1..b."""
-    return sn_series(balls, degree).inverse()
+    return _factorial_ratio((), [balls], degree)
 
 
 def state_partition_series_enumerated(
@@ -178,12 +168,16 @@ def state_partition_series_enumerated(
 
 def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """(1 - x)^-b: the closed form of the distinct-label flag state sum."""
-    return sn_series(1, degree) ** -balls
+    return _factorial_ratio((), itertools.repeat(1, balls), degree)
 
 
 def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated;
-    ResourceLimit, before any is listed, if the states exceed the budget."""
+    ResourceLimit, before any is listed, if the states exceed the budget.
+    Without labels the one state is the empty one, which no FlagState
+    holds, so it is counted as the plain state it is."""
+    if not balls:
+        return state_partition_series_enumerated(0, degree)
     check_state_budget(itertools.repeat(1, balls), degree, "flag state")
     words = _label_words(range(1, balls + 1), degree)  # listed once per call
     levels = (_flag_level(words, balls, k) for k in range(degree + 1))
@@ -201,20 +195,17 @@ def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
 
 def perm_series_closed(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """The closed form: product of (1 - x^i)/(1 - x) over i = 1..n."""
-    return sn_series(n, degree) * sn_series(1, degree) ** -n
+    return _factorial_ratio([n], itertools.repeat(1, n), degree)
 
 
 def grassmannian_series_closed(
     j: int, h: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
-    """s_h / (s_j * s_{h-j}) as a truncated series (Gaussian binomial)."""
+    """(x;x)_h / ((x;x)_j (x;x)_{h-j}) as a truncated series (Gaussian
+    binomial)."""
     if not 0 <= j <= h:
         raise ValueError("need 0 <= j <= h")
-    return (
-        sn_series(h, degree)
-        * sn_series(j, degree).inverse()
-        * sn_series(h - j, degree).inverse()
-    )
+    return _factorial_ratio([h], [j, h - j], degree)
 
 
 def grassmannian_series_enumerated(

@@ -311,7 +311,9 @@ def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
 
 
 def states_up_to_inversions(balls: int, max_count: int) -> Iterator[JugglingState]:
-    for k in range(max_count + 1):
+    # without balls the one state, the empty one, lies on level 0
+    top = max_count if balls else min(max_count, 0)
+    for k in range(top + 1):
         yield from states_with_inversions(balls, k)
 
 

@@ -102,6 +102,16 @@ class TestVerificationCommands:
         assert len(rows) == 11
         assert all(row.endswith(",pass") for row in rows)
 
+    def test_zero_ball_sweep_ends_after_level_zero(self, capsys):
+        # the one state without balls, the empty one, has no inversions, so
+        # the sweep does not walk the empty levels up to 10^12
+        code, out = run_cli(
+            capsys, "stationary-check", "--balls", "0", "--q", "2",
+            "--max-inversions", "1000000000000",
+        )
+        assert code == 0
+        assert out.splitlines()[1:-1] == [",1,pass"]
+
     def test_oracle(self, capsys):
         code, out = run_cli(
             capsys, "oracle", "--balls", "2", "--width", "3", "--p", "2", "--flag"

@@ -9,6 +9,7 @@ import jugglechain.series as series
 from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
     TruncSeries,
+    _factorial_ratio,
     bundle_factorization_holds,
     check_enumeration_budget,
     check_state_budget,
@@ -19,7 +20,6 @@ from jugglechain.series import (
     perm_inversion_series,
     perm_series_closed,
     sn,
-    sn_series,
     state_partition_series,
     state_partition_series_enumerated,
 )
@@ -32,33 +32,12 @@ from jugglechain.states import (
 
 
 class TestTruncSeries:
-    def test_inverse(self):
-        s = TruncSeries.from_ints([1, -1], 10)  # 1 - x
-        geom = s.inverse()
-        assert all(geom[k] == 1 for k in range(11))
-        assert s * geom == TruncSeries.one(10)
-        # -1 + x: the constant term's sign carries through every coefficient
-        assert TruncSeries.from_ints([-1, 1], 10).inverse() == TruncSeries((-1,) * 11)
-
-    def test_pow(self):
-        s = TruncSeries.from_ints([1, 1], 6)
-        cube = s**3
-        assert [cube[k] for k in range(4)] == [1, 3, 3, 1]
-        assert s**0 == TruncSeries.one(6)
-        assert s**-2 == (s.inverse()) ** 2
-
-    def test_inverse_requires_unit(self):
-        # 1/x has no series, 1/(2 + x) no integer coefficients
-        for a0 in (0, 2):
-            with pytest.raises(ZeroDivisionError):
-                TruncSeries.from_ints([a0, 1], 4).inverse()
-
     def test_refuses_non_integer_coefficients(self):
         with pytest.raises(TypeError):
             TruncSeries((Fraction(1, 2),))
 
     def test_evaluate(self):
-        s = TruncSeries.from_ints([1, 2, 3], 2)
+        s = TruncSeries((1, 2, 3))
         assert s.evaluate(Fraction(1, 2)) == Fraction(11, 4)
 
 
@@ -72,7 +51,7 @@ def schoolbook_mul(a, b):
 
 
 def schoolbook_inverse(a):
-    """Inverse by Fraction loops: the reference for `inverse()`."""
+    """Inverse by Fraction loops: the reference for division."""
     inv = [1 / Fraction(a[0])]
     for k in range(1, len(a)):
         acc = sum((a[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0))
@@ -80,31 +59,47 @@ def schoolbook_inverse(a):
     return tuple(inv)
 
 
-# integer coefficients; the first series' constant term is 1 or -1, so it
-# has an integer inverse
+def one_minus_x_to(i, degree):
+    """The series 1 - x^i truncated at x^degree."""
+    return tuple(1 if k == 0 else -1 if k == i else 0 for k in range(degree + 1))
+
+
+def factorial_ratio_reference(tops, bottoms, degree):
+    """prod (x;x)_n / prod (x;x)_m by Fraction loops: every factor 1 - x^i
+    of the tops multiplied in, and the `schoolbook_inverse` of every factor
+    of the bottoms."""
+    out = (Fraction(1),) + (Fraction(0),) * degree
+    for n in tops:
+        for i in range(1, n + 1):
+            out = schoolbook_mul(out, one_minus_x_to(i, degree))
+    for m in bottoms:
+        for i in range(1, m + 1):
+            out = schoolbook_mul(out, schoolbook_inverse(one_minus_x_to(i, degree)))
+    return out
+
+
 coefficient = st.integers(-40, 40)
 series_pair = st.integers(0, 12).flatmap(
-    lambda d: st.tuples(
-        st.tuples(st.sampled_from([1, -1]), *[coefficient] * d),
-        st.tuples(*[coefficient] * (d + 1)),
-    )
+    lambda d: st.tuples(*[st.tuples(*[coefficient] * (d + 1))] * 2)
 )
+factorials = st.lists(st.integers(0, 14), max_size=3)
 
 
 class TestIntegerArithmetic:
-    @given(series_pair, st.integers(1, 3))
+    @given(series_pair)
     @settings(max_examples=200, deadline=None)
-    def test_matches_fraction_loops(self, pair, k):
+    def test_matches_fraction_loops(self, pair):
         a, b = pair
-        s, t = TruncSeries(a), TruncSeries(b)
-        inv = schoolbook_inverse(a)
-        power = inv
-        for _ in range(k - 1):
-            power = schoolbook_mul(power, inv)
-        results = [(s * t, schoolbook_mul(a, b)), (s.inverse(), inv), (s**-k, power)]
-        for series, reference in results:
-            assert series.coeffs == reference
-            assert all(type(c) is int for c in series.coeffs)
+        product = TruncSeries(a) * TruncSeries(b)
+        assert product.coeffs == schoolbook_mul(a, b)
+        assert all(type(c) is int for c in product.coeffs)
+
+    @given(factorials, factorials, st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_factorial_ratio_matches_fraction_loops(self, tops, bottoms, degree):
+        ratio = _factorial_ratio(tops, bottoms, degree)
+        assert ratio.coeffs == factorial_ratio_reference(tops, bottoms, degree)
+        assert all(type(c) is int for c in ratio.coeffs)
 
 
 class TestSn:
@@ -121,7 +116,7 @@ class TestSn:
         # the polynomial truncation evaluated at x = 1/q equals sn once the
         # degree passes 1 + 2 + ... + n
         q = Fraction(3)
-        assert sn_series(4, 12).evaluate(1 / q) == sn(4, q)
+        assert _factorial_ratio([4], (), 12).evaluate(1 / q) == sn(4, q)
 
 
 class TestStatePartition:
@@ -157,6 +152,12 @@ class TestFlagSeries:
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_identity(self, b):
         assert flag_series(b, 24) == flag_series_enumerated(b, 24)
+
+    def test_every_enumerated_series_is_its_closed_form(self):
+        # no balls make one state, the empty one, plain or labeled
+        for b in range(7):
+            assert state_partition_series_enumerated(b, 8) == state_partition_series(b, 8)
+            assert flag_series_enumerated(b, 8) == flag_series(b, 8)
 
     def test_identity_below_the_longest_word(self):
         # four labels have words of up to 6 inversions, so a label-word table
