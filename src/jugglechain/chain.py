@@ -9,10 +9,11 @@ outcomes are exactly the digraph predecessors of the state.
 The stationary distribution assigns a state weight
 prefactor * q^-inversions with prefactor = (1-q^-1)...(1-q^-b).  The
 exact one-step laws are built on inner states, as integer numerators over
-one denominator per law (with q = a/c, the move law is over a^b), and a
-`TransitionDist` is made once, at the public boundary, without re-checking
-what the builder proves (`_unchecked_dist`).  `step_law` and the public
-`TransitionDist(...)` keep every check and stay the reference.
+one denominator per law (with q = a/c, the move law is over a^b), and
+`TransitionDist` holds them so: its one checked constructor for builders
+(`_law`) takes the integers as they are, and the text order of the states
+is made only when the entries are read.  `step_law`, which enumerates a
+sampler's flips, stays the reference.
 Stationarity is checked exactly too: the inflow into a state over its own
 weight is a sum of integer monomials in x = 1/q that does not depend on q,
 evaluated for one q in integers alone.
@@ -28,8 +29,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Protocol
+from operator import attrgetter
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Protocol
 
 from .series import sn
 from .states import JugglingState, _unchecked_state, inversions
@@ -57,38 +58,74 @@ class CoinConfig:
         return 1 / self.q
 
 
-@dataclass(frozen=True)
 class TransitionDist:
-    """A finite exact distribution over states."""
+    """A finite exact distribution over states: integer numerators n_s over
+    one denominator.  `TransitionDist(entries)` takes (state, probability)
+    pairs, refuses two states with the same text, and brings them over the
+    lcm of their denominators; the law builders hand over their integers
+    as they are (`_law`).  Equal laws have the same states and equal
+    n_s / den, compared by cross-multiplication.  `entries` orders the
+    states by their text, on first read."""
 
-    entries: tuple[tuple[object, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        # each state is rendered once, for both the order and the duplicates
-        keyed = sorted(
-            ((str(s), s, p) for s, p in self.entries), key=lambda e: e[0]
-        )
-        object.__setattr__(self, "entries", tuple((s, p) for _, s, p in keyed))
-        if len({key for key, _, _ in keyed}) != len(keyed):
+    def __init__(self, entries: Iterable[tuple[object, Fraction]]) -> None:
+        entries = tuple(entries)
+        if len({str(s) for s, _ in entries}) != len(entries):
             raise ValueError("duplicate states in distribution")
-        den = math.lcm(*(p.denominator for _, _, p in keyed))
-        num = sum(p.numerator * (den // p.denominator) for _, _, p in keyed)
-        if num != den:
-            raise ValueError(f"probabilities sum to {Fraction(num, den)}, not 1")
-        if any(p.numerator <= 0 for _, _, p in keyed):
+        den = math.lcm(*[p.denominator for _, p in entries])
+        self._hold([(s, p.numerator * (den // p.denominator)) for s, p in entries], den)
+
+    def _hold(self, numerators: Collection[tuple[object, int]], den: int) -> None:
+        """Hold n/den at each (state, n) of `numerators`, after the checks
+        every law passes: no state twice, a total of den, each n positive."""
+        nums = dict(numerators)
+        if len(nums) != len(numerators):
+            raise ValueError("duplicate states in distribution")
+        total = sum(nums.values())
+        if total != den:
+            raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        if any(n <= 0 for n in nums.values()):
             raise ValueError("probabilities must be positive")
+        self._numerators, self._denominator = nums, den
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransitionDist):
+            return NotImplemented
+        nums, den = self._numerators, self._denominator
+        other_nums, other_den = other._numerators, other._denominator
+        return nums.keys() == other_nums.keys() and all(
+            [n * other_den == other_nums[s] * den for s, n in nums.items()]
+        )
+
+    def __hash__(self) -> int:
+        # the numerators over their gcd are the same for every equal law
+        g = math.gcd(*self._numerators.values())
+        return hash(frozenset([(s, n // g) for s, n in self._numerators.items()]))
+
+    def __repr__(self) -> str:
+        return f"TransitionDist(entries={self.entries!r})"
+
+    @cached_property
+    def entries(self) -> tuple[tuple[object, Fraction], ...]:
+        den = self._denominator
+        pairs = [(s, Fraction(n, den)) for s, n in self._numerators.items()]
+        return tuple(sorted(pairs, key=lambda e: str(e[0])))
 
     def probability(self, state: object) -> Fraction:
-        for s, p in self.entries:
-            if s == state:
-                return p
-        return Fraction(0)
+        return Fraction(self._numerators.get(state, 0), self._denominator)
 
     def support(self) -> tuple[object, ...]:
         return tuple(s for s, _ in self.entries)
 
     def as_dict(self) -> dict:
         return dict(self.entries)
+
+
+def _law(numerators: Collection[tuple[object, int]], den: int) -> TransitionDist:
+    """The law of n/den at each (state, n) of `numerators`, checked, with
+    no state rendered, no sort and no `Fraction`."""
+    law = object.__new__(TransitionDist)
+    law._hold(numerators, den)
+    return law
 
 
 def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -198,38 +235,12 @@ def step_law(step, state, coin: CoinConfig) -> TransitionDist:
     )
 
 
-def _unchecked_dist(
-    numerators: Iterable[tuple[object, int]], den: int
-) -> TransitionDist:
-    """The law with probability n/den at each (state, n) of `numerators`,
-    built without `TransitionDist.__post_init__`: for inner law builders
-    whose outcomes are distinct, whose numerators are positive and sum to
-    `den`, by proof.
-
-    Those three facts are what the checked constructor tests, so the law
-    is the one it would build: its entries sorted by the text of their
-    states, each probability a reduced `Fraction`.  Within one law the
-    text is distinct as the states are (each state class renders
-    injectively, and a law's outcomes share one class and one ball count
-    or label multiset), so the stable sort by text alone gives the
-    checked order.
-    """
-    keyed = sorted([(str(s), s, n) for s, n in numerators], key=itemgetter(0))
-    dist = object.__new__(TransitionDist)
-    object.__setattr__(
-        dist, "entries", tuple([(s, Fraction(n, den)) for _, s, n in keyed])
-    )
-    return dist
-
-
 @lru_cache(maxsize=256)
 def _move_law(b: int, coin: CoinConfig) -> tuple[tuple[int, ...], int]:
     """P(k) for the plain move k = 0..b of one step on b balls, as integer
     numerators over one denominator a^b, q = a/c: k leading heads then
     tails (k < b) has probability (1 - 1/q) q^-k = (a - c) c^k a^(b-1-k) /
-    a^b, and all b heads has c^b / a^b.  Every numerator is positive
-    (a > c >= 1), and they sum to a^b: (a - c) sum_k c^k a^(b-1-k) is
-    a^b - c^b."""
+    a^b, and all b heads has c^b / a^b."""
     a, c = coin.q.numerator, coin.q.denominator
     nums = [(a - c) * c**k * a ** (b - 1 - k) for k in range(b)]
     nums.append(c**b)
@@ -238,15 +249,11 @@ def _move_law(b: int, coin: CoinConfig) -> tuple[tuple[int, ...], int]:
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: b+1 outcomes, the move k with probability
-    `_move_law`.
-
-    The outcomes are distinct: a move k < b puts a ball at 0 and leaves
-    out the shifted (k+1)-th last ball, a different one for each k, and
-    k = b leaves 0 empty.  They are strictly increasing naturals
-    (`PLAIN`), so the law is built unchecked (`_unchecked_dist`)."""
+    `_move_law`.  Each outcome's positions are strictly increasing
+    naturals (`PLAIN`), so its state is built unchecked."""
     nums, den = _move_law(len(state.positions), coin)
     positions = state.positions
-    return _unchecked_dist(
+    return _law(
         [(_unchecked_state(_plain_step(positions, k)), n) for k, n in enumerate(nums)],
         den,
     )

@@ -42,10 +42,10 @@ from .chain import (
     TransitionDist,
     _at_q,
     _inflow_by_move,
+    _law,
     _leading_heads,
     _move_law,
     _plain_step,
-    _unchecked_dist,
     step_law,
 )
 from .errors import CapTooSmall
@@ -284,16 +284,10 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     over one denominator (`_flag_law`).
 
     `flag_backward_step` draws k first and then flips only inside
-    `_word_step`, so each outcome's probability is the product.  The law
-    is built unchecked (`chain._unchecked_dist`), as it may be:
-    - distinct moves leave distinct positions (`chain.backward_dist`), and
-      one move's words are the distinct keys of W_k, so no outcome is
-      listed twice;
-    - every P(k) and every listed W_k numerator is positive;
-    - the numerators sum to the denominator, as sum_k P(k) sum_w' W_k = 1;
-    - each outcome is a valid flag state (`_flag_leave`).
+    `_word_step`, so each outcome's probability is the product.  Each
+    outcome is a valid flag state (`_flag_leave`).
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
-    from the sampler and checked; the tests compare the two.
+    from the sampler; the tests compare the two.
     """
     positions, word = _flag_enter(state)
     laws, den = _flag_law(word, coin)
@@ -302,7 +296,7 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
         after = _plain_step(positions, k)
         for outcome, n in law:
             entries.append((_flag_leave((after, outcome)), n))
-    return _unchecked_dist(entries, den)
+    return _law(entries, den)
 
 
 def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:

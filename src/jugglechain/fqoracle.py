@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .chain import TransitionDist, _unchecked_dist
+from .chain import TransitionDist, _law
 from .errors import check_budget
 from .flagchain import group_prefactor
 from .states import (
@@ -401,16 +401,11 @@ def _prepend_law(
     prepending a uniformly random column, `ordered` None or the labels
     1..height.
 
-    It is built unchecked (`chain._unchecked_dist`), each state as well
-    (`_state`):
-    - prepending keeps full rank, so each of the p^height columns leaves a
-      lead tuple of distinct naturals, which sorted are a plain state's
-      strictly increasing positions; labeled, each lead's cell holds a
-      positive label, and the last cell, at the largest lead, bears one;
-    - states are merged in a Counter, so they are distinct, and each count
-      is positive;
-    - `_lead_counts` classifies every one of the p^height matrices once,
-      so the counts sum to the denominator p^height.
+    Its states are built unchecked (`_state`): prepending keeps full rank,
+    so each of the p^height columns leaves a lead tuple of distinct
+    naturals, which sorted are a plain state's strictly increasing
+    positions; labeled, each lead's cell holds a positive label, and the
+    last cell, at the largest lead, bears one.
     """
     if _leading_columns(matrix) is None:
         raise ValueError("matrix must have full rank")
@@ -419,7 +414,7 @@ def _prepend_law(
     counts: Counter = Counter()
     for leads, count in _lead_counts(p, choices).items():
         counts[_state(leads, ordered, checked=False)] += count
-    return _unchecked_dist(counts.items(), p**matrix.height)
+    return _law(counts.items(), p**matrix.height)
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:

@@ -40,7 +40,7 @@ from .chain import (
     FlipSource,
     Sampler,
     TransitionDist,
-    _unchecked_dist,
+    _law,
     step_law,
 )
 from .errors import NonTermination
@@ -180,14 +180,9 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     step, answering tails, takes a - c; otherwise the one outcome takes
     all a.  That is exact because each hatted step flips at most one coin
     (`hatted_backward_step`).  A state still hatted after the last level
-    (a convention bug) raises NonTermination.
-
-    The law is then built unchecked (`chain._unchecked_dist`): its states
-    are the distinct keys of the last level, every numerator is a product
-    of positive factors c, a - c and a, each level's numerators sum to
-    a^level since each state's shares sum to a, and every state is valid
-    (`hatted_backward_step`).  `step_law` run on the composed steps is the
-    checked reference the tests compare it with.
+    (a convention bug) raises NonTermination.  Every state of the last
+    level is valid (`hatted_backward_step`).  `step_law` run on the
+    composed steps is the reference the tests compare it with.
     """
     steps = len(state.cells) + 2
     a, c = coin.q.numerator, coin.q.denominator
@@ -212,7 +207,7 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     for out in level:
         if not isinstance(out, FlagState):
             raise NonTermination(f"branch still hatted after {steps} steps")
-    return _unchecked_dist(level.items(), a**steps)
+    return _law(level.items(), a**steps)
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:

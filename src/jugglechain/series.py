@@ -103,12 +103,17 @@ def check_state_budget(sizes: Iterable[int], degree: int, what: str) -> None:
     the budget.  Its count, 1/prod_m (x;x)_m, is built one `_divide_step`
     by 1 - x^i at a time; each quotient is 1 plus nonnegative terms, so
     the first partial count over the budget refuses.  A ball puts a state
-    on every level, so the table can stop at the budget's degree.  The
-    words a sweep lists never outnumber its states: each, put on positions
-    0..b-1, is a distinct state with its inversions."""
+    on every level, so the table can stop at the budget's degree; without
+    one (no size but 0) the count is the one empty state, and no table is
+    built.  The words a sweep lists never outnumber its states: each, put
+    on positions 0..b-1, is a distinct state with its inversions."""
+    sizes = iter(sizes)
+    first = next((m for m in sizes if m), None)
+    if first is None:
+        return
     top = min(degree, errors.ENUMERATION_BUDGET)
     counts = [1] + [0] * top
-    for m in sizes:
+    for m in itertools.chain([first], sizes):
         for i in range(1, min(m, top) + 1):
             _divide_step(counts, i)
             check_budget(sum(counts), what)

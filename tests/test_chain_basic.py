@@ -12,6 +12,7 @@ from jugglechain.chain import (
     TransitionDist,
     _at_q,
     _inflow_by_move,
+    _law,
     backward_dist,
     backward_step,
     simulate,
@@ -20,11 +21,13 @@ from jugglechain.chain import (
     tv_distance,
     verify_stationarity,
 )
+from jugglechain.flagchain import flag_backward_dist
 from jugglechain.rng import ChainRng, ScriptedRng
 from jugglechain.states import (
     JugglingState,
     ground_state,
     inversions,
+    parse_flag_state,
     parse_state,
     prepend_empty,
     recover_throw,
@@ -250,6 +253,55 @@ class TestTransitionDist:
     def test_non_positive_entry(self, probs):
         with pytest.raises(ValueError, match="must be positive"):
             TransitionDist(tuple(zip("ab", probs)))
+
+
+    def test_equal_over_different_denominators(self):
+        # the flag law of "21" at q = 2 is 4/8, 2/8 and 2/8; its rebuild
+        # from the reduced entries is over 4
+        law = flag_backward_dist(parse_flag_state("21"), Q2)
+        rebuilt = TransitionDist(law.entries)
+        assert (law._denominator, rebuilt._denominator) == (8, 4)
+        assert law == rebuilt and hash(law) == hash(rebuilt)
+
+    def test_unequal_laws(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        law = TransitionDist((("a", half), ("b", quarter), ("c", quarter)))
+        assert law != TransitionDist((("a", quarter), ("b", half), ("c", quarter)))
+        assert law != TransitionDist((("a", half), ("b", quarter), ("d", quarter)))
+        assert law != TransitionDist((("a", half), ("b", half)))
+        assert backward_dist(parse_state("x-x"), Q2) != backward_dist(
+            parse_state("x-x"), CoinConfig(Fraction(3))
+        )
+
+    def test_probability_off_the_support(self):
+        p = backward_dist(parse_state("x-x"), Q2).probability(parse_state("x"))
+        assert p == Fraction(0) and type(p) is Fraction
+
+    @pytest.mark.parametrize(
+        "numerators,den,message",
+        [
+            ([("a", 1), ("a", 1)], 2, "duplicate states"),
+            ([("a", 1), ("b", 2)], 4, "^probabilities sum to 3/4, not 1$"),
+            ([("a", 2), ("b", 0)], 2, "must be positive"),
+        ],
+        ids=["duplicate", "total", "non-positive"],
+    )
+    def test_builder_constructor_checks(self, numerators, den, message):
+        with pytest.raises(ValueError, match=message):
+            _law(numerators, den)
+
+    def test_builder_numerators_are_checked(self, monkeypatch):
+        # one extra numerator on the move k = 0 makes the law of "x-x" at
+        # q = 2 sum to 5/4, which the builder must refuse
+        move_law = chain._move_law
+
+        def inflated(b, coin):
+            nums, den = move_law(b, coin)
+            return (nums[0] + 1,) + nums[1:], den
+
+        monkeypatch.setattr(chain, "_move_law", inflated)
+        with pytest.raises(ValueError, match="sum to 5/4"):
+            backward_dist(parse_state("x-x"), CoinConfig(Fraction(2)))
 
 
 class TestStationaryWeight:

@@ -1,8 +1,8 @@
 """The exact one-step laws are built on inner states, as integer numerators
-over one denominator, and leave through `chain._unchecked_dist`.  Each
-must equal the law `step_law` enumerates from its sampler, every check
-made, and its own checked rebuild: same entries, same order, and states
-the public constructors accept."""
+over one denominator, which the law holds as they are.  Each must equal
+the law `step_law` enumerates from its sampler and its own rebuild from
+its entries by the public constructor, and hold states the public
+constructors accept."""
 import itertools
 from collections import Counter
 from fractions import Fraction

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,18 @@ class TestEnumerationBudget:
         with pytest.raises(ResourceLimit, match="^state enumeration"):
             check_state_budget([1], 10**12, "state")
         check_state_budget([], 10**12, "state")
+
+    @pytest.mark.parametrize("sizes,what", [([0], "state"), ([], "flag state")])
+    def test_no_ball_builds_no_count_table(self, sizes, what):
+        # one state at any degree: no table of budget + 1 terms (16 MB) is
+        # built to count it
+        tracemalloc.start()
+        try:
+            check_state_budget(sizes, 10**12, what)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_refused_at_the_first_factor_over_the_budget(self):
         # labels 1..6 up to 40 inversions make 9,366,819 flag states, so
