@@ -219,7 +219,7 @@ def step_law(step, state, coin: CoinConfig) -> TransitionDist:
     total probability of the sequences that lead to it.  Every sequence
     must end after finitely many flips, each with an exact rational
     probability.  The sequence probabilities are summed as integers over
-    their common denominator, one `Fraction` per outcome."""
+    their common denominator, and the law holds those integers (`_law`)."""
     leaves: dict = {}
     pending: list[list[bool]] = [[]]
     while pending:
@@ -227,12 +227,8 @@ def step_law(step, state, coin: CoinConfig) -> TransitionDist:
         out = step(state, coin, flips)
         leaves.setdefault(out, []).append((flips.num, flips.den))
     den = math.lcm(*(d for group in leaves.values() for _, d in group))
-    return TransitionDist(
-        tuple(
-            (out, Fraction(sum(n * (den // d) for n, d in group), den))
-            for out, group in leaves.items()
-        )
-    )
+    nums = [(out, sum([n * (den // d) for n, d in g])) for out, g in leaves.items()]
+    return _law(nums, den)
 
 
 @lru_cache(maxsize=256)

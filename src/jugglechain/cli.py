@@ -46,6 +46,7 @@ from .rng import ChainRng
 from .series import (
     DEFAULT_DEGREE,
     bundle_factorization_holds,
+    check_caps,
     check_enumeration_budget,
     check_state_budget,
     flag_series,
@@ -346,6 +347,7 @@ def cmd_series(args) -> int:
 
     # refuse an oversized sweep before enumerating anything
     check_enumeration_budget(args.partition_max, d)
+    check_caps(args.perm_max, args.grassmann_max)
     for b in range(1, args.partition_max + 1):
         record(
             f"state-partition b={b}",

@@ -1,7 +1,8 @@
 """The backward Markov chain on labeled (flag) states, and its digraph.
 
-A flag state is its positions (`erase_labels`) and its word w, the labels
-read left to right.  Each routine is the plain chain's on the
+A flag state is its positions and its word w, the labels read left to
+right; `states` alone splits a state into the two (`_flag_enter`) and
+fills them back (`_flag_leave`).  Each routine is the plain chain's on the
 positions times one on the word: positions move only in `chain` and
 `states`, and this module reads and writes words.
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -51,9 +51,9 @@ from .chain import (
 from .errors import CapTooSmall
 from .series import sn
 from .states import (
-    Cell,
     FlagState,
-    _unchecked_flag,
+    _flag_enter,
+    _flag_leave,
     _unchecked_state,
     flag_inversions,
     forward_edges,
@@ -154,13 +154,6 @@ def _word_step(
     return tuple(out)
 
 
-def _flag_enter(state: FlagState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (positions, word) pair of a flag state.  Labels are positive, so
-    the labeled cells are the truthy ones."""
-    cells = state.cells
-    return tuple(compress(range(len(cells)), cells)), tuple(filter(None, cells))
-
-
 def _flag_step(
     inner: tuple[tuple[int, ...], tuple[int, ...]], coin: CoinConfig, rng: FlipSource
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,25 +175,11 @@ def _flag_step(
     return _plain_step(positions, k), _word_step(word, k, coin, rng)
 
 
-def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
-    """The flag state of a (positions, word) pair, its cells refilled.
-
-    It is built without the constructor's checks.  It is valid for every
-    pair `_flag_step` reaches from an entered state, and for the targets of
-    `flag_backward_dist` and `flag_forward_edges`: the word rearranges a
-    checked state's labels (`_word_step` and `_word_walks` only move and
-    exchange them), the positions are strictly increasing naturals (a plain
-    successor's, or those of a target of `states.forward_edges`, a checked
-    plain state), and the last cell, at the last position, bears a label."""
-    positions, word = inner
-    out: list[Cell] = [None] * (positions[-1] + 1)
-    for position, label in zip(positions, word):
-        out[position] = label
-    return _unchecked_flag(tuple(out))
-
-
 # The flag chain steps (positions, word) pairs: the plain chain's positions
-# and the word of labels, each moved by its own kernel.
+# and the word of labels, each moved by its own kernel.  Its pairs, and the
+# targets of `flag_backward_dist` and `flag_forward_edges`, fill unchecked
+# (`_flag_leave`): each word rearranges a checked state's labels, on the
+# positions of a plain successor or of a checked plain state.
 FLAG = Sampler(_flag_step, _flag_enter, _flag_leave)
 
 

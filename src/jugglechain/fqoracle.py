@@ -34,10 +34,11 @@ from .chain import TransitionDist, _law
 from .errors import check_budget
 from .flagchain import group_prefactor
 from .states import (
-    Cell,
     FlagState,
     JugglingState,
-    _unchecked_flag,
+    _check_labels,
+    _flag_enter,
+    _flag_leave,
     _unchecked_state,
     flag_inversions,
     inversions,
@@ -276,23 +277,20 @@ def _lead_counts(
 
 
 def _state(
-    leads: Sequence[int], ordered: Optional[Sequence[int]], checked: bool = True
+    leads: Sequence[int], ordered: Optional[Sequence[int]]
 ) -> JugglingState | FlagState:
     """The state of a full-rank lead tuple: the sorted leads when
-    `ordered` is None, else row i's label ordered[i] placed at its lead.
-    With `checked` False it is built without the constructor's checks, for
-    callers whose labels are positive by proof (the leads always are
-    distinct naturals: `_leading_columns` keys each reduced row by its
-    lead)."""
+    `ordered` is None, else row i's label ordered[i] placed at its lead,
+    the (lead, label) pairs sorted for `_flag_leave`.  It is built
+    unchecked: the leads are distinct naturals (`_leading_columns` keys
+    each reduced row by its lead), and the labels are 1..height or were
+    checked where they entered (`group_fraction_sweep`,
+    `coarse_flag_pivot_state`)."""
     if ordered is None:
-        positions = tuple(sorted(leads))
-        return JugglingState(positions) if checked else _unchecked_state(positions)
+        return _unchecked_state(tuple(sorted(leads)))
     if not ordered:  # no flag state has zero labels
         raise ValueError("a labeled state needs at least one row")
-    cells: list[Cell] = [None] * (max(leads) + 1)
-    for lead, label in zip(leads, ordered):
-        cells[lead] = label
-    return FlagState(tuple(cells)) if checked else _unchecked_flag(tuple(cells))
+    return _flag_leave(tuple(zip(*sorted(zip(leads, ordered)))))
 
 
 def _state_counts(
@@ -333,10 +331,11 @@ def coarse_flag_pivot_state(
 ) -> Optional[FlagState]:
     """flag_pivot_state with row i relabeled by the i-th entry of the
     sorted label multiset (rows come in contiguous equal-label groups);
-    ValueError, whatever the rank, if its size is not the row count."""
+    ValueError, whatever the rank, on a wrong label count or label."""
     ordered = sorted(labels)
     if len(ordered) != matrix.height:
         raise ValueError("label multiset size must match the row count")
+    _check_labels(ordered)
     leads = _leading_columns(matrix)
     if leads is None:
         return None
@@ -391,6 +390,7 @@ def flag_fraction_sweep(b: int, w: int, p: int) -> dict[Optional[FlagState], Fra
 def group_fraction_sweep(
     labels: Sequence[int], w: int, p: int
 ) -> dict[Optional[FlagState], Fraction]:
+    _check_labels(labels)  # whatever the ranks, before any matrix
     return _fraction_sweep(len(labels), w, p, sorted(labels))
 
 
@@ -399,22 +399,12 @@ def _prepend_law(
 ) -> TransitionDist:
     """Law of the state of `matrix` (as in `_fraction_sweep`) after
     prepending a uniformly random column, `ordered` None or the labels
-    1..height.
-
-    Its states are built unchecked (`_state`): prepending keeps full rank,
-    so each of the p^height columns leaves a lead tuple of distinct
-    naturals, which sorted are a plain state's strictly increasing
-    positions; labeled, each lead's cell holds a positive label, and the
-    last cell, at the largest lead, bears one.
-    """
+    1..height.  Prepending keeps full rank, so no column leaves None."""
     if _leading_columns(matrix) is None:
         raise ValueError("matrix must have full rank")
     p = matrix.p
     choices = [[range(p), *((e,) for e in row)] for row in matrix.rows]
-    counts: Counter = Counter()
-    for leads, count in _lead_counts(p, choices).items():
-        counts[_state(leads, ordered, checked=False)] += count
-    return _law(counts.items(), p**matrix.height)
+    return _law(_state_counts(p, choices, ordered).items(), p**matrix.height)
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:
@@ -446,15 +436,14 @@ def matrix_for_state(state: JugglingState, width: int, p: int) -> FqMatrix:
 def partial_permutation_matrix(state: FlagState, width: int, p: int) -> FqMatrix:
     """The partial permutation matrix of a distinct-label flag state:
     a 1 in row `label`, column `position` for every labeled cell."""
-    labels = state.labels
+    positions, word = _flag_enter(state)
+    labels = sorted(word)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     if len(state.cells) > width:
         raise ValueError("state does not fit in the width")
-    b = len(labels)
-    rows = [[0] * width for _ in range(b)]
+    rows = [[0] * width for _ in labels]
     rank = {lab: i for i, lab in enumerate(labels)}
-    for pos, cell in enumerate(state.cells):
-        if cell is not None:
-            rows[rank[cell]][pos] = 1
+    for pos, label in zip(positions, word):
+        rows[rank[label]][pos] = 1
     return FqMatrix(p, tuple(tuple(r) for r in rows))

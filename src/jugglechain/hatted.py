@@ -45,7 +45,7 @@ from .chain import (
 )
 from .errors import NonTermination
 from .flagchain import flag_forward_edges
-from .states import Cell, FlagState, _unchecked_flag
+from .states import Cell, FlagState, _check_labels, _unchecked_flag
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class HattedState:
         object.__setattr__(self, "cells", cells)
         if not cells or cells[-1] is None:
             raise ValueError("cells must be trimmed and end with a label")
-        if 0 in cells or min(filter(None, cells)) < 0:  # as in FlagState
-            raise ValueError("labels must be positive integers")
+        _check_labels(cells)
         if not 0 <= self.hat <= len(cells):
             raise ValueError("hat must sit on a cell or just past the last label")
 

@@ -189,10 +189,18 @@ def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
     return TruncSeries(sum(1 for _ in level) for level in levels)
 
 
+def check_caps(perm_max: int, window_max: int) -> None:
+    """Raise ResourceLimit if the permutations of [perm_max] or the states
+    of a window of window_max cells are past their enumeration caps."""
+    if perm_max > 8:
+        raise ResourceLimit("permutation enumeration capped at n = 8")
+    if window_max > 12:
+        raise ResourceLimit("window enumeration capped at h = 12")
+
+
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum over permutations of [n] of x^inversions, by enumeration."""
-    if n > 8:
-        raise ResourceLimit("permutation enumeration capped at n = 8")
+    check_caps(n, 0)
     return _count_by_inversions(
         itertools.permutations(range(1, n + 1)), word_inversions, degree
     )
@@ -217,8 +225,7 @@ def grassmannian_series_enumerated(
     j: int, h: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
     """Sum of x^inversions over j-ball states with every x in [0, h)."""
-    if h > 12:
-        raise ResourceLimit("window enumeration capped at h = 12")
+    check_caps(0, h)
     return _count_by_inversions(window_states(j, h), inversions, degree)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import IllegalThrow, ParseError
@@ -168,10 +169,7 @@ class FlagState:
         object.__setattr__(self, "cells", cells)
         if not cells or cells[-1] is None:
             raise ValueError("flag state must end with a label")
-        # filter(None, ...) drops empties and zeros; the last cell, a label,
-        # keeps it non-empty once zeros are ruled out
-        if 0 in cells or min(filter(None, cells)) < 0:
-            raise ValueError("labels must be positive integers")
+        _check_labels(cells)
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -187,6 +185,14 @@ class FlagState:
 
     def __str__(self) -> str:
         return self.word()
+
+
+def _check_labels(cells: Sequence[Cell]) -> None:
+    """Raise ValueError unless each label among `cells` is positive; None
+    is an empty cell, and a label multiset is checked as its cells."""
+    # filter(None, ...) drops empties and zeros
+    if 0 in cells or min(filter(None, cells), default=0) < 0:
+        raise ValueError("labels must be positive integers")
 
 
 def _unchecked_flag(cells: tuple[Cell, ...]) -> FlagState:
@@ -256,20 +262,35 @@ def word_inversions(cells: Sequence[Cell]) -> int:
     return total
 
 
+def _flag_enter(state: FlagState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (positions, word) pair of a flag state.  Labels are positive, so
+    the labeled cells are the truthy ones."""
+    cells = state.cells
+    return tuple(compress(range(len(cells)), cells)), tuple(filter(None, cells))
+
+
+def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
+    """The flag state of a (positions, word) pair, the i-th label at the
+    i-th position, built without the constructor's checks: the positions
+    must be strictly increasing naturals, at least one, and the word as
+    many positive labels."""
+    positions, word = inner
+    out: list[Cell] = [None] * (positions[-1] + 1)
+    for position, label in zip(positions, word):
+        out[position] = label
+    return _unchecked_flag(tuple(out))
+
+
 def erase_labels(state: FlagState) -> JugglingState:
     """Forget labels, keeping only the occupied positions."""
-    return JugglingState(
-        tuple(i for i, c in enumerate(state.cells) if c is not None)
-    )
+    return JugglingState(_flag_enter(state)[0])
 
 
 def flag_from_parts(positions: Sequence[int], labels_in_order: Sequence[int]) -> FlagState:
     """Build a flag state from occupied positions and their labels read
-    left to right."""
-    cells: list[Cell] = [None] * (max(positions) + 1) if positions else []
-    for pos, lab in zip(sorted(positions), labels_in_order):
-        cells[pos] = lab
-    return FlagState(tuple(cells))
+    left to right, checked as the constructor checks it."""
+    positions = sorted(positions)
+    return FlagState(_flag_leave((positions, labels_in_order)).cells if positions else ())
 
 
 def trim_cells(cells: Sequence[Cell]) -> tuple[Cell, ...]:
@@ -306,6 +327,8 @@ def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
     States correspond to weakly increasing gap vectors (a partition with at
     most b parts summing to `count`): position_j = gap_j + j.
     """
+    if balls < 0:  # `_gaps` would recurse without end
+        raise ValueError(f"the ball count must be at least 0, got {balls}")
     for gap in _gaps(count, balls, 0):
         yield JugglingState(tuple(g + j for j, g in enumerate(gap)))
 
@@ -389,13 +412,14 @@ def _flag_level(
             continue
         for state in states_with_inversions(balls, plain_inv):
             for fill in fills:
-                yield flag_from_parts(state.positions, fill)
+                yield _flag_leave((state.positions, fill))
 
 
 def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
     """The flag states over `labels` with each inversion count in `counts`
     in turn; the words over the labels are listed once for all of them, up
-    to the last count."""
+    to the last count; the labels are checked first, once."""
+    FlagState(tuple(labels))  # the checked constructor refuses bad labels
     if not counts:
         return
     words = _label_words(labels, counts[-1])

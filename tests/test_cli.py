@@ -859,6 +859,33 @@ class TestBadFlags:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["series", "--partition-max", "6", "--perm-max", "9"], "capped at n = 8"),
+            (["series", "--degree", "40", "--perm-max", "9"], "capped at n = 8"),
+            (["series", "--grassmann-max", "13"], "capped at h = 12"),
+        ],
+        ids=["perm-max-after-partitions", "perm-max-at-degree-40", "grassmann-max"],
+    )
+    def test_series_caps_refused_before_any_identity(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # every cap is checked before the first identity is computed
+        def computed(*args):
+            raise AssertionError("an identity was computed before the caps were checked")
+
+        for name in (
+            "state_partition_series_enumerated",
+            "flag_series_enumerated",
+            "bundle_factorization_holds",
+            "perm_inversion_series",
+            "grassmannian_series_enumerated",
+        ):
+            monkeypatch.setattr(cli, name, computed)
+        line = bad_flags(capsys, *argv)
+        assert message in line
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["dist", "--state", "x-y", "--q", "2"], "bad character 'y'"),
             (["dist", "--flag-state", "3x1", "--q", "2"], "bad token 'x'"),
             (["digraph", "--state", "x-y"], "bad character 'y'"),

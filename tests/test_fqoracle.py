@@ -273,6 +273,24 @@ class TestGroupCoarsening:
         with pytest.raises(ValueError, match="label multiset size"):
             coarse_flag_pivot_state(FqMatrix(2, rows), [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: group_fraction_sweep((0, 1), 1, 2),
+            lambda: group_fraction_sweep((-1, 2), 2, 2),
+            lambda: coarse_flag_pivot_state(FqMatrix(2, ((0, 0), (0, 0))), (0, 1)),
+            lambda: coarse_flag_pivot_state(FqMatrix(2, ((1, 0), (0, 1))), (0, 1)),
+        ],
+        ids=[
+            "sweep-rank-deficient", "sweep", "state-rank-deficient", "state-full-rank"
+        ],
+    )
+    def test_refuses_non_positive_labels_whatever_the_rank(self, call):
+        # a sweep of only rank-deficient matrices, and a rank-deficient
+        # matrix, build no state, and are refused all the same
+        with pytest.raises(ValueError, match="labels must be positive integers"):
+            call()
+
 
 class TestColumnPrepend:
     def test_one_ball(self):

@@ -139,6 +139,11 @@ class TestStatePartition:
             b, 24
         )
 
+    @pytest.mark.parametrize("degree", [0, 6])
+    def test_enumeration_refuses_negative_ball_count(self, degree):
+        with pytest.raises(ValueError, match="ball count must be at least 0"):
+            state_partition_series_enumerated(-1, degree)
+
 
 class TestFlagSeries:
     def test_one_label(self):

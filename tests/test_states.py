@@ -26,6 +26,7 @@ from jugglechain.states import (
     prepend_empty,
     recover_throw,
     state_count_by_inversions,
+    states_up_to_inversions,
     states_with_inversions,
     throw_state,
     window_dual,
@@ -209,6 +210,23 @@ class TestText:
         with pytest.raises(ValueError):
             FlagState((1, None))
 
+    def test_flag_from_parts_sorts_positions(self):
+        assert flag_from_parts((3, 0), (2, 1)) == parse_flag_state("2--1")
+
+    @pytest.mark.parametrize(
+        "positions,labels,message",
+        [
+            ((), (), "must end with a label"),
+            ((0, 2), (1,), "must end with a label"),
+            ((0, 1), (0, 1), "labels must be positive integers"),
+            ((0, 1), (2, -1), "labels must be positive integers"),
+        ],
+        ids=["no-positions", "too-few-labels", "zero-label", "negative-label"],
+    )
+    def test_flag_from_parts_is_checked(self, positions, labels, message):
+        with pytest.raises(ValueError, match=message):
+            flag_from_parts(positions, labels)
+
 
 class TestEnumeration:
     def brute_states(self, balls, max_inv):
@@ -262,6 +280,34 @@ class TestEnumeration:
             for k in range(7):
                 count = sum(1 for _ in flag_states_with_inversions(labels, k))
                 assert count == math.comb(k + b - 1, b - 1)
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ((0, 1), "labels must be positive integers"),
+            ((2, -1), "labels must be positive integers"),
+            ((), "must end with a label"),
+        ],
+        ids=["zero-label", "negative-label", "no-labels"],
+    )
+    def test_flag_enumeration_refuses_labels(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            list(flag_states_up_to_inversions(labels, 1))
+        with pytest.raises(ValueError, match=message):
+            list(flag_states_with_inversions(labels, 3))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list(states_with_inversions(-1, 3)),
+            lambda: list(states_up_to_inversions(-1, 3)),
+            lambda: state_count_by_inversions(-1, 0),
+        ],
+        ids=["with-inversions", "up-to-inversions", "count"],
+    )
+    def test_negative_ball_count_refused(self, call):
+        with pytest.raises(ValueError, match="ball count must be at least 0"):
+            call()
 
     def test_flag_enumeration_exact_inversions(self):
         for state in flag_states_with_inversions((1, 1, 2), 5):
