@@ -178,35 +178,48 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     asked for a flip, that outcome takes c of its weight and a second
     step, answering tails, takes a - c; otherwise the one outcome takes
     all a.  That is exact because each hatted step flips at most one coin
-    (`hatted_backward_step`).  A state still hatted after the last level
-    (a convention bug) raises NonTermination.  Every state of the last
-    level is valid (`hatted_backward_step`).  `step_law` run on the
-    composed steps is the reference the tests compare it with.
+    (`hatted_backward_step`).
+
+    States are merged on their cells alone, each level a map from cells
+    to [state, numerator].  That is exact because every state of one
+    level has the same hat, by induction on the level: level 0 is the
+    unhatted start, and every branch moves the hat the same way at each
+    step (entering hats cell len(cells) of the start, every later step
+    moves it from i to i - 1, whichever branch it takes and whether or
+    not it trims a cell, and the step from cell 0 unhats).  So two states
+    of a level with equal cells are equal, and the cells' tuple hash,
+    made in C, stands in for the dataclass hash of cells and hat.
+
+    A state still hatted after the last level (a convention bug) raises
+    NonTermination.  Every state of the last level is valid
+    (`hatted_backward_step`).  `step_law` run on the composed steps is
+    the reference the tests compare it with.
     """
     steps = len(state.cells) + 2
     a, c = coin.q.numerator, coin.q.denominator
     step = hatted_backward_step
     heads = _OneFlip(True, coin.heads_probability)
     tails = _OneFlip(False, coin.heads_probability)
-    level: dict = {state: 1}
+    level: dict[tuple[Cell, ...], list] = {state.cells: [state, 1]}
     for _ in range(steps):
-        grown: dict = {}
-        for current, n in level.items():
+        grown: dict[tuple[Cell, ...], list] = {}
+        for current, n in level.values():
             heads.asked = False
             out = step(current, coin, heads)
             if heads.asked:
-                grown[out] = grown.get(out, 0) + n * c
+                grown.setdefault(out.cells, [out, 0])[1] += n * c
                 tails.asked = False
                 out = step(current, coin, tails)
                 n *= a - c
             else:
                 n *= a
-            grown[out] = grown.get(out, 0) + n
+            grown.setdefault(out.cells, [out, 0])[1] += n
         level = grown
-    for out in level:
+    ends = [(out, n) for out, n in level.values()]
+    for out, _ in ends:
         if not isinstance(out, FlagState):
             raise NonTermination(f"branch still hatted after {steps} steps")
-    return _law(level.items(), a**steps)
+    return _law(ends, a**steps)
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:

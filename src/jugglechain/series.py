@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from . import errors
 from .errors import ResourceLimit, check_budget
 from .states import (
-    _flag_level,
+    _flag_levels,
     _label_words,
     inversions,
     state_count_by_inversions,
@@ -185,7 +185,7 @@ def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
         return state_partition_series_enumerated(0, degree)
     check_state_budget(itertools.repeat(1, balls), degree, "flag state")
     words = _label_words(range(1, balls + 1), degree)  # listed once per call
-    levels = (_flag_level(words, balls, k) for k in range(degree + 1))
+    levels = _flag_levels(words, balls, range(degree + 1))
     return TruncSeries(sum(1 for _ in level) for level in levels)
 
 

@@ -188,11 +188,12 @@ class FlagState:
 
 
 def _check_labels(cells: Sequence[Cell]) -> None:
-    """Raise ValueError unless each label among `cells` is positive; None
-    is an empty cell, and a label multiset is checked as its cells."""
-    # filter(None, ...) drops empties and zeros
-    if 0 in cells or min(filter(None, cells), default=0) < 0:
-        raise ValueError("labels must be positive integers")
+    """Raise ValueError unless each label among `cells` is a positive int;
+    None is an empty cell, a bool or a float is no label, and a label
+    multiset is checked as its cells."""
+    for cell in cells:
+        if cell is not None and (type(cell) is not int or cell < 1):
+            raise ValueError("labels must be positive integers")
 
 
 def _unchecked_flag(cells: tuple[Cell, ...]) -> FlagState:
@@ -288,7 +289,11 @@ def erase_labels(state: FlagState) -> JugglingState:
 
 def flag_from_parts(positions: Sequence[int], labels_in_order: Sequence[int]) -> FlagState:
     """Build a flag state from occupied positions and their labels read
-    left to right, checked as the constructor checks it."""
+    left to right, checked as the constructor checks it.  A label short
+    leaves the last position empty, which the constructor refuses; a
+    label over would have no cell, and is refused here."""
+    if len(labels_in_order) > len(positions):
+        raise ValueError("more labels than positions")
     positions = sorted(positions)
     return FlagState(_flag_leave((positions, labels_in_order)).cells if positions else ())
 
@@ -304,33 +309,50 @@ def trim_cells(cells: Sequence[Cell]) -> tuple[Cell, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration helpers
 
-def _gaps(remaining: int, slots: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples of `slots` parts, each at least `minimum`,
-    summing to `remaining`.  Module-level, so no call leaves a reference
-    cycle for the cyclic collector."""
+def _walk_positions(
+    prefix: tuple[int, ...],
+    remaining: int,
+    slots: int,
+    minimum: int,
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to `out` each position tuple that extends `prefix` by `slots`
+    positions whose gaps are weakly increasing, each at least `minimum`,
+    summing to `remaining`, in lexicographic order of the gap vector.
+
+    The gap g at index j is the position g + j, so each position is made
+    as its gap is chosen and each finished tuple is appended once, not
+    rebuilt from its gaps.  A first gap g leaves slots - 1 gaps of at
+    least g, so g runs up to remaining // slots: every branch taken ends
+    in a tuple.  Module-level, so no call leaves a reference cycle for
+    the cyclic collector."""
     if slots == 0:
         if remaining == 0:
-            yield ()
+            out.append(prefix)
         return
+    j = len(prefix)
     if slots == 1:
         if remaining >= minimum:
-            yield (remaining,)
+            out.append(prefix + (remaining + j,))
         return
-    for first in range(minimum, remaining + 1):
-        for rest in _gaps(remaining - first, slots - 1, first):
-            yield (first,) + rest
+    for gap in range(minimum, remaining // slots + 1):
+        _walk_positions(prefix + (gap + j,), remaining - gap, slots - 1, gap, out)
 
 
 def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
-    """All b-ball states with inversion count exactly `count`.
+    """All b-ball states with inversion count exactly `count`, in
+    lexicographic order of their gap vectors.
 
     States correspond to weakly increasing gap vectors (a partition with at
-    most b parts summing to `count`): position_j = gap_j + j.
+    most b parts summing to `count`): position_j = gap_j + j.  The
+    positions are listed first (`_walk_positions`), then each is checked
+    by the constructor.
     """
-    if balls < 0:  # `_gaps` would recurse without end
+    if balls < 0:  # `_walk_positions` would recurse without end
         raise ValueError(f"the ball count must be at least 0, got {balls}")
-    for gap in _gaps(count, balls, 0):
-        yield JugglingState(tuple(g + j for j, g in enumerate(gap)))
+    positions: list[tuple[int, ...]] = []
+    _walk_positions((), count, balls, 0, positions)
+    return map(JugglingState, positions)
 
 
 def states_up_to_inversions(balls: int, max_count: int) -> Iterator[JugglingState]:
@@ -342,7 +364,7 @@ def states_up_to_inversions(balls: int, max_count: int) -> Iterator[JugglingStat
 
 def state_count_by_inversions(balls: int, count: int) -> int:
     """Number of b-ball states with the given inversion count."""
-    return sum(1 for _ in states_with_inversions(balls, count))
+    return len(list(states_with_inversions(balls, count)))
 
 
 def distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -376,7 +398,7 @@ def _extend_words(
     are those of `rest` below it, as many as the index of its first copy,
     as `rest` is ascending, and removing that copy keeps it ascending.  So
     the inversions made grow with the value, and the first value past the
-    budget ends the loop.  Module-level, like `_gaps`."""
+    budget ends the loop.  Module-level, like `_walk_positions`."""
     if not rest:
         out.setdefault(made, []).append(prefix)
         return
@@ -401,30 +423,49 @@ def _label_words(
 
 
 def _flag_level(
-    words: dict[int, list[tuple[int, ...]]], balls: int, count: int
+    words: dict[int, list[tuple[int, ...]]],
+    plain: list[list[tuple[int, ...]]],
+    count: int,
 ) -> Iterator[FlagState]:
     """The flag states with exactly `count` inversions, from a table of
-    `_label_words` that reaches that count: plain states with plain_inv
+    `_label_words` and a list of plain levels (plain[k]: the positions of
+    the plain states with k inversions, in `states_with_inversions`
+    order), both reaching that count: plain states with plain_inv
     inversions, each filled with every word of count - plain_inv."""
     for plain_inv in range(count + 1):
         fills = words.get(count - plain_inv)
         if not fills:
             continue
-        for state in states_with_inversions(balls, plain_inv):
+        for positions in plain[plain_inv]:
             for fill in fills:
-                yield _flag_leave((state.positions, fill))
+                yield _flag_leave((positions, fill))
+
+
+def _flag_levels(
+    words: dict[int, list[tuple[int, ...]]], balls: int, counts: range
+) -> Iterator[Iterator[FlagState]]:
+    """The flag states of each inversion count in `counts` in turn, one
+    `_flag_level` per count, from a table of `_label_words` that reaches
+    the last count.  Each plain level up to the last count is listed once,
+    by the checked constructor, for every flag level it fills."""
+    plain: list[list[tuple[int, ...]]] = []
+    for count in range(counts.stop):
+        plain.append([state.positions for state in states_with_inversions(balls, count)])
+        if count in counts:
+            yield _flag_level(words, plain, count)
 
 
 def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
     """The flag states over `labels` with each inversion count in `counts`
     in turn; the words over the labels are listed once for all of them, up
-    to the last count; the labels are checked first, once."""
+    to the last count, and so is each plain level; the labels are checked
+    first, once."""
     FlagState(tuple(labels))  # the checked constructor refuses bad labels
     if not counts:
         return
     words = _label_words(labels, counts[-1])
-    for count in counts:
-        yield from _flag_level(words, len(labels), count)
+    for level in _flag_levels(words, len(labels), counts):
+        yield from level
 
 
 def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[FlagState]:

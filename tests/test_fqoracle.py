@@ -291,6 +291,14 @@ class TestGroupCoarsening:
         with pytest.raises(ValueError, match="labels must be positive integers"):
             call()
 
+    @pytest.mark.parametrize(
+        "labels", [(1.5, 2), (2.0, 1), (True, 2)], ids=["float", "integral-float", "bool"]
+    )
+    def test_refuses_labels_that_are_not_ints(self, labels):
+        # a non-integer label would otherwise label the swept states
+        with pytest.raises(ValueError, match="labels must be positive integers"):
+            group_fraction_sweep(labels, 2, 2)
+
 
 class TestColumnPrepend:
     def test_one_ball(self):

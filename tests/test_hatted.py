@@ -139,12 +139,18 @@ class TestComposition:
             parse_flag_state("--31-2"), Q2
         ) == flag_backward_dist(parse_flag_state("--31-2"), Q2)
 
-    @pytest.mark.parametrize("labels", [(1,), (1, 2), (1, 2, 3), (1, 1, 2)])
+    @pytest.mark.parametrize(
+        "labels", [(1,), (1, 2), (1, 2, 3), (1, 1, 2), (1, 2, 3, 4), (1, 1, 2, 2)]
+    )
     def test_matches_flag_chain(self, labels):
-        for state in flag_states_up_to_inversions(labels, 5):
-            assert composed_backward_dist(state, Q3) == flag_backward_dist(
-                state, Q3
-            ), str(state)
+        # four labels up to 4 inversions, fewer up to 5; q = 5/2 has a
+        # denominator, so each flip splits a weight a - c : c with c > 1
+        top = 4 if len(labels) == 4 else 5
+        for coin in (Q3, CoinConfig(Fraction(5, 2))):
+            for state in flag_states_up_to_inversions(labels, top):
+                assert composed_backward_dist(state, coin) == flag_backward_dist(
+                    state, coin
+                ), (str(state), coin.q)
 
     @pytest.mark.parametrize(
         "labels", [(1, 2, 3), (1, 1, 2), (1, 1, 2, 2), (1, 2, 3, 4)]

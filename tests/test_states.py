@@ -227,6 +227,27 @@ class TestText:
         with pytest.raises(ValueError, match=message):
             flag_from_parts(positions, labels)
 
+    @pytest.mark.parametrize(
+        "positions,labels",
+        [((0,), (1, 2)), ((0, 2), (1, 2, 3)), ((0,), (1, 0))],
+        ids=["one-over", "one-over-of-two", "bad-label-over"],
+    )
+    def test_flag_from_parts_refuses_a_label_without_a_position(self, positions, labels):
+        # a label past the last position has no cell, and is not dropped
+        with pytest.raises(ValueError, match="more labels than positions"):
+            flag_from_parts(positions, labels)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [(1.5, None, 2), (2.0,), (True,), (1, False), ("1",)],
+        ids=["float", "integral-float", "true", "false", "text"],
+    )
+    def test_flag_state_refuses_a_label_that_is_not_an_int(self, cells):
+        with pytest.raises(ValueError, match="labels must be positive integers"):
+            FlagState(cells)
+        with pytest.raises(ValueError, match="labels must be positive integers"):
+            HattedState(cells, 0)
+
 
 class TestEnumeration:
     def brute_states(self, balls, max_inv):
@@ -245,6 +266,21 @@ class TestEnumeration:
                 s for k in range(7) for s in states_with_inversions(b, k)
             }
             assert got == expected
+
+    def test_states_with_inversions_in_gap_order(self):
+        # the brute-force states of each level, sorted by gap vector
+        # (position_j - j), in the same order, not only the same set
+        for b in range(6):
+            for k in range(11):
+                expected = sorted(
+                    (
+                        JugglingState(combo)
+                        for combo in itertools.combinations(range(k + b), b)
+                        if sum(combo) - b * (b - 1) // 2 == k
+                    ),
+                    key=lambda s: [p - j for j, p in enumerate(s.positions)],
+                )
+                assert list(states_with_inversions(b, k)) == expected, (b, k)
 
     def test_states_with_inversions_leaves_no_cycles(self):
         # a recursive helper nested in the generator would leave one
@@ -308,6 +344,44 @@ class TestEnumeration:
     def test_negative_ball_count_refused(self, call):
         with pytest.raises(ValueError, match="ball count must be at least 0"):
             call()
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 1, 2)])
+    def test_flag_enumeration_order(self, labels):
+        # by level, then plain inversions ascending, then plain state (in
+        # gap order), then word in distinct_permutations order
+        expected = [
+            flag_from_parts(plain.positions, word)
+            for k in range(7)
+            for plain_inv in range(k + 1)
+            for plain in states_with_inversions(len(labels), plain_inv)
+            for word in distinct_permutations(labels)
+            if word_inversions(word) == k - plain_inv
+        ]
+        assert list(flag_states_up_to_inversions(labels, 6)) == expected
+
+    def test_plain_levels_listed_once_per_sweep(self, monkeypatch):
+        # each plain level up to the count is listed once for the sweep; a
+        # listing per flag level that reaches it would list level 0 six
+        # times for labels 1,2,3 up to 5 inversions
+        listed = []
+        real = states_module.states_with_inversions
+        monkeypatch.setattr(
+            states_module,
+            "states_with_inversions",
+            lambda balls, k: listed.append(k) or real(balls, k),
+        )
+        assert sum(1 for _ in flag_states_up_to_inversions((1, 2, 3), 5)) == 56
+        assert listed == list(range(6))
+        listed.clear()
+        assert sum(1 for _ in flag_states_with_inversions((1, 2, 3), 5)) == 21
+        assert listed == list(range(6))
+
+    @pytest.mark.parametrize(
+        "labels", [(1.5, 2), (2.0, 1), (True, 2)], ids=["float", "integral-float", "bool"]
+    )
+    def test_flag_enumeration_refuses_labels_that_are_not_ints(self, labels):
+        with pytest.raises(ValueError, match="labels must be positive integers"):
+            list(flag_states_up_to_inversions(labels, 2))
 
     def test_flag_enumeration_exact_inversions(self):
         for state in flag_states_with_inversions((1, 1, 2), 5):
