@@ -37,9 +37,5 @@ class CapTooSmall(JuggleError):
     """A truncation cap leaves a tail bound too large to certify the check."""
 
 
-class NonTermination(JuggleError):
-    """A branch of a supposedly finite process ran past its proven length."""
-
-
 class DomainError(JuggleError):
     """An argument outside the mathematical domain of a closed form."""

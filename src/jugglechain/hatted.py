@@ -20,10 +20,12 @@ Composing steps from an unhatted state until the next unhatted state
 reproduces the flag chain's one-step law exactly; that equality is the
 contract this module is tested against.  The one-step law is
 `hatted_backward_step` run on every flip sequence it can draw
-(`chain.step_law`).  The composed law propagates the same step level by
-level, in integers over one denominator, with equal states merged at each
-level rather than each branch replayed to its leaf.  So the move rule is
-written once.  The step reads two cells, slices an exchange back in, and
+(`chain.step_law`).  The exchange at a hat i > 0 and whether it flips are
+written once more as `_hat_exchange`, on cells alone: the composed law is
+a loop over the hats len(cells), ..., 1 on a map from cells to integer
+numerators, and the forward edges read the same exchange forwards, as it
+is its own inverse.  The sampler keeps the rule inline, and the tests
+compare the composed law with the sampler's steps enumerated.  The step
 builds its successor without re-checking it (`_unchecked_hatted`); its
 docstring says why that is safe.
 As a `chain.Sampler` (`HATTED`) it steps the mixed states themselves, so
@@ -32,7 +34,6 @@ entering and leaving are the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .chain import (
@@ -43,7 +44,6 @@ from .chain import (
     _law,
     step_law,
 )
-from .errors import NonTermination
 from .flagchain import flag_forward_edges
 from .states import Cell, FlagState, _check_labels, _unchecked_flag
 
@@ -65,6 +65,8 @@ class HattedState:
         if not cells or cells[-1] is None:
             raise ValueError("cells must be trimmed and end with a label")
         _check_labels(cells)
+        if type(self.hat) is not int:
+            raise ValueError("hat must be an int")
         if not 0 <= self.hat <= len(cells):
             raise ValueError("hat must sit on a cell or just past the last label")
 
@@ -115,8 +117,8 @@ def hatted_backward_step(
     It flips at most one coin, of probability 1/q: the one `rng.heads`
     call, with `coin.heads_probability`, is on the branch of a hat at
     i > 0 with a label c < a to its left, no loop surrounds it, and every
-    other branch returns without flipping.  `composed_backward_dist`
-    rests on this.
+    other branch returns without flipping.  `_hat_exchange` writes the
+    same exchange and flip condition on cells alone.
     """
     if isinstance(state, FlagState):
         return _unchecked_hatted(state.cells, len(state.cells))
@@ -143,25 +145,24 @@ def _same(state: MixedState) -> MixedState:
 HATTED = Sampler(hatted_backward_step, _same, _same)
 
 
-class _OneFlip:
-    """A flip source of the hatted steps in `composed_backward_dist`: it
-    answers one flip with `value` and records that it was asked, and the
-    caller clears `asked` before each step.  A second flip in one step, or
-    a coin other than the chain's, raises ValueError: the law's weights
-    rest on one flip of probability 1/q per step at most."""
+def _hat_exchange(cells: tuple[Cell, ...], i: int) -> tuple[tuple[Cell, ...], bool]:
+    """The exchange at a hat 0 < i <= len(cells), and whether the step
+    there flips a coin.
 
-    __slots__ = ("value", "probability", "asked")
-
-    def __init__(self, value: bool, probability: Fraction) -> None:
-        self.value, self.probability, self.asked = value, probability, False
-
-    def heads(self, probability: Fraction) -> bool:
-        if self.asked or (
-            probability is not self.probability and probability != self.probability
-        ):
-            raise ValueError("a hatted step flips at most one coin, of probability 1/q")
-        self.asked = True
-        return self.value
+    The hatted item a (an empty when i == len(cells)) and its left
+    neighbour c swap places; only an empty c left of the last label empties
+    the last cell, and that one cell is trimmed.  The step flips exactly
+    when c is a label below a (empty = +infinity).  The exchange is its own
+    inverse, trimming included, so read forwards from a hat at i - 1 it is
+    the exchange edge of `hatted_forward_edges`.  `hatted_backward_step`
+    writes the same rule inline, as the sampler the benchmark times.
+    """
+    c = cells[i - 1]
+    a = cells[i] if i < len(cells) else None
+    flips = c is not None and (a is None or c < a)
+    if c is None and i + 1 == len(cells):
+        return cells[: i - 1] + (a,), flips
+    return cells[: i - 1] + (a, c) + cells[i + 1 :], flips
 
 
 def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
@@ -169,85 +170,50 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     at the next unhatted state; the stopped law must equal the flag
     chain's one-step law.
 
-    Entering puts the hat past the last of the len(cells) cells, each
-    later step moves it one cell left, and the step from cell 0 removes
-    it: every branch takes exactly len(cells) + 2 steps.  So the law is
-    propagated level by level for that many steps, as integer numerators
-    over a^level, q = a/c, equal states merged at each level.  Each state
-    steps once with a source answering heads (`_OneFlip`); when the step
-    asked for a flip, that outcome takes c of its weight and a second
-    step, answering tails, takes a - c; otherwise the one outcome takes
-    all a.  That is exact because each hatted step flips at most one coin
-    (`hatted_backward_step`).
-
-    States are merged on their cells alone, each level a map from cells
-    to [state, numerator].  That is exact because every state of one
-    level has the same hat, by induction on the level: level 0 is the
-    unhatted start, and every branch moves the hat the same way at each
-    step (entering hats cell len(cells) of the start, every later step
-    moves it from i to i - 1, whichever branch it takes and whether or
-    not it trims a cell, and the step from cell 0 unhats).  So two states
-    of a level with equal cells are equal, and the cells' tuple hash,
-    made in C, stands in for the dataclass hash of cells and hat.
-
-    A state still hatted after the last level (a convention bug) raises
-    NonTermination.  Every state of the last level is valid
-    (`hatted_backward_step`).  `step_law` run on the composed steps is
-    the reference the tests compare it with.
+    Entering hats the implicit empty past the last of the len(cells)
+    cells and the step from cell 0 unhats, both with probability 1, and
+    every step between moves the hat one cell left on every branch.  So
+    the law is a loop over the hats i = len(cells), ..., 1, on a map from
+    cells to integer numerators over a^len(cells), q = a/c, equal cells
+    merged at each hat.  Where the step flips (`_hat_exchange`), the
+    exchanged cells take c of the weight and the unchanged cells a - c;
+    otherwise the exchanged cells take all a.  Every final cells is
+    trimmed and checked, as the start's are, so each is left once without
+    re-checking (`_unchecked_flag`).  `step_law` run on the composed steps
+    of `hatted_backward_step` is the reference the tests compare it with.
     """
-    steps = len(state.cells) + 2
     a, c = coin.q.numerator, coin.q.denominator
-    step = hatted_backward_step
-    heads = _OneFlip(True, coin.heads_probability)
-    tails = _OneFlip(False, coin.heads_probability)
-    level: dict[tuple[Cell, ...], list] = {state.cells: [state, 1]}
-    for _ in range(steps):
-        grown: dict[tuple[Cell, ...], list] = {}
-        for current, n in level.values():
-            heads.asked = False
-            out = step(current, coin, heads)
-            if heads.asked:
-                grown.setdefault(out.cells, [out, 0])[1] += n * c
-                tails.asked = False
-                out = step(current, coin, tails)
-                n *= a - c
-            else:
-                n *= a
-            grown.setdefault(out.cells, [out, 0])[1] += n
+    level = {state.cells: 1}
+    for i in range(len(state.cells), 0, -1):
+        grown: dict[tuple[Cell, ...], int] = {}
+        for cells, n in level.items():
+            exchanged, flips = _hat_exchange(cells, i)
+            if flips:
+                grown[cells] = grown.get(cells, 0) + n * (a - c)
+            grown[exchanged] = grown.get(exchanged, 0) + n * (c if flips else a)
         level = grown
-    ends = [(out, n) for out, n in level.values()]
-    for out, _ in ends:
-        if not isinstance(out, FlagState):
-            raise NonTermination(f"branch still hatted after {steps} steps")
-    return _law(ends, a**steps)
+    ends = [(_unchecked_flag(cells), n) for cells, n in level.items()]
+    return _law(ends, a ** len(state.cells))
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:
     """Outgoing edges of the forward digraph (the reverse of the backward
     chain's support).
 
-    From an unhatted state: hat position 0.  From a hatted state: remove
-    the hat when it sits just past the last label; otherwise always swap
-    the hatted cell a with its right neighbour c (an empty past the last
-    label), the hat traveling with a, and additionally move only the hat
-    when a is a label and c is strictly larger (empty = +infinity).  The
-    exchange slices the two cells back in swapped; only carrying an empty
-    past the last label empties the last cell, and that cell is trimmed.
+    From an unhatted state: hat position 0.  From a hat just past the last
+    label: remove the hat.  From a hat at i < len(cells): the backward
+    exchange at i + 1 read forwards (`_hat_exchange`, its own inverse),
+    the hat moving to i + 1 with the item it carries; where that backward
+    step flips, moving only the hat is an edge too, and it is listed first.
     """
     if isinstance(state, FlagState):
         return [HattedState(state.cells, 0)]
     cells, i = state.cells, state.hat
     if i == len(cells):
         return [FlagState(cells)]
-    edges: list[MixedState] = []
-    a = cells[i]
-    c = cells[i + 1] if i + 1 < len(cells) else None
-    if a is not None and (c is None or a < c):
-        edges.append(HattedState(cells, i + 1))
-    if a is None and i + 2 == len(cells):
-        edges.append(HattedState(cells[:i] + (c,), i + 1))
-    else:
-        edges.append(HattedState(cells[:i] + (c, a) + cells[i + 2 :], i + 1))
+    exchanged, flips = _hat_exchange(cells, i + 1)
+    edges: list[MixedState] = [HattedState(cells, i + 1)] if flips else []
+    edges.append(HattedState(exchanged, i + 1))
     return edges
 
 

@@ -3,9 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import jugglechain.hatted as hatted_module
 from jugglechain.chain import CoinConfig, step_law
-from jugglechain.errors import NonTermination
 from jugglechain.flagchain import flag_backward_dist, flag_forward_edges
 from jugglechain.hatted import (
     HattedState,
@@ -43,6 +41,13 @@ class TestHattedState:
         with pytest.raises(ValueError):
             HattedState((1, None), 0)  # untrimmed base word
 
+    @pytest.mark.parametrize("hat", [1.0, True], ids=["float", "bool"])
+    def test_hat_must_be_an_int(self, hat):
+        # both equal 1 and lie in range, but a hat is an int, as a label is
+        # (a float hat cannot index the cells)
+        with pytest.raises(ValueError, match="hat must be an int"):
+            HattedState((1, 2), hat)
+
 
 class TestForwardEdges:
     def test_unhatted_hats_position_zero(self):
@@ -63,6 +68,9 @@ class TestForwardEdges:
         # exchange move exists
         edges = hatted_forward_edges(hatted("3-21", 2))
         assert [e.word() for e in edges] == ["3 - 1 2^"]
+        # nor onto an equal one: the exchange alone, listed once
+        edges = hatted_forward_edges(hatted("11", 0))
+        assert [e.word() for e in edges] == ["1 1^"]
 
     def test_every_edge_reverses_a_backward_branch(self):
         for labels in [(1, 2), (1, 1, 2)]:
@@ -166,12 +174,6 @@ class TestComposition:
         for state in flag_states_up_to_inversions(labels, 5):
             law = step_law(steps_to_unhat, state, Q3)
             assert [n for n, _ in law.entries] == [len(state.cells) + 2], str(state)
-
-    def test_budget_guard(self, monkeypatch):
-        stuck = hatted("12", 1)
-        monkeypatch.setattr(hatted_module, "hatted_backward_step", lambda *_: stuck)
-        with pytest.raises(NonTermination):
-            composed_backward_dist(parse_flag_state("12"), Q2)
 
 
 class TestPathEquivalence:

@@ -28,3 +28,13 @@ def test_no_module_imports_numpy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks import *
+    assert len(set(jugglechain.__all__)) == len(jugglechain.__all__)
+    for name in jugglechain.__all__:
+        assert hasattr(jugglechain, name), name
+    namespace: dict = {}
+    exec("from jugglechain import *", namespace)
+    assert set(jugglechain.__all__) <= namespace.keys()

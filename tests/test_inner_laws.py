@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-import jugglechain.hatted as hatted_module
 from jugglechain.chain import (
     CoinConfig,
     TransitionDist,
@@ -30,7 +29,6 @@ from jugglechain.states import (
     FlagState,
     JugglingState,
     flag_states_up_to_inversions,
-    parse_flag_state,
     states_up_to_inversions,
 )
 
@@ -93,27 +91,6 @@ def test_composed_law(labels, q):
         assert_checked(
             composed_backward_dist(state, coin), step_law(until_unhatted, state, coin)
         )
-
-
-def flips_twice(state, coin, rng):
-    rng.heads(coin.heads_probability)
-    return hatted_backward_step(state, coin, rng)
-
-
-def flips_another_coin(state, coin, rng):
-    return hatted_backward_step(state, CoinConfig(coin.q + 1), rng)
-
-
-@pytest.mark.parametrize(
-    "step", [flips_twice, flips_another_coin], ids=["second-flip", "other-coin"]
-)
-def test_composed_law_refuses_a_step_off_its_proof(monkeypatch, step):
-    # the weights rest on at most one flip of the chain's coin per step: a
-    # step that flips once more, or flips another coin, must raise, not
-    # return a law
-    monkeypatch.setattr(hatted_module, "hatted_backward_step", step)
-    with pytest.raises(ValueError, match="at most one coin"):
-        composed_backward_dist(parse_flag_state("3-21"), CoinConfig(Fraction(2)))
 
 
 @pytest.mark.parametrize("b,w,p", [(1, 3, 3), (2, 3, 2), (2, 2, 3), (3, 3, 2)])

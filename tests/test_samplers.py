@@ -37,6 +37,20 @@ def test_labeled_histogram_is_pinned():
     )
 
 
+def test_hatted_stream_is_pinned():
+    # every visited state in order, on repeated labels: a step that spent a
+    # coin at equal labels would change the stream
+    visited = []
+    hist = simulate(
+        FlagState((1, 1, 2, 3)), CoinConfig(Fraction(5, 2)), 5000, 100,
+        ChainRng(7), visited.append, HATTED,
+    )
+    assert len(visited) == 5000 and len(hist.counts) == 1090
+    assert digest(map(str, visited)) == (
+        "93866b9c8fd8d79c49ab9ff822c766c5c331a5bad0e4ae4934ce69bc891cf634"
+    )
+
+
 @pytest.mark.parametrize(
     "sampler, step, start, q",
     [
