@@ -114,7 +114,7 @@ def _emit(args, header: list[str], rows: list[list], seed=None) -> None:
         )
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_for_writing("--output", args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,6 +123,15 @@ def _emit(args, header: list[str], rows: list[list], seed=None) -> None:
 class _FlagError(Exception):
     """A flag value that parses but does not fit the other flags; main
     reports it like argparse does, with exit status 2."""
+
+
+def _open_for_writing(flag: str, path: str):
+    """`path` opened for writing, or refused as argparse's "can't open"."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        message = f"argument {flag}: can't open {path!r}: {exc.strerror}"
+        raise _FlagError(message) from None
 
 
 def _parse_q(text: str) -> Fraction:
@@ -401,7 +410,8 @@ def cmd_simulate(args) -> int:
     else:
         start = ground_state(args.balls)
         sampler, weight = PLAIN, stationary_weight
-    with open(args.trajectory, "w") if args.trajectory else nullcontext() as fh:
+    trajectory = args.trajectory and _open_for_writing("--trajectory", args.trajectory)
+    with trajectory or nullcontext() as fh:
         sink = (lambda s: fh.write(str(s) + "\n")) if fh else None
         hist = simulate(
             start, coin, args.steps, args.burnin, ChainRng(args.seed),

@@ -2,22 +2,22 @@
 
 A flag state is its positions and its word w, the labels read left to
 right; `states` alone splits a state into the two (`_flag_enter`) and
-fills them back (`_flag_leave`).  Each routine is the plain chain's on the
-positions times one on the word: positions move only in `chain` and
-`states`, and this module reads and writes words.
+fills them back (`_flag_leave`).  Each routine but the sampler is the
+plain chain's on the positions times one on the word: positions move
+only in `chain` and `states`, and this module reads and writes words.
 
 Backward step: the plain move k, then for k < b the (k+1)-th last label is
 carried to the front; at each strictly smaller label on the way a coin
 with p(heads) = 1/q is flipped, and tails exchanges the two.  Equal labels
 are passed over, so the all-equal case collapses to the plain chain.  The
-sampler `FLAG` steps (positions, word) pairs, the positions by the plain
-kernel and the word by `_word_step`, and refills the cells only when a
-flag state is asked for; `flag_backward_step` is one step of it.  The
-exact law is the plain move law P(k) times the word law W_k, both integer
-numerators over one denominator: W_k is memoised per (word, k), and its
-product with the move law per word, so a state's law is b + 1 plain moves
-and one flag state per outcome.  The sampler run on every flip sequence
-(`chain.step_law`) is the reference the tests compare it with.
+sampler `FLAG` steps a state's cells by the paper's one sweep
+(`_flag_sweep`), which draws the move and walks the word in one pass;
+`flag_backward_step` is one step of it.  The exact law is the plain move
+law P(k) times the word law W_k, both integer numerators over one
+denominator: W_k is memoised per (word, k), and its product with the move
+law per word, so a state's law is b + 1 plain moves and one flag state per
+outcome.  The sampler run on every flip sequence (`chain.step_law`) is
+the reference the tests compare it with.
 
 Forward edges: a plain throw t, with the final drop at t - 1, times the
 front label's walks over the labels left of it (`_word_walks`).
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -43,17 +44,17 @@ from .chain import (
     _at_q,
     _inflow_by_move,
     _law,
-    _leading_heads,
     _move_law,
     _plain_step,
-    step_law,
 )
 from .errors import CapTooSmall
 from .series import sn
 from .states import (
+    Cell,
     FlagState,
     _flag_enter,
     _flag_leave,
+    _unchecked_flag,
     _unchecked_state,
     flag_inversions,
     forward_edges,
@@ -135,79 +136,66 @@ def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
     return results
 
 
-def _word_step(
-    word: Sequence[int], k: int, coin: CoinConfig, rng: FlipSource
-) -> tuple[int, ...]:
-    """The word after the plain move k: unchanged for k = b; otherwise the
-    (k+1)-th last label is carried to the front, and at each label strictly
-    smaller than the carried one on the way a tails exchanges the two."""
-    moved = len(word) - 1 - k
-    if moved < 0:
-        return tuple(word)
-    out = list(word)
-    held = out.pop(moved)
-    p = coin.heads_probability
-    for i in range(moved - 1, -1, -1):
-        if out[i] < held and not rng.heads(p):
-            held, out[i] = out[i], held
-    out.insert(0, held)
-    return tuple(out)
+def _flag_sweep(
+    cells: tuple[Cell, ...], coin: CoinConfig, rng: FlipSource
+) -> tuple[Cell, ...]:
+    """One step on a state's cells, the paper's backward sweep: hold an
+    empty (+infinity), walk left from the last label, flip at each label
+    below the held item, and on tails exchange the two; the held item ends
+    in front, and the empties a picked-up last label leaves are trimmed.
 
-
-def _flag_step(
-    inner: tuple[tuple[int, ...], tuple[int, ...]], coin: CoinConfig, rng: FlipSource
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One step on a (positions, word) pair: the plain move k of
-    `_leading_heads` moves the positions (`_plain_step`) and then the word
-    (`_word_step`).
-
-    The paper's sweep holds an empty, points at the rightmost label and
-    walks left, flipping at each label smaller than the held item (an
-    empty counts as +infinity); tails exchanges the two, and the held item
-    ends in front.  While the held item is an empty every label is a stop,
-    which is the plain k-draw, and its tails picks up the (k+1)-th last
-    label from the cell the plain move empties.  A held label stops only at
-    smaller labels, never at an empty, so it changes the word alone.  The
-    flips come in the sweep's order.
+    While the empty is held every label is a stop, so those flips are
+    `chain._leading_heads`' draw of the move k, and its tails picks up the
+    (k+1)-th last label, leaving the labels on `chain._plain_step`'s
+    positions.  The later flips walk the held label over the word alone,
+    passing empties and equal labels, so a flip sequence has probability
+    P(k) W_k (`flag_backward_dist`).  Labels only go where labels were, so
+    the cells are a checked state's, rearranged.
     """
-    positions, word = inner
-    k = _leading_heads(len(word), coin, rng)
-    return _plain_step(positions, k), _word_step(word, k, coin, rng)
+    p = coin.heads_probability
+    out = list(cells)
+    held = None
+    for i in range(len(out) - 1, -1, -1):
+        label = out[i]
+        if label is not None and (held is None or label < held) and not rng.heads(p):
+            out[i], held = held, label
+    while out and out[-1] is None:
+        out.pop()
+    return (held, *out)
 
 
-# The flag chain steps (positions, word) pairs: the plain chain's positions
-# and the word of labels, each moved by its own kernel.  Its pairs, and the
-# targets of `flag_backward_dist` and `flag_forward_edges`, fill unchecked
-# (`_flag_leave`): each word rearranges a checked state's labels, on the
-# positions of a plain successor or of a checked plain state.
-FLAG = Sampler(_flag_step, _flag_enter, _flag_leave)
+# The flag chain steps a state's cells and leaves them unchecked (see the
+# sweep); the laws and forward edges fill theirs unchecked (`_flag_leave`).
+FLAG = Sampler(_flag_sweep, attrgetter("cells"), _unchecked_flag)
 
 
 def flag_backward_step(
     state: FlagState, coin: CoinConfig, rng: FlipSource
 ) -> FlagState:
     """One sampled step of the flag chain, `FLAG` entered and left."""
-    return _flag_leave(_flag_step(_flag_enter(state), coin, rng))
+    return _unchecked_flag(_flag_sweep(state.cells, coin, rng))
 
 
 @lru_cache(maxsize=4096)
 def _word_law(
     word: tuple[int, ...], k: int, coin: CoinConfig
 ) -> tuple[Mapping[tuple[int, ...], int], int]:
-    """W_k(word, .): the exact law of `_word_step` after the plain move k,
-    as integer numerators over one denominator a^(b-1), q = a/c, with b
-    labels.  Many states share a word, so it is memoised, and every caller
-    shares the one read-only mapping.
+    """W_k(word, .): the law of the word after the plain move k, walked by
+    `_flag_sweep` once it holds a label, as integer numerators over one
+    denominator a^(b-1), q = a/c, with b labels.  Many states share a
+    word, so it is memoised, and every caller shares the one read-only
+    mapping.
 
-    The carried label walks left over the labels before it, as in
-    `_word_step`, all branches at once: a branch is the labels passed so
-    far and the label held, and equal branches merge.  At a label below
-    the held one, heads (c of a) passes it and tails (a - c) puts the held
-    label down and carries that one on; any other label is passed, all a
-    of the weight.  The walk covers b - 1 - k labels, each multiplying the
+    The carried label walks left over the labels before it, as in the
+    sweep, all branches at once: a branch is the labels passed so far and
+    the label held, and equal branches merge.  At a label below the held
+    one, heads (c of a) passes it and tails (a - c) puts the held label
+    down and carries that one on; any other label is passed, all a of the
+    weight.  The walk covers b - 1 - k labels, each multiplying the
     denominator by a, and it starts at a^k, so every branch is over
     a^(b-1).  The move k = b keeps the word, with all of the weight.
-    `step_law` of `_word_step` is the same law; the tests compare the two.
+    `step_law` of the sweep on the word's gap-free cells, divided by P(k),
+    is the same law; the tests compare the two.
     """
     a, c = coin.q.numerator, coin.q.denominator
     top = a ** (len(word) - 1)
@@ -262,9 +250,9 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     (`chain._move_law`), times the word law W_k (`_word_law`), in integers
     over one denominator (`_flag_law`).
 
-    `flag_backward_step` draws k first and then flips only inside
-    `_word_step`, so each outcome's probability is the product.  Each
-    outcome is a valid flag state (`_flag_leave`).
+    `flag_backward_step`'s sweep draws k with its first flips and then
+    walks the word alone (`_flag_sweep`), so each outcome's probability is
+    the product.  Each outcome is a valid flag state (`_flag_leave`).
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
     from the sampler; the tests compare the two.
     """
@@ -312,9 +300,9 @@ def _flag_inflow(
 
     A successor fills the plain successor after a throw t with a word w'
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
-    It comes back by the plain move k = b - 1 - m and then `_word_step`,
-    with probability P_k * W_k(w', w) (W_k from `_word_law`, an integer
-    numerator over its denominator), and its
+    It comes back by the plain move k = b - 1 - m and then the sweep's
+    walk of the word, with probability P_k * W_k(w', w) (W_k from
+    `_word_law`, an integer numerator over its denominator), and its
     weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
     The word part does not depend on t, so the inflow is the sum over k of
     plain_k * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the

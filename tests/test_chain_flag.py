@@ -17,7 +17,6 @@ from jugglechain.flagchain import (
     _flag_inflow,
     _word_inversions,
     _word_law,
-    _word_step,
     _word_walks,
     flag_backward_dist,
     flag_backward_step,
@@ -57,6 +56,21 @@ def move_law(b, coin):
     """P(k) for k = 0..b as `Fraction`s, from `_move_law`'s integers."""
     nums, den = _move_law(b, coin)
     return tuple(Fraction(n, den) for n in nums)
+
+
+def sampled_word_laws(word, coin):
+    """W_k(word, .) for k = 0..b, read off the sampler: the gap-free state
+    of the word has b + 1 distinct plain successors, one per move k, and
+    each outcome's probability over P(k) is its word's."""
+    b = len(word)
+    move = {_plain_step(tuple(range(b)), k): k for k in range(b + 1)}
+    laws = [{} for _ in range(b + 1)]
+    for outcome, p in step_law(flag_backward_step, FlagState(word), coin).entries:
+        k = move[erase_labels(outcome).positions]
+        laws[k][tuple([c for c in outcome.cells if c is not None])] = (
+            p / move_law(b, coin)[k]
+        )
+    return laws
 
 
 def reference_flag_inflow(state, coin, max_drop=None):
@@ -158,6 +172,27 @@ class TestBackwardStep:
         assert out == parse_flag_state(expected)
         assert rng.used == len(flips)
 
+    @pytest.mark.parametrize(
+        "start,flips,expected,used",
+        [
+            # the last label is picked up: both empties before it are
+            # trimmed, and the held 2 passes them without a coin
+            ("1--2", [False, True], "21", 2),
+            ("1--2", [False, False], "12", 2),
+            # a lone label: picked up and put back, or shifted up
+            ("1", [False], "1", 1),
+            ("1", [True], "-1", 1),
+            # the held 1 stops neither at the larger 2 nor at the equal 1
+            ("121", [False, False], "112", 1),
+            ("1-1", [False, False], "11", 1),
+        ],
+    )
+    def test_sweep_edge_cases(self, start, flips, expected, used):
+        rng = ScriptedRng(flips)
+        out = flag_backward_step(parse_flag_state(start), Q2, rng)
+        assert out == parse_flag_state(expected)
+        assert rng.used == used
+
     def test_at_most_b_flips(self):
         for state in flag_states_up_to_inversions((1, 2, 3), 4):
             rng = ScriptedRng([False] * 3)
@@ -256,13 +291,11 @@ class TestWordKernel:
         # summed by brute force over every source word of the multiset
         coin = CoinConfig(q)
         words = list(distinct_permutations(labels))
+        laws = {source: sampled_word_laws(source, coin) for source in words}
         for k in range(len(labels) + 1):
             inflow = dict.fromkeys(words, Fraction(0))
             for source in words:
-                law = step_law(
-                    lambda w, coin, rng: _word_step(w, k, coin, rng), source, coin
-                )
-                for target, p in law.entries:
+                for target, p in laws[source][k].items():
                     inflow[target] += q ** -word_inversions(source) * p
             assert inflow == {w: q ** -word_inversions(w) for w in words}, k
 
@@ -305,14 +338,11 @@ class TestWordKernel:
     def test_memoised_law_is_a_fresh_law(self):
         coin = CoinConfig(Fraction(5, 2))
         for word in distinct_permutations((1, 1, 2, 3)):
-            for k in range(len(word) + 1):
+            for k, fresh in enumerate(sampled_word_laws(word, coin)):
                 _word_law.cache_clear()
-                fresh = step_law(
-                    lambda w, coin, rng: _word_step(w, k, coin, rng), word, coin
-                )
-                assert word_law(word, k, coin) == fresh.as_dict()
+                assert word_law(word, k, coin) == fresh
                 # read back from the cache
-                assert word_law(word, k, coin) == fresh.as_dict()
+                assert word_law(word, k, coin) == fresh
 
     def test_memoised_law_is_read_only(self):
         law, den = _word_law((3, 1, 2), 0, Q2)

@@ -52,6 +52,33 @@ def test_hatted_stream_is_pinned():
 
 
 @pytest.mark.parametrize(
+    "labels, q, seed, distinct, expected",
+    [
+        # the benchmark's flag loop
+        (
+            (1, 2, 3, 4), Fraction(2), 3, 695,
+            "aa1c082f89dcb092957728d3be8324b564504ecacd5c0f835457e48b8eebea72",
+        ),
+        # a label of two digits: states render in the long form
+        (
+            (1, 2, 12), Fraction(5, 2), 7, 163,
+            "a88a91cd7c0a8348de4721e09079ccc2183310ca99862c815a40683fc55f0d4a",
+        ),
+    ],
+    ids=["1234", "1-2-12"],
+)
+def test_flag_stream_is_pinned(labels, q, seed, distinct, expected):
+    # every visited state in order, taken from the step that split the
+    # cells into positions and word, moved each and filled them back
+    coin, rng, state, visited = CoinConfig(q), ChainRng(seed), FlagState(labels), []
+    for _ in range(5000):
+        state = flag_backward_step(state, coin, rng)
+        visited.append(str(state))
+    assert len(set(visited)) == distinct
+    assert digest(visited) == expected
+
+
+@pytest.mark.parametrize(
     "sampler, step, start, q",
     [
         (PLAIN, backward_step, ground_state(4), Fraction(5, 4)),
@@ -85,9 +112,9 @@ def test_plain_round_trip():
 
 def test_flag_round_trip():
     for state in flag_states_up_to_inversions((1, 1, 2, 3), 5):
-        positions, word = FLAG.enter(state)
-        assert sorted(word) == [1, 1, 2, 3] and len(positions) == 4
-        out = FLAG.leave((positions, word))
+        cells = FLAG.enter(state)
+        assert cells is state.cells
+        out = FLAG.leave(cells)
         assert isinstance(out, FlagState)
         assert out == state and hash(out) == hash(state), str(state)
 
