@@ -143,16 +143,6 @@ def _plain_step(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(shifted)
 
 
-def _leading_heads(b: int, coin: CoinConfig, rng: FlipSource) -> int:
-    """The move k of one step on b balls: flip until the first tails, at
-    most b times, and count the heads."""
-    p = coin.heads_probability
-    k = 0
-    while k < b and rng.heads(p):
-        k += 1
-    return k
-
-
 class Sampler(NamedTuple):
     """A chain's sampler on an inner state of its own choosing.
 
@@ -172,9 +162,13 @@ class Sampler(NamedTuple):
 def _positions_step(
     positions: tuple[int, ...], coin: CoinConfig, rng: FlipSource
 ) -> tuple[int, ...]:
-    """One plain step on sorted positions: the move k of `_leading_heads`,
-    then `_plain_step`."""
-    return _plain_step(positions, _leading_heads(len(positions), coin, rng))
+    """One plain step on sorted positions: the move k, the heads before
+    the first tails in at most b flips, then `_plain_step`."""
+    b, p = len(positions), coin.heads_probability
+    k = 0
+    while k < b and rng.heads(p):
+        k += 1
+    return _plain_step(positions, k)
 
 
 # The plain chain steps position tuples.  They leave unchecked: a checked
@@ -295,19 +289,18 @@ def _inflow_by_move(
 
 
 def _at_q(
-    terms: list[tuple[int, int, int]], coin: CoinConfig
+    terms: Collection[tuple[int, int]], den: int, coin: CoinConfig
 ) -> tuple[int, int]:
-    """The sum of n/d * x^e over `terms` (n, d, e), e >= 0, at x = 1/q,
-    as integers (num, den) with num/den the sum.  With q = a/c each x^e is
-    c^e a^(E - e) / a^E, E the largest e, so den is a^E times the lcm of
-    the d, and no `Fraction` is built."""
+    """The sum of n/den * x^e over `terms` (n, e), e >= 0, at x = 1/q, as
+    integers (num, den') with num/den' the sum.  With q = a/c each x^e is
+    c^e a^(E - e) / a^E, E the largest e, so den' is den a^E, and no
+    `Fraction` is built."""
     if not terms:
         return 0, 1
     a, c = coin.q.numerator, coin.q.denominator
-    top = max([e for _, _, e in terms])
-    lcm = math.lcm(*{d for _, d, _ in terms})
-    num = sum([n * (lcm // d) * c**e * a ** (top - e) for n, d, e in terms])
-    return num, lcm * a**top
+    top = max([e for _, e in terms])
+    num = sum([n * c**e * a ** (top - e) for n, e in terms])
+    return num, den * a**top
 
 
 def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
@@ -316,14 +309,8 @@ def verify_stationarity(state: JugglingState, coin: CoinConfig) -> bool:
     the state's own weight the inflow is the sum of `_inflow_by_move`'s
     monomials in x = 1/q (every successor has b balls, so the prefactor
     sn(b) cancels), and it must be 1; `_at_q` evaluates it in integers."""
-    num, den = _at_q(
-        [
-            (n, 1, e)
-            for monomials in _inflow_by_move(state).values()
-            for n, e in monomials
-        ],
-        coin,
-    )
+    inflow = _inflow_by_move(state).values()
+    num, den = _at_q([term for monomials in inflow for term in monomials], 1, coin)
     return num == den
 
 

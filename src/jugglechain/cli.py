@@ -8,10 +8,13 @@ and seed the output is byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -37,6 +40,7 @@ from .flagchain import (
     label_groups,
 )
 from .fqoracle import (
+    SUPPORTED_PRIMES,
     formula_group_fraction,
     formula_pivot_fraction,
     group_fraction_sweep,
@@ -132,6 +136,25 @@ def _open_for_writing(flag: str, path: str):
     except OSError as exc:
         message = f"argument {flag}: can't open {path!r}: {exc.strerror}"
         raise _FlagError(message) from None
+
+
+def _output_path(text: str) -> str:
+    """argparse type of --output: refused with the reason `open` would
+    give when it is a directory or its directory is missing, before any
+    work.  It is not opened here, since an early open would truncate a
+    file that a later flag's refusal must leave as it was; `_emit` opens
+    it (`_open_for_writing`) and refuses what no look can tell, such as
+    permissions."""
+    try:
+        if os.path.isdir(text):
+            code = errno.EISDIR
+        elif not stat.S_ISDIR(os.stat(os.path.dirname(text) or ".").st_mode):
+            code = errno.ENOTDIR
+        else:
+            return text
+    except OSError as exc:  # the directory, or a directory above it
+        code = exc.errno
+    raise argparse.ArgumentTypeError(f"can't open {text!r}: {os.strerror(code)}")
 
 
 def _parse_q(text: str) -> Fraction:
@@ -453,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-field oracles, and ball-density asymptotics.",
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", help="write the table here instead of stdout")
+    parser.add_argument(
+        "--output", type=_output_path, help="write the table here instead of stdout"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("siteswap", help="parse and validate a throw sequence")
@@ -483,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")
     p.add_argument("--balls", type=_natural, default=2)
     p.add_argument("--width", type=_positive, default=3)
-    p.add_argument("--p", type=int, default=2, choices=(2, 3, 5))
+    p.add_argument("--p", type=int, default=2, choices=SUPPORTED_PRIMES)
     p.add_argument("--flag", action="store_true", help="labeled pivot states")
     p.add_argument(
         "--labels", type=_parse_labels, help="group-coarsened sweep for this multiset"

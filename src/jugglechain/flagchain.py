@@ -145,8 +145,8 @@ def _flag_sweep(
     in front, and the empties a picked-up last label leaves are trimmed.
 
     While the empty is held every label is a stop, so those flips are
-    `chain._leading_heads`' draw of the move k, and its tails picks up the
-    (k+1)-th last label, leaving the labels on `chain._plain_step`'s
+    `chain._positions_step`'s draw of the move k, and its tails picks up
+    the (k+1)-th last label, leaving the labels on `chain._plain_step`'s
     positions.  The later flips walk the held label over the word alone,
     passing empties and equal labels, so a flip sequence has probability
     P(k) W_k (`flag_backward_dist`).  Labels only go where labels were, so
@@ -302,13 +302,13 @@ def _flag_inflow(
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
     It comes back by the plain move k = b - 1 - m and then the sweep's
     walk of the word, with probability P_k * W_k(w', w) (W_k from
-    `_word_law`, an integer numerator over its denominator), and its
-    weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
+    `_word_law`, an integer numerator over its denominator a^(b-1)), and
+    its weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
     The word part does not depend on t, so the inflow is the sum over k of
     plain_k * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the
     monomials of `chain._inflow_by_move`.  Each plain monomial times
     x^inv(w') W_k(w', w) is one term, and `chain._at_q` sums them all over
-    one integer denominator.  The far drops (one label carried ever
+    the word laws' one denominator.  The far drops (one label carried ever
     further past the last label) are the plain j = b tail, k = 0.  An
     empty-front state comes back from its shift down by k = b, word kept.
     """
@@ -316,15 +316,16 @@ def _flag_inflow(
     b = len(word)
     max_throw = None if max_drop is None else max_drop + 1
     terms = []
+    den = 1  # every word law is over the same denominator; read from them
     for k, monomials in _inflow_by_move(_unchecked_state(positions), max_throw).items():
         sources = [word] if k == b else _word_walks(word, b - 1 - k)
         for source in sources:
-            law, d = _word_law(source, k, coin)
+            law, den = _word_law(source, k, coin)
             n = law.get(word)
             if n:
                 shift = _word_inversions(source)
-                terms.extend([(coef * n, d, e + shift) for coef, e in monomials])
-    return _at_q(terms, coin)
+                terms.extend([(coef * n, e + shift) for coef, e in monomials])
+    return _at_q(terms, den, coin)
 
 
 def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:

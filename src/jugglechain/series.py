@@ -20,7 +20,6 @@ from . import errors
 from .errors import ResourceLimit, check_budget
 from .states import (
     _flag_levels,
-    _label_words,
     inversions,
     state_count_by_inversions,
     window_states,
@@ -184,8 +183,7 @@ def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
     if not balls:
         return state_partition_series_enumerated(0, degree)
     check_state_budget(itertools.repeat(1, balls), degree, "flag state")
-    words = _label_words(range(1, balls + 1), degree)  # listed once per call
-    levels = _flag_levels(words, balls, range(degree + 1))
+    levels = _flag_levels(range(1, balls + 1), range(degree + 1))
     return TruncSeries(sum(1 for _ in level) for level in levels)
 
 

@@ -58,39 +58,30 @@ def validate_siteswap(sw: Siteswap) -> PatternInfo:
     """Check validity and return the induced state walk.
 
     Valid iff the landing beats i + t_i are pairwise distinct mod the
-    period (which forces the mean throw to be an integer, the ball count).
+    period n; nothing else can then fail:
+      * the residues (i + t_i) mod n are 0..n-1, so sum(t) is 0 mod n;
+      * the landing map m -> m + t_(m mod n) is a bijection of Z (two beats
+        landing together agree mod n, hence throw alike), so the balls in
+        the air before beat 0, thrown at m = r - n, r - 2n, ... with
+        m + t_r >= 0, land on distinct beats, and there are
+        sum_r floor((r + t_r) / n) = sum(t) / n of them;
+      * one ball is due at each beat that throws t > 0 (the one landing
+        there) and none at a 0 (its beat lands on itself), and none where a
+        throw lands, so every throw is legal and the walk closes after n.
     """
     throws = sw.throws
     n = len(throws)
     if _landing_collision(throws):
         raise InvalidPattern(f"{sw}: two throws land on the same beat")
-    total = sum(throws)
-    if total % n != 0:
-        raise InvalidPattern(f"{sw}: mean throw is not an integer")
-    balls = total // n
 
     # State before beat 0: balls thrown on past beats m < 0 still airborne,
-    # landing at m + t_{m mod n} >= 0.  Only the last max(throws) beats matter.
-    horizon = max(throws)
-    positions = sorted(
-        {
-            m + throws[m % n]
-            for m in range(-horizon, 0)
-            if m + throws[m % n] >= 0
-        }
-    )
-    state = JugglingState(tuple(positions))
-    if state.balls != balls:
-        raise InvalidPattern(f"{sw}: induced state has wrong ball count")
-
-    walk = [state]
-    current = state
-    for t in throws:
-        current = throw_state(current, t)
-        walk.append(current)
-    if walk[-1] != walk[0]:
-        raise InvalidPattern(f"{sw}: state walk does not close up")
-    return PatternInfo(balls=balls, states=tuple(walk[:-1]))
+    # landing at m + t_{m mod n} >= 0, each on its own beat (see above).
+    # Only the last max(throws) beats matter.
+    landings = [m + throws[m % n] for m in range(-max(throws), 0)]
+    walk = [JugglingState(tuple(sorted(p for p in landings if p >= 0)))]
+    for t in throws[:-1]:
+        walk.append(throw_state(walk[-1], t))
+    return PatternInfo(balls=sum(throws) // n, states=tuple(walk))
 
 
 def is_valid(sw: Siteswap) -> bool:

@@ -422,50 +422,31 @@ def _label_words(
     return out
 
 
-def _flag_level(
-    words: dict[int, list[tuple[int, ...]]],
-    plain: list[list[tuple[int, ...]]],
-    count: int,
-) -> Iterator[FlagState]:
-    """The flag states with exactly `count` inversions, from a table of
-    `_label_words` and a list of plain levels (plain[k]: the positions of
-    the plain states with k inversions, in `states_with_inversions`
-    order), both reaching that count: plain states with plain_inv
-    inversions, each filled with every word of count - plain_inv."""
-    for plain_inv in range(count + 1):
-        fills = words.get(count - plain_inv)
-        if not fills:
-            continue
-        for positions in plain[plain_inv]:
-            for fill in fills:
-                yield _flag_leave((positions, fill))
-
-
-def _flag_levels(
-    words: dict[int, list[tuple[int, ...]]], balls: int, counts: range
-) -> Iterator[Iterator[FlagState]]:
-    """The flag states of each inversion count in `counts` in turn, one
-    `_flag_level` per count, from a table of `_label_words` that reaches
-    the last count.  Each plain level up to the last count is listed once,
-    by the checked constructor, for every flag level it fills."""
+def _flag_levels(labels: Sequence[int], counts: range) -> Iterator[Iterator[FlagState]]:
+    """The flag states over `labels` of each inversion count in `counts` in
+    turn, one iterator per count (`counts.step` 1): plain states with
+    plain_inv inversions, each filled with every word of count - plain_inv.
+    The labels are checked first, once; the words over them are listed
+    once (`_label_words`), up to the last count, and so is each plain
+    level, by the checked constructor, for every flag level it fills."""
+    FlagState(tuple(labels))  # the checked constructor refuses bad labels
+    words = _label_words(labels, counts.stop - 1)
     plain: list[list[tuple[int, ...]]] = []
+
+    def level(count: int) -> Iterator[FlagState]:
+        for plain_inv in range(count + 1):
+            fills = words.get(count - plain_inv)
+            if not fills:
+                continue
+            for positions in plain[plain_inv]:
+                for fill in fills:
+                    yield _flag_leave((positions, fill))
+
+    balls = len(labels)
     for count in range(counts.stop):
         plain.append([state.positions for state in states_with_inversions(balls, count)])
         if count in counts:
-            yield _flag_level(words, plain, count)
-
-
-def _flag_states(labels: Sequence[int], counts: range) -> Iterator[FlagState]:
-    """The flag states over `labels` with each inversion count in `counts`
-    in turn; the words over the labels are listed once for all of them, up
-    to the last count, and so is each plain level; the labels are checked
-    first, once."""
-    FlagState(tuple(labels))  # the checked constructor refuses bad labels
-    if not counts:
-        return
-    words = _label_words(labels, counts[-1])
-    for level in _flag_levels(words, len(labels), counts):
-        yield from level
+            yield level(count)
 
 
 def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[FlagState]:
@@ -476,11 +457,11 @@ def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[F
     + (inversions among the word of labels), so enumerate plain states
     first and fill in label arrangements.
     """
-    return _flag_states(labels, range(count, count + 1))
+    return itertools.chain.from_iterable(_flag_levels(labels, range(count, count + 1)))
 
 
 def flag_states_up_to_inversions(labels: Sequence[int], max_count: int) -> Iterator[FlagState]:
-    return _flag_states(labels, range(max_count + 1))
+    return itertools.chain.from_iterable(_flag_levels(labels, range(max_count + 1)))
 
 
 # ---------------------------------------------------------------------------

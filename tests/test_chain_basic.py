@@ -357,7 +357,7 @@ class TestStationarity:
                     assert inflow.keys() == reference.keys()
                     for k, monomials in inflow.items():
                         assert all(e >= 0 for _, e in monomials)
-                        num, den = _at_q([(n, 1, e) for n, e in monomials], coin)
+                        num, den = _at_q(monomials, 1, coin)
                         value = Fraction(num, den) * q ** -inversions(state)
                         assert value == reference[k], (str(state), cap, k)
 

@@ -765,6 +765,34 @@ class TestBadFlags:
         line = bad_flags(capsys, *argv)
         assert f"error: argument {flag}: can't open {str(path)!r}: " in line
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unopenable_output_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        # the path is looked at while the flags are parsed, so a long run
+        # never starts only to be refused at its final write
+        def never(args):
+            pytest.fail("ran the command before refusing --output")
+
+        monkeypatch.setattr(cli, "cmd_simulate", never)
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+        line = bad_flags(
+            capsys, "--output", str(path), "simulate", "--balls", "2", "--q", "2",
+            "--steps", "2000000", "--seed", "1",
+        )
+        assert f"error: argument --output: can't open {str(path)!r}: " in line
+
+    def test_existing_output_kept_when_a_later_flag_is_refused(self, tmp_path, capsys):
+        # the path is checked, not opened, so a refusal truncates nothing
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"kept\n")
+        line = bad_flags(
+            capsys, "--output", str(target), "simulate", "--balls", "2", "--q", "2",
+            "--steps", "10", "--burnin", "10",
+        )
+        assert "--burnin (10) must be below --steps (10)" in line
+        assert target.read_bytes() == b"kept\n"
+
     def test_series_negative_degree(self, capsys):
         line = bad_flags(capsys, "series", "--degree", "-1")
         assert "argument --degree" in line

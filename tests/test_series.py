@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import jugglechain.errors as errors
 import jugglechain.series as series
+import jugglechain.states as states_module
 from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
     TruncSeries,
@@ -172,6 +174,14 @@ class TestFlagSeries:
             assert flag_series(4, degree) == flag_series_enumerated(4, degree)
 
 
+    def test_enumerated_coefficients_are_pinned(self):
+        # (1 - x)^-4 up to x^16 is C(k + 3, 3); the digest pins the same
+        # integers as the enumeration counts them, level by level
+        coeffs = flag_series_enumerated(4, 16).coeffs
+        assert coeffs[16] == 969
+        digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+        assert digest == "30c0b4bc0e2752e0f48cbb708eb45c41d815b5a3baf20ec85a32cee33b1e078c"
+
 class TestEnumerationBudget:
     @pytest.mark.parametrize(
         "labels,k",
@@ -226,7 +236,7 @@ class TestEnumerationBudget:
         def never(*args):
             pytest.fail("listed label words before refusing the sweep")
 
-        monkeypatch.setattr(series, "_label_words", never)
+        monkeypatch.setattr(states_module, "_label_words", never)
         monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 10)
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):
             flag_series_enumerated(8, 12)
@@ -251,7 +261,7 @@ class TestEnumerationBudget:
         def never(*args):
             pytest.fail("enumerated while checking the budget")
 
-        monkeypatch.setattr(series, "_label_words", never)
+        monkeypatch.setattr(states_module, "_label_words", never)
         monkeypatch.setattr(series, "state_count_by_inversions", never)
         check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):

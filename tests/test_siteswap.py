@@ -10,7 +10,7 @@ from jugglechain.siteswap import (
     parse_siteswap,
     validate_siteswap,
 )
-from jugglechain.states import ground_state, parse_state
+from jugglechain.states import ground_state, parse_state, throw_state
 
 
 class TestParsing:
@@ -60,6 +60,24 @@ class TestValidation:
                 landings = {(i + t) % n for i, t in enumerate(throws)}
                 assert is_valid(Siteswap(throws)) == (len(landings) == n)
 
+
+    def test_every_passing_landing_test_is_a_closed_walk(self):
+        # every sequence of length <= 4 with throws <= 6 that passes the
+        # landing test has an integer mean, a start state of that many
+        # balls, and a walk that closes up
+        passed = 0
+        for n in range(1, 5):
+            for throws in itertools.product(range(7), repeat=n):
+                if len({(i + t) % n for i, t in enumerate(throws)}) < n:
+                    continue
+                info = validate_siteswap(Siteswap(throws))
+                assert sum(throws) % n == 0, throws
+                assert info.balls == sum(throws) // n, throws
+                assert info.states[0].balls == info.balls, throws
+                assert len(info.states) == n
+                assert throw_state(info.states[-1], throws[-1]) == info.states[0], throws
+                passed += 1
+        assert passed == 7 + 25 + 79 + 233
 
 class TestCountPatterns:
     @pytest.mark.parametrize(
