@@ -25,12 +25,12 @@ written once more as `_hat_exchange`, on cells alone: the composed law is
 a loop over the hats len(cells), ..., 1 on a map from cells to integer
 numerators, and the forward edges read the same exchange forwards, as it
 is its own inverse.  The sampler keeps the rule inline, since calling
-`_hat_exchange` from it cost the benchmark's `sample` workload 2-5% of
-its work rate in 9 of 9 paired runs (a hatted step 0.93 -> 1.00 us on a
-2-vCPU shared Xeon, Python 3.11); the tests compare the composed law
-with the sampler's steps enumerated.  The step builds its successor
-without re-checking it (`_unchecked_hatted`); its docstring says why
-that is safe.
+`_hat_exchange` from it cost the benchmark's `sample` workload 3.5% of
+its work rate: the median of 10 alternating 10 s pairs, each slower by
+1.8-7.6% (2-vCPU shared Xeon, Python 3.11).  The tests compare the
+composed law with the sampler's steps enumerated.  The step builds its
+successor without re-checking it (`_unchecked_hatted`); its docstring
+says why that is safe.
 As a `chain.Sampler` (`HATTED`) it steps the mixed states themselves, so
 entering and leaving are the identity.
 """
@@ -51,7 +51,7 @@ from .flagchain import flag_forward_edges
 from .states import Cell, FlagState, _check_labels, _unchecked_flag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HattedState:
     """A flag word plus the hat position.
 
@@ -64,7 +64,7 @@ class HattedState:
 
     def __post_init__(self) -> None:
         cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
+        _set_cells(self, cells)
         if not cells or cells[-1] is None:
             raise ValueError("cells must be trimmed and end with a label")
         _check_labels(cells)
@@ -84,12 +84,17 @@ class HattedState:
         return self.word()
 
 
+# each field is written through its slot's descriptor, as in `states`
+_set_cells = HattedState.cells.__set__
+_set_hat = HattedState.hat.__set__
+
+
 def _unchecked_hatted(cells: tuple[Cell, ...], hat: int) -> HattedState:
     """A HattedState built without `__post_init__`: for step kernels whose
     cells are trimmed and checked, and whose hat is in range, by proof."""
     state = object.__new__(HattedState)
-    object.__setattr__(state, "cells", cells)
-    object.__setattr__(state, "hat", hat)
+    _set_cells(state, cells)
+    _set_hat(state, hat)
     return state
 
 
@@ -122,8 +127,8 @@ def hatted_backward_step(
     i > 0 with a label c < a to its left, no loop surrounds it, and every
     other branch returns without flipping.  `_hat_exchange` writes the
     same exchange and flip condition on cells alone; the step keeps its
-    own copy, as calling it made a step about 7% slower (see the module
-    docstring).
+    own copy, as calling it cost the `sample` workload 3.5% of its work
+    rate (see the module docstring).
     """
     if isinstance(state, FlagState):
         return _unchecked_hatted(state.cells, len(state.cells))
@@ -161,7 +166,7 @@ def _hat_exchange(cells: tuple[Cell, ...], i: int) -> tuple[tuple[Cell, ...], bo
     inverse, trimming included, so read forwards from a hat at i - 1 it is
     the exchange edge of `hatted_forward_edges`.  `hatted_backward_step`
     writes the same rule inline, as the sampler the benchmark times:
-    calling this from it cost the `sample` workload 2-5% of its work rate
+    calling this from it cost the `sample` workload 3.5% of its work rate
     (see the module docstring).
     """
     c = cells[i - 1]

@@ -23,7 +23,7 @@ from .errors import IllegalThrow, ParseError
 Cell = Optional[int]  # None is an empty cell ("-"); labels are positive ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JugglingState:
     """b strictly increasing natural positions (where the xs sit)."""
 
@@ -31,8 +31,11 @@ class JugglingState:
 
     def __post_init__(self) -> None:
         pos = tuple(self.positions)
-        object.__setattr__(self, "positions", pos)
-        # C-level builtins: enumerations and exact laws build many states
+        _set_positions(self, pos)
+        # C-level builtins: enumerations and exact laws build many states.
+        # A position is exactly an int: a bool, a float or a Fraction is none
+        if not _INT_ONLY.issuperset(map(type, pos)):
+            raise ValueError("positions must be ints")
         if pos and min(pos) < 0:
             raise ValueError("positions must be naturals")
         if any(map(operator.ge, pos, pos[1:])):
@@ -58,11 +61,18 @@ class JugglingState:
         return self.word()
 
 
+_INT_ONLY = frozenset((int,))
+# Each field is written through its slot's descriptor, bound once: the
+# checked and the unchecked builds alike, and cheaper per state than
+# `object.__setattr__`, which looks the name up on every write.
+_set_positions = JugglingState.positions.__set__
+
+
 def _unchecked_state(positions: tuple[int, ...]) -> JugglingState:
     """A JugglingState built without `__post_init__`: for step kernels
     whose positions are a tuple of strictly increasing naturals by proof."""
     state = object.__new__(JugglingState)
-    object.__setattr__(state, "positions", positions)
+    _set_positions(state, positions)
     return state
 
 
@@ -153,7 +163,7 @@ def forward_edges(
 # Labeled (flag) states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagState:
     """A word of cells, each empty or bearing a label from a fixed multiset.
 
@@ -166,7 +176,7 @@ class FlagState:
 
     def __post_init__(self) -> None:
         cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
+        _set_cells(self, cells)
         if not cells or cells[-1] is None:
             raise ValueError("flag state must end with a label")
         _check_labels(cells)
@@ -187,6 +197,9 @@ class FlagState:
         return self.word()
 
 
+_set_cells = FlagState.cells.__set__
+
+
 def _check_labels(cells: Sequence[Cell]) -> None:
     """Raise ValueError unless each label among `cells` is a positive int;
     None is an empty cell, a bool or a float is no label, and a label
@@ -201,7 +214,7 @@ def _unchecked_flag(cells: tuple[Cell, ...]) -> FlagState:
     cells are a tuple of positive labels and empties ending with a label
     by proof."""
     state = object.__new__(FlagState)
-    object.__setattr__(state, "cells", cells)
+    _set_cells(state, cells)
     return state
 
 
@@ -291,10 +304,14 @@ def flag_from_parts(positions: Sequence[int], labels_in_order: Sequence[int]) ->
     """Build a flag state from occupied positions and their labels read
     left to right, checked as the constructor checks it.  A label short
     leaves the last position empty, which the constructor refuses; a
-    label over would have no cell, and is refused here."""
+    label over would have no cell, and is refused here.  The positions
+    are checked before any cell is filled: each exactly an int before
+    they are sorted, then distinct naturals as a plain state's."""
     if len(labels_in_order) > len(positions):
         raise ValueError("more labels than positions")
-    positions = sorted(positions)
+    if not _INT_ONLY.issuperset(map(type, positions)):
+        raise ValueError("positions must be ints")
+    positions = JugglingState(tuple(sorted(positions))).positions
     return FlagState(_flag_leave((positions, labels_in_order)).cells if positions else ())
 
 

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import gc
 import hashlib
 import itertools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +13,12 @@ from hypothesis import strategies as st
 
 import jugglechain.states as states_module
 from jugglechain.errors import IllegalThrow, ParseError
-from jugglechain.hatted import HattedState
+from jugglechain.hatted import HattedState, _unchecked_hatted
 from jugglechain.states import (
     FlagState,
     JugglingState,
+    _unchecked_flag,
+    _unchecked_state,
     distinct_permutations,
     erase_labels,
     flag_from_parts,
@@ -248,6 +254,36 @@ class TestText:
             FlagState(cells)
         with pytest.raises(ValueError, match="labels must be positive integers"):
             HattedState(cells, 0)
+
+    @pytest.mark.parametrize(
+        "positions",
+        [(0.5, 1.5), (0, 2.0), (Fraction(0), Fraction(2)), (False, True), (0, True)],
+        ids=["float", "integral-float", "fraction", "bools", "true"],
+    )
+    def test_juggling_state_refuses_a_position_that_is_not_an_int(self, positions):
+        # unrefused, a float position gives a float stationary weight, a
+        # Fraction one a word that cannot be rendered, and (False, True) a
+        # state equal to xx
+        with pytest.raises(ValueError, match="positions must be ints"):
+            JugglingState(positions)
+
+    @pytest.mark.parametrize(
+        "positions,message",
+        [
+            ((0, 1.0), "positions must be ints"),
+            ((False, True), "positions must be ints"),
+            ((0, None), "positions must be ints"),
+            ((0, 0), "positions must be strictly increasing"),
+            ((-1, 1), "positions must be naturals"),
+        ],
+        ids=["float", "bools", "none", "repeated", "negative"],
+    )
+    def test_flag_from_parts_checks_its_positions(self, positions, message):
+        # unchecked, a float or None position raises TypeError, and the
+        # others build a state: bools as 12, a repeated position drops a
+        # label, and a negative one fills a cell from the end
+        with pytest.raises(ValueError, match=message):
+            flag_from_parts(positions, (1, 2))
 
 
 class TestEnumeration:
@@ -575,3 +611,64 @@ class TestValidationMatchesReference:
         else:
             expected = None
         assert error_of(lambda: HattedState(cells, hat)) == expected
+
+
+# One instance of each state class: plain, flag, and hatted with the hat on
+# a cell and just past the last label.
+LAYOUT_STATES = [
+    JugglingState((0, 2, 3)),
+    FlagState((2, None, 1)),
+    HattedState((2, None, 1), 1),
+    HattedState((2, None, 1), 3),
+]
+LAYOUT_IDS = ["plain", "flag", "hatted", "hatted-past-end"]
+
+
+class TestClassLayout:
+    """The state classes are frozen, slotted dataclasses whose unchecked
+    builders write each field through its slot."""
+
+    @pytest.mark.parametrize("state", LAYOUT_STATES, ids=LAYOUT_IDS)
+    def test_no_instance_dict(self, state):
+        assert not hasattr(state, "__dict__")
+
+    @pytest.mark.parametrize("state", LAYOUT_STATES, ids=LAYOUT_IDS)
+    def test_fields_are_frozen(self, state):
+        for field in dataclasses.fields(state):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, field.name, getattr(state, field.name))
+
+    @pytest.mark.parametrize("state", LAYOUT_STATES, ids=LAYOUT_IDS)
+    def test_round_trips(self, state):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(state, protocol)) for protocol in protocols]
+        copies += [copy.deepcopy(state), dataclasses.replace(state)]
+        for twin in copies:
+            assert type(twin) is type(state)
+            assert twin == state and hash(twin) == hash(state)
+            assert dataclasses.astuple(twin) == dataclasses.astuple(state)
+
+    def test_unchecked_plain_equals_checked(self):
+        count = 0
+        for state in states_up_to_inversions(4, 6):
+            built = _unchecked_state(state.positions)
+            assert built == JugglingState(state.positions), state
+            assert hash(built) == hash(state) and built.positions == state.positions
+            count += 1
+        assert count == sum(state_count_by_inversions(4, k) for k in range(7))
+
+    def test_unchecked_flag_and_hatted_equal_checked(self):
+        flags = list(flag_states_up_to_inversions((1, 1, 2, 3), 5))
+        assert len(flags) == 80
+        for state in flags:
+            cells = state.cells
+            built = _unchecked_flag(cells)
+            checked = FlagState(cells)
+            assert built == checked and hash(built) == hash(checked), state
+            assert built.cells == cells
+            for hat in range(len(cells) + 1):
+                hatted = _unchecked_hatted(cells, hat)
+                checked_hatted = HattedState(cells, hat)
+                assert hatted == checked_hatted, (state, hat)
+                assert hash(hatted) == hash(checked_hatted)
+                assert (hatted.cells, hatted.hat) == (cells, hat)
