@@ -26,7 +26,7 @@ histogram with the stationary law exactly, over the visited states alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import attrgetter
@@ -42,19 +42,35 @@ class FlipSource(Protocol):
 
 @dataclass(frozen=True)
 class CoinConfig:
-    """An exact rational q > 1; the coin shows heads with probability 1/q."""
+    """An exact rational q > 1; the coin shows heads with probability 1/q.
+
+    `ac` is q in lowest terms as the integer pair (a, c), q = a/c, made
+    once per coin; the exact kernels read it, and `==` and `hash` read it
+    alone, so equal coins made apart (from 2, "2" or Fraction(4, 2)) are
+    one memo key, and a lookup hashes two ints, not a `Fraction`.  A coin
+    is never equal to a bare number.
+    """
 
     q: Fraction
+    ac: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = Fraction(self.q)
         object.__setattr__(self, "q", q)
         if q <= 1:
             raise ValueError("q must exceed 1")
+        object.__setattr__(self, "ac", (q.numerator, q.denominator))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoinConfig):
+            return NotImplemented
+        return self.ac == other.ac
+
+    def __hash__(self) -> int:
+        return hash(self.ac)
 
     @cached_property
     def heads_probability(self) -> Fraction:
-        # computed once per coin; not a field, so == and hash see q alone
         return 1 / self.q
 
 
@@ -92,8 +108,11 @@ class TransitionDist:
             return NotImplemented
         nums, den = self._numerators, self._denominator
         other_nums, other_den = other._numerators, other._denominator
-        return nums.keys() == other_nums.keys() and all(
-            [n * other_den == other_nums[s] * den for s, n in nums.items()]
+        # every numerator is positive, so with as many states on each side a
+        # state missing from the other law (read as 0) fails its comparison
+        get = other_nums.get
+        return len(nums) == len(other_nums) and all(
+            [n * other_den == get(s, 0) * den for s, n in nums.items()]
         )
 
     def __hash__(self) -> int:
@@ -231,7 +250,7 @@ def _move_law(b: int, coin: CoinConfig) -> tuple[tuple[int, ...], int]:
     numerators over one denominator a^b, q = a/c: k leading heads then
     tails (k < b) has probability (1 - 1/q) q^-k = (a - c) c^k a^(b-1-k) /
     a^b, and all b heads has c^b / a^b."""
-    a, c = coin.q.numerator, coin.q.denominator
+    a, c = coin.ac
     nums = [(a - c) * c**k * a ** (b - 1 - k) for k in range(b)]
     nums.append(c**b)
     return tuple(nums), a**b
@@ -270,12 +289,13 @@ def _inflow_by_move(
     end: its sum is the single monomial x^(lo + 1 - b), or it stops at
     t = max_throw, x^(lo + 1 - b) - x^(max_throw + 1 - b), when that is
     given.  An empty-front state has one successor, its shift down, which
-    comes back by all b heads: {b: x^0}.  Every exponent is at least 0.
+    comes back by all b heads: {b: x^0}, and so does the zero-ball state,
+    {0: x^0}.  Every exponent is at least 0.
     """
-    b = state.balls
-    if not state.occupied(0):
-        return {b: ((1, 0),)}
     lam = state.positions
+    b = len(lam)
+    if not lam or lam[0]:
+        return {b: ((1, 0),)}
     inflow = {}
     for j in range(1, b + 1):
         lo = lam[j - 1]
@@ -297,7 +317,7 @@ def _at_q(
     `Fraction` is built."""
     if not terms:
         return 0, 1
-    a, c = coin.q.numerator, coin.q.denominator
+    a, c = coin.ac
     top = max([e for _, e in terms])
     num = sum([n * c**e * a ** (top - e) for n, e in terms])
     return num, den * a**top
@@ -392,7 +412,7 @@ def tv_distance(
     n = hist.samples
     if not n:
         raise ValueError("the histogram holds no samples")
-    a, c = coin.q.numerator, coin.q.denominator
+    a, c = coin.ac
     prefactor = sn(balls, coin.q)
     visited = []
     for state, count in hist.counts:

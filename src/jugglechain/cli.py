@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import nullcontext
@@ -254,14 +255,20 @@ def _resolve_burnin(args, default: int, sampling: bool = True) -> None:
         )
 
 
+# a label token: an optional minus sign and ASCII digits, with the
+# whitespace int allows around them ([0-9] is ASCII alone; \d takes '１')
+_ASCII_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
 def _parse_labels(text: str) -> tuple[int, ...]:
-    """argparse type of --labels: comma-separated integers >= 1."""
-    try:
-        labels = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
+    """argparse type of --labels: comma-separated integers >= 1, in ASCII
+    digits (`int` alone also takes other scripts' digits and `_`)."""
+    tokens = text.split(",")
+    if not all([_ASCII_INTEGER.fullmatch(tok) for tok in tokens]):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of integers"
-        ) from None
+        )
+    labels = tuple(map(int, tokens))
     if min(labels) < 1:
         raise argparse.ArgumentTypeError(f"labels must be positive, got {text}")
     return labels

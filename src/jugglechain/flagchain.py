@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -58,6 +58,7 @@ from .states import (
     _unchecked_state,
     flag_inversions,
     forward_edges,
+    inversions,
     word_inversions,
 )
 
@@ -75,13 +76,16 @@ def label_groups(labels: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def group_prefactor(labels: Sequence[int], q: Fraction) -> Fraction:
     """Product over groups of equal labels of (1-q^-1)...(1-q^-size)."""
-    return _group_prefactor(label_groups(labels), Fraction(q))
+    q = Fraction(q)
+    return _group_prefactor(label_groups(labels), q.numerator, q.denominator)
 
 
 @lru_cache(maxsize=256)
-def _group_prefactor(groups: tuple[tuple[int, int], ...], q: Fraction) -> Fraction:
-    """`group_prefactor` of one multiset: every state of it shares the
-    value, so it is memoised per (label groups, q)."""
+def _group_prefactor(groups: tuple[tuple[int, int], ...], a: int, c: int) -> Fraction:
+    """`group_prefactor` of one multiset at q = a/c in lowest terms: every
+    state of it shares the value, so it is memoised per (label groups, a,
+    c), a key of ints alone."""
+    q = Fraction(a, c)
     out = Fraction(1)
     for _, size in groups:
         out *= sn(size, q)
@@ -197,7 +201,7 @@ def _word_law(
     `step_law` of the sweep on the word's gap-free cells, divided by P(k),
     is the same law; the tests compare the two.
     """
-    a, c = coin.q.numerator, coin.q.denominator
+    a, c = coin.ac
     top = a ** (len(word) - 1)
     moved = len(word) - 1 - k
     if moved < 0:
@@ -270,18 +274,61 @@ def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:
     return group_prefactor(state.labels, coin.q) * coin.q ** -flag_inversions(state)
 
 
-@dataclass(frozen=True)
 class StationarityBracket:
     """Result of a truncated balance check: the inflow is known to lie in
-    [partial_sum, partial_sum + tail_bound]."""
+    [partial_sum, partial_sum + tail_bound], and `expected` is the state's
+    stationary weight.
 
-    expected: Fraction
-    partial_sum: Fraction
-    tail_bound: Fraction
+    The three share the state's group prefactor, so the check holds each
+    over it as an integer pair (numerator, denominator), and `ok` compares
+    them by cross-multiplication.  Each public field is the exact
+    `Fraction`, prefactor * numerator / denominator, made on its first
+    read.
+    """
+
+    def __init__(
+        self,
+        state: FlagState,
+        coin: CoinConfig,
+        expected: tuple[int, int],
+        partial_sum: tuple[int, int],
+        tail_bound: tuple[int, int],
+    ) -> None:
+        self._state, self._coin = state, coin
+        self._expected, self._partial, self._tail = expected, partial_sum, tail_bound
 
     @property
     def ok(self) -> bool:
-        return self.partial_sum <= self.expected <= self.partial_sum + self.tail_bound
+        # partial <= expected <= partial + tail; every denominator is positive
+        (en, ed), (pn, pd), (tn, td) = self._expected, self._partial, self._tail
+        return pn * ed <= en * pd and en * pd * td <= (pn * td + tn * pd) * ed
+
+    @cached_property
+    def _prefactor(self) -> Fraction:
+        return group_prefactor(self._state.labels, self._coin.q)
+
+    def _over_prefactor(self, pair: tuple[int, int]) -> Fraction:
+        # one reduction of the product, not one per factor and one after
+        p, (n, d) = self._prefactor, pair
+        return Fraction(p.numerator * n, p.denominator * d)
+
+    @cached_property
+    def expected(self) -> Fraction:
+        return self._over_prefactor(self._expected)
+
+    @cached_property
+    def partial_sum(self) -> Fraction:
+        return self._over_prefactor(self._partial)
+
+    @cached_property
+    def tail_bound(self) -> Fraction:
+        return self._over_prefactor(self._tail)
+
+    def __repr__(self) -> str:
+        return (
+            f"StationarityBracket(expected={self.expected!r}, "
+            f"partial_sum={self.partial_sum!r}, tail_bound={self.tail_bound!r})"
+        )
 
 
 # the balance check's default: the tail bound must be below this share of
@@ -338,8 +385,8 @@ def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:
     w, x = 1/q = c/a, compared in integers as num * a^inv == den * c^inv."""
     num, den = _flag_inflow(state, coin)
     inv = _word_inversions(_flag_enter(state)[1])
-    q = coin.q
-    return num * q.numerator**inv == den * q.denominator**inv
+    a, c = coin.ac
+    return num * a**inv == den * c**inv
 
 
 def verify_flag_stationarity(
@@ -356,8 +403,13 @@ def verify_flag_stationarity(
     geometric tail bound covers the rest; a leading-empty state has no far
     drops and no tail.  Raises ValueError when drop_cap is below the last
     label position + b, and CapTooSmall, before any summing, when the tail
-    bound is not below tolerance * weight(state).  The inflow is summed in
-    integers; the three fields are each built once from it, with q = a/c.
+    bound is not below tolerance * weight(state).
+
+    The check runs in integers alone.  The weight, the partial sum and the
+    tail bound each are the group prefactor times a ratio of integers, with
+    q = a/c, so the prefactor cancels: the `CapTooSmall` test and the
+    bracket's `ok` cross-multiply those (numerator, denominator) pairs, and
+    the bracket makes its exact `Fraction` fields only when they are read.
 
     The tail bound: every omitted successor comes from a walk whose final
     drop lands at a position p > drop_cap; such a target keeps at most b-1
@@ -368,25 +420,31 @@ def verify_flag_stationarity(
     geometric series over p > drop_cap gives the bound,
     2^(b-1) * prefactor * q^-n / (q - 1) with n = drop_cap + 1 - b.
     """
-    a, c = coin.q.numerator, coin.q.denominator
-    b = state.balls
-    prefactor = group_prefactor(state.labels, coin.q)
-    inv = flag_inversions(state)
-    pi = prefactor * Fraction(c**inv, a**inv)
+    a, c = coin.ac
+    positions, word = _flag_enter(state)
+    b = len(word)
+    plain = inversions(_unchecked_state(positions))
+    inv = plain + _word_inversions(word)
+    expected = c**inv, a**inv
     if state.cells[0] is None:
-        tail, max_drop = Fraction(0), None
+        tail, max_drop = (0, 1), None
     else:
         if drop_cap < len(state.cells) - 1 + b:
             raise ValueError("drop_cap must be at least last label position + b")
         n = drop_cap + 1 - b
-        tail = 2 ** (b - 1) * prefactor * Fraction(c ** (n + 1), a**n * (a - c))
-        if tail >= pi * tolerance:
+        tail = 2 ** (b - 1) * c ** (n + 1), a**n * (a - c)
+        tol = Fraction(tolerance)
+        # tail >= tolerance * expected, each over the prefactor
+        if tail[0] * expected[1] * tol.denominator >= (
+            expected[0] * tail[1] * tol.numerator
+        ):
+            prefactor = group_prefactor(state.labels, coin.q)
             raise CapTooSmall(
-                f"tail bound {tail} is not below {tolerance} * weight {pi}"
+                f"tail bound {prefactor * Fraction(*tail)} is not below "
+                f"{tolerance} * weight {prefactor * Fraction(*expected)}"
             )
         max_drop = drop_cap
     num, den = _flag_inflow(state, coin, max_drop)
-    # _flag_inflow leaves out the plain weight x^(inv - inv(word))
-    plain = inv - _word_inversions(_flag_enter(state)[1])
-    partial = prefactor * Fraction(num * c**plain, den * a**plain)
-    return StationarityBracket(expected=pi, partial_sum=partial, tail_bound=tail)
+    # _flag_inflow leaves out the plain weight x^plain
+    partial = num * c**plain, den * a**plain
+    return StationarityBracket(state, coin, expected, partial, tail)

@@ -194,7 +194,7 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     re-checking (`_unchecked_flag`).  `step_law` run on the composed steps
     of `hatted_backward_step` is the reference the tests compare it with.
     """
-    a, c = coin.q.numerator, coin.q.denominator
+    a, c = coin.ac
     level = {state.cells: 1}
     for i in range(len(state.cells), 0, -1):
         grown: dict[tuple[Cell, ...], int] = {}

@@ -242,7 +242,9 @@ def parse_flag_state(text: str) -> FlagState:
     for tok in tokens:
         if tok == "-":
             cells.append(None)
-        elif tok.isdigit() and int(tok) > 0:
+        # ASCII digits only: str.isdigit and int also take other scripts'
+        # digits ('²', '１')
+        elif tok.isascii() and tok.isdigit() and int(tok) > 0:
             cells.append(int(tok))
         else:
             raise ParseError(f"bad token {tok!r} in flag state {text!r}")

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -213,6 +216,55 @@ class TestStepLaw:
         assert law.entries == (("A", Fraction(3, 4)), ("B", Fraction(1, 4)))
 
 
+class TestCoinConfig:
+    @pytest.mark.parametrize("q", [2, Fraction(4, 2), "2", 2.0], ids=repr)
+    def test_equal_whatever_form_q_takes(self, q):
+        coin = CoinConfig(q)
+        assert coin == Q2 and hash(coin) == hash(Q2)
+        assert coin.q == 2 and type(coin.q) is Fraction and coin.ac == (2, 1)
+
+    def test_unequal_coins(self):
+        assert CoinConfig(Fraction(5, 2)).ac == (5, 2)
+        assert CoinConfig(Fraction(5, 2)) != CoinConfig(Fraction(5, 3))
+        assert CoinConfig(3) != Q2
+
+    def test_never_equal_to_a_bare_number(self):
+        for bare in (Fraction(2), 2, (2, 1)):
+            assert Q2 != bare and bare != Q2
+            assert not Q2 == bare
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda coin: pickle.loads(pickle.dumps(coin)),
+            copy.deepcopy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_rebuilt_coins_equal_and_hash_alike(self, rebuild):
+        coin = CoinConfig(Fraction(7, 3))
+        coin.heads_probability  # a cached read travels with a copied coin
+        again = rebuild(coin)
+        assert again == coin and hash(again) == hash(coin)
+        assert again.ac == (7, 3) and again.heads_probability == Fraction(3, 7)
+
+    def test_replace_makes_a_new_pair(self):
+        three = dataclasses.replace(Q2, q=3)
+        assert three == CoinConfig(3) and hash(three) == hash(CoinConfig(3))
+        assert three.ac == (3, 1)
+
+    def test_equal_coins_share_memo_entries(self):
+        from jugglechain.flagchain import _word_law
+
+        word, k = (3, 1, 2), 0
+        _word_law(word, k, CoinConfig(Fraction(11, 7)))
+        hits = _word_law.cache_info().hits
+        again = _word_law(word, k, CoinConfig("22/14"))
+        assert _word_law.cache_info().hits == hits + 1
+        assert again is _word_law(word, k, CoinConfig(Fraction(11, 7)))
+
+
 class TestTransitionDist:
     def test_entries_sorted_by_rendered_state(self):
         half, quarter = Fraction(1, 2), Fraction(1, 4)
@@ -334,6 +386,28 @@ class TestStationarity:
 
     def test_ground_two_balls(self):
         assert verify_stationarity(parse_state("xx"), Q2)
+
+    @pytest.mark.parametrize("q", INFLOW_QS, ids=str)
+    def test_zero_balls_and_empty_fronts(self, q):
+        # one successor, the shift down, back by all b heads: {b: x^0}
+        coin = CoinConfig(q)
+        assert _inflow_by_move(JugglingState(())) == {0: ((1, 0),)}
+        assert verify_stationarity(JugglingState(()), coin)
+        for b in (1, 2, 3):
+            empty_fronts = [
+                s for s in states_up_to_inversions(b, 6) if not s.occupied(0)
+            ]
+            assert empty_fronts
+            for state in empty_fronts:
+                assert _inflow_by_move(state) == {b: ((1, 0),)}, str(state)
+                assert verify_stationarity(state, coin), str(state)
+
+    def test_occupied_fronts_split_by_move(self):
+        # an occupied front comes back by the moves k < b alone, the far
+        # throws always among them as k = 0, never by the shift k = b
+        for state in occupied_front_states(3, 6):
+            inflow = _inflow_by_move(state)
+            assert 0 in inflow and state.balls not in inflow, str(state)
 
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(7, 2)])
     def test_small_sweep(self, q):

@@ -541,6 +541,53 @@ class TestStationarity:
         assert bracket.partial_sum == partial_sum
         assert bracket.ok
 
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 2), Fraction(29, 28)], ids=str)
+    @pytest.mark.parametrize(
+        "labels,max_inversions",
+        [((1, 2), 5), ((1, 2, 3), 5), ((1, 1, 2), 5), ((1, 2, 3, 4), 3)],
+    )
+    @pytest.mark.parametrize("scale", [1, 2, Fraction(1, 2)], ids=["exact", "double", "half"])
+    def test_integer_ok_is_the_fraction_bracket(
+        self, monkeypatch, labels, max_inversions, q, scale
+    ):
+        # the integer `ok` reads as the bracket of its own Fraction fields at
+        # three caps, also on inflows scaled by 2 or 1/2.  At the widest cap
+        # the tail bound is below 2^-10 of the weight even at q = 29/28, so
+        # there a scaled inflow must fail at every state
+        real = flagchain._flag_inflow
+        scale = Fraction(scale)
+
+        def scaled(state, coin, max_drop=None):
+            num, den = real(state, coin, max_drop)
+            return num * scale.numerator, den * scale.denominator
+
+        monkeypatch.setattr(flagchain, "_flag_inflow", scaled)
+        coin = CoinConfig(q)
+        for state in flag_states_up_to_inversions(labels, max_inversions):
+            for extra in (0, 21, 600):
+                cap = len(state.cells) - 1 + len(labels) + extra
+                bracket = verify_flag_stationarity(
+                    state, coin, cap, tolerance=Fraction(2**40)
+                )
+                lo, hi = bracket.partial_sum, bracket.partial_sum + bracket.tail_bound
+                assert bracket.ok == (lo <= bracket.expected <= hi), (str(state), cap)
+            assert bracket.tail_bound < bracket.expected / 1024
+            assert bracket.ok == (scale == 1), str(state)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 2), Fraction(29, 28)], ids=str)
+    @pytest.mark.parametrize("text", ["12", "21", "1-2", "3-12", "2-1-1", "4-3-21"])
+    def test_tolerance_at_the_ratio_raises(self, text, q):
+        # the test is tail >= tolerance * weight: equality raises, and any
+        # tolerance above the ratio lets the check run
+        state, coin = parse_flag_state(text), CoinConfig(q)
+        cap = len(state.cells) + state.balls + 3
+        free = verify_flag_stationarity(state, coin, cap, tolerance=Fraction(2**200))
+        ratio = free.tail_bound / free.expected
+        with pytest.raises(CapTooSmall):
+            verify_flag_stationarity(state, coin, cap, tolerance=ratio)
+        above = ratio * (1 + Fraction(1, 2**64))
+        assert verify_flag_stationarity(state, coin, cap, tolerance=above).ok
+
     def test_cap_too_small_raises(self):
         state = parse_flag_state("12")
         with pytest.raises(CapTooSmall):

@@ -825,10 +825,17 @@ class TestBadFlags:
         [["stationary-check", "--q", "2"], ["oracle"], ["simulate", "--q", "2"]],
         ids=["stationary-check", "oracle", "simulate"],
     )
-    @pytest.mark.parametrize("labels", ["a,b", "0,1", "1,-2", "1,,2"])
+    @pytest.mark.parametrize(
+        "labels", ["a,b", "0,1", "1,-2", "1,,2", "１,2", "1,²", "1_0,2", "+1,2"]
+    )
     def test_labels_must_be_positive_integers(self, capsys, command, labels):
         line = bad_flags(capsys, *command, "--labels", labels)
         assert "argument --labels" in line
+
+    @pytest.mark.parametrize("text", ["²1", "１2"])
+    def test_flag_state_labels_are_ascii_digits(self, capsys, text):
+        line = bad_flags(capsys, "dist", "--flag-state", text, "--q", "2")
+        assert f"bad token {text[0]!r}" in line
 
     @pytest.mark.parametrize(
         "argv,flag",

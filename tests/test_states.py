@@ -213,6 +213,13 @@ class TestText:
         with pytest.raises(ParseError):
             parse_flag_state("0")
 
+    @pytest.mark.parametrize("text", ["²1", "１2", "1²", "12 ²", "1٢", "1_0 2"])
+    def test_labels_are_ascii_digits(self, text):
+        # str.isdigit is true of '²', which int then refuses, and int reads
+        # the full-width '１' and the Arabic-Indic '٢' as 1 and 2
+        with pytest.raises(ParseError, match="bad token"):
+            parse_flag_state(text)
+
     def test_flag_state_rejects_trailing_empty(self):
         with pytest.raises(ValueError):
             FlagState((1, None))
