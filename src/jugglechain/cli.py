@@ -51,9 +51,9 @@ from .rng import ChainRng
 from .series import (
     DEFAULT_DEGREE,
     bundle_factorization_holds,
-    check_caps,
     check_enumeration_budget,
     check_state_budget,
+    check_sweep_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
@@ -158,23 +158,41 @@ def _output_path(text: str) -> str:
     raise argparse.ArgumentTypeError(f"can't open {text!r}: {os.strerror(code)}")
 
 
+# a q: D, D/D or D.D in ASCII digits ([0-9] is ASCII alone; `Fraction`
+# also takes other scripts' digits, `_` and exponents, and an exponent of
+# ten million digits keeps it busy for seconds)
+_ASCII_RATIONAL = re.compile(r"[0-9]+(?:[/.][0-9]+)?")
+
+
 def _parse_q(text: str) -> Fraction:
-    """argparse type of --q: an exact rational above 1."""
+    """argparse type of --q: an exact rational above 1, as D, D/D or D.D."""
+    if not _ASCII_RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
     try:
         q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # past int's digit limit, or D/0
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
     if q <= 1:
         raise argparse.ArgumentTypeError(f"q must exceed 1, got {text}")
     return q
 
 
-def _integer(text: str, low: int) -> int:
+def _ascii_number(text: str, kind: str) -> str:
+    """`text`, refused as not `kind` unless it is ASCII without `_`, as
+    `int` and `float` would also read other scripts' digits and `_`."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+    return text
+
+
+def _integer(text: str, low: int | None = None) -> int:
+    """argparse type of --seed and --p, and the counts' base type: an
+    integer in ASCII digits, at least `low` when that is given."""
     try:
-        value = int(text)
+        value = int(_ascii_number(text, "an integer"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < low:
+    if low is not None and value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
@@ -192,7 +210,7 @@ def _positive(text: str) -> int:
 def _real(text: str) -> float:
     """The real flags' base type: a finite float (nan and inf refused)."""
     try:
-        value = float(text)
+        value = float(_ascii_number(text, "a number"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
@@ -386,7 +404,7 @@ def cmd_series(args) -> int:
 
     # refuse an oversized sweep before enumerating anything
     check_enumeration_budget(args.partition_max, d)
-    check_caps(args.perm_max, args.grassmann_max)
+    check_sweep_budget(args.perm_max, args.grassmann_max)
     for b in range(1, args.partition_max + 1):
         record(
             f"state-partition b={b}",
@@ -515,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")
     p.add_argument("--balls", type=_natural, default=2)
     p.add_argument("--width", type=_positive, default=3)
-    p.add_argument("--p", type=int, default=2, choices=SUPPORTED_PRIMES)
+    p.add_argument("--p", type=_integer, default=2, choices=SUPPORTED_PRIMES)
     p.add_argument("--flag", action="store_true", help="labeled pivot states")
     p.add_argument(
         "--labels", type=_parse_labels, help="group-coarsened sweep for this multiset"
@@ -548,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balls", type=_positive, default=64)
     p.add_argument("--steps", type=_natural, default=200_000)
     p.add_argument("--burnin", type=_natural, help=_burnin_help(_DENSITY_BURNIN))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="trajectory histogram and TV report")
@@ -559,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--steps", type=_natural, default=100_000)
     p.add_argument("--burnin", type=_natural, help=_burnin_help(_SIMULATE_BURNIN))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument(
         "--max-inversions", type=_natural, default=10,
         help="kept for the config hash; the TV row is exact over the visited "

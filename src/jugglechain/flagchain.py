@@ -14,13 +14,15 @@ sampler `FLAG` steps a state's cells by the paper's one sweep
 (`_flag_sweep`), which draws the move and walks the word in one pass;
 `flag_backward_step` is one step of it.  The exact law is the plain move
 law P(k) times the word law W_k, both integer numerators over one
-denominator: W_k is memoised per (word, k), and its product with the move
-law per word, so a state's law is b + 1 plain moves and one flag state per
-outcome.  The sampler run on every flip sequence (`chain.step_law`) is
-the reference the tests compare it with.
+denominator: their product is memoised per word (`_flag_law`), so a
+state's law is b + 1 plain moves and one flag state per outcome.  The
+sampler run on every flip sequence (`chain.step_law`) is the reference
+the tests compare it with.
 
 Forward edges: a plain throw t, with the final drop at t - 1, times the
-front label's walks over the labels left of it (`_word_walks`).
+front label's walks over the labels left of it (`_word_walks`).  Each
+walk comes back by one branch of the sweep, so the balance check reads
+each term W_k(w', w) off its walk and builds no word law.
 
 The stationary weight is prefactor * q^-inversions, the prefactor being
 (1-q^-1)...(1-q^-k) over the groups of equal labels (sizes k).  The
@@ -32,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import attrgetter
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from itertools import accumulate
+from operator import attrgetter, mul
+from typing import Sequence
 
 from .chain import (
     CoinConfig,
@@ -47,13 +49,14 @@ from .chain import (
     _move_law,
     _plain_step,
 )
-from .errors import CapTooSmall
+from .errors import CapTooSmall, check_budget
 from .series import sn
 from .states import (
     Cell,
     FlagState,
     _flag_enter,
     _flag_leave,
+    _landings,
     _unchecked_flag,
     _unchecked_state,
     flag_inversions,
@@ -98,21 +101,58 @@ class FlagTransition:
     drops: frozenset[int]  # positions where a label was put down
 
 
-def _word_walks(word: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """The words a forward edge can leave when its final drop has m labels
-    to its left: the front label walks over word[1 : m + 1], optionally
-    exchanging itself with each strictly larger label (putting itself down
-    and carrying on with that one), and the label it carries at the end is
-    put down after them."""
-    walks = [((), word[0])]  # (labels walked over, label carried)
+def _word_walks(
+    word: tuple[int, ...], m: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The forward walks of `word` when its final drop has m labels to its
+    left, each as (w', e, s): the front label walks over word[1 : m + 1],
+    optionally exchanging itself with each strictly larger label (putting
+    itself down and carrying on with that one), and the label it carries
+    at the end is put down after them, leaving the word w'; e counts the
+    exchanges and s the strictly smaller labels passed.
+
+    Each walk is read back by the backward sweep's move k = b - 1 - m,
+    with q = a/c, as W_k(w', word) = a^(b-1-e-s) (a-c)^e c^s / a^(b-1).
+    The sweep carries w'[m] left over w'[:m], and flips only at a label
+    strictly below the one it holds: heads leaves that label in the cell
+    and tails the held one, two different labels, so the word left fixes
+    every flip, and at most one branch of the sweep takes w' to `word`.
+    The walk run backwards is such a branch.  Where it exchanged, the cell
+    holds its smaller label and the sweep holds the larger: tails, of
+    weight a - c, swaps them back.  Where it passed a strictly smaller
+    label, heads, of weight c, passes it again.  Any other label is
+    passed with no flip, of weight a, and the sweep starts at a^k.  So
+    W_k(w', word) is this one branch's weight.  Distinct walks leave
+    distinct words, repeated labels included: two walks leaving one w'
+    would both run back as the one branch from w' to `word`, whose tails
+    mark the exchanges of each, and a walk is fixed by its exchanges.  And
+    every w' with W_k(w', word) > 0 is a walk's, since a branch run
+    forwards is a walk.
+    """
+    walks = [((), word[0], 0, 0)]  # (labels walked over, label carried, e, s)
     for label in word[1 : m + 1]:
         grown = []
-        for done, carried in walks:
-            grown.append((done + (label,), carried))
+        for done, carried, e, s in walks:
             if label > carried:
-                grown.append((done + (carried,), label))
+                grown.append((done + (label,), carried, e, s))
+                grown.append((done + (carried,), label, e + 1, s))
+            else:
+                grown.append((done + (label,), carried, e, s + (label < carried)))
         walks = grown
-    return [done + (carried,) + word[m + 1 :] for done, carried in walks]
+    after = word[m + 1 :]
+    return [(done + (carried,) + after, e, s) for done, carried, e, s in walks]
+
+
+def _walk_counts(word: tuple[int, ...]) -> list[int]:
+    """len(_word_walks(word, m)) for m = 0..b-1, none listed.  A walk is
+    fixed by the labels it exchanges with, an increasing chain word[0] <
+    word[j1] < word[j2] < ... with 0 < j1 < j2 < ...; chains[j] counts the
+    chains ending at j, the sum of those ending at an earlier, smaller
+    label, and the walks at m are the chains ending at or before m."""
+    chains = [1]
+    for j in range(1, len(word)):
+        chains.append(sum([n for n, low in zip(chains, word) if low < word[j]]))
+    return list(accumulate(chains))
 
 
 def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
@@ -120,15 +160,19 @@ def flag_forward_edges(state: FlagState, max_drop: int) -> list[FlagTransition]:
     a plain throw t of the state's positions, the final drop at t - 1, times
     each word of `_word_walks`.  An empty-initial state has the unique edge
     deleting its leading empty.  Drops increase along a walk, so capping
-    the final drop caps them all."""
+    the final drop caps them all.  ResourceLimit, before any is listed,
+    when the edges exceed the budget: per count m of labels left of the
+    final drop, the throws (`states._landings`) times the walks."""
     if state.cells[0] is None:
         return [FlagTransition(FlagState(state.cells[1:]), frozenset())]
     source, word = _flag_enter(state)
+    throws = _landings(source, max_drop + 1)
+    check_budget(sum(map(mul, throws, _walk_counts(word))), "edge")
     results = []
     for t, target in forward_edges(_unchecked_state(source), max_drop + 1):
         positions = target.positions
         m = positions.index(t - 1)
-        for walked in _word_walks(word, m):
+        for walked, _, _ in _word_walks(word, m):
             # an exchange puts down a strictly smaller label, so the
             # exchanges are where the walked labels differ from the word's
             drops = {positions[i] for i in range(m) if walked[i] != word[i + 1]}
@@ -180,15 +224,13 @@ def flag_backward_step(
     return _unchecked_flag(_flag_sweep(state.cells, coin, rng))
 
 
-@lru_cache(maxsize=4096)
 def _word_law(
     word: tuple[int, ...], k: int, coin: CoinConfig
-) -> tuple[Mapping[tuple[int, ...], int], int]:
+) -> tuple[dict[tuple[int, ...], int], int]:
     """W_k(word, .): the law of the word after the plain move k, walked by
     `_flag_sweep` once it holds a label, as integer numerators over one
-    denominator a^(b-1), q = a/c, with b labels.  Many states share a
-    word, so it is memoised, and every caller shares the one read-only
-    mapping.
+    denominator a^(b-1), q = a/c, with b labels.  `_flag_law` alone builds
+    it, once per (word, coin) for every k, and memoises the product.
 
     The carried label walks left over the labels before it, as in the
     sweep, all branches at once: a branch is the labels passed so far and
@@ -205,7 +247,7 @@ def _word_law(
     top = a ** (len(word) - 1)
     moved = len(word) - 1 - k
     if moved < 0:
-        return MappingProxyType({word: top}), top
+        return {word: top}, top
     branches = {((), word[moved]): a**k}
     for label in reversed(word[:moved]):
         grown: dict = {}
@@ -223,7 +265,7 @@ def _word_law(
     for (passed, held), n in branches.items():
         outcome = (held,) + passed + after
         law[outcome] = law.get(outcome, 0) + n
-    return MappingProxyType(law), top
+    return law, top
 
 
 @lru_cache(maxsize=4096)
@@ -245,7 +287,7 @@ def _flag_law(
 def _word_inversions(word: tuple[int, ...]) -> int:
     """`word_inversions` of a word of labels.  The balance checks read it
     for every source word of every state, and `_word_walks` leaves the
-    same few words for many states, so it is memoised like `_word_law`."""
+    same few words for many states, so it is memoised like `_flag_law`."""
     return word_inversions(word)
 
 
@@ -348,31 +390,32 @@ def _flag_inflow(
     A successor fills the plain successor after a throw t with a word w'
     of `_word_walks(w, m)`, m labels lying left of the final drop t - 1.
     It comes back by the plain move k = b - 1 - m and then the sweep's
-    walk of the word, with probability P_k * W_k(w', w) (W_k from
-    `_word_law`, an integer numerator over its denominator a^(b-1)), and
-    its weight is the group prefactor * q^-(plain inversions) * q^-inv(w').
-    The word part does not depend on t, so the inflow is the sum over k of
-    plain_k * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the
-    monomials of `chain._inflow_by_move`.  Each plain monomial times
-    x^inv(w') W_k(w', w) is one term, and `chain._at_q` sums them all over
-    the word laws' one denominator.  The far drops (one label carried ever
-    further past the last label) are the plain j = b tail, k = 0.  An
-    empty-front state comes back from its shift down by k = b, word kept.
+    walk of the word, with probability P_k * W_k(w', w), and its weight is
+    the group prefactor * q^-(plain inversions) * q^-inv(w').  The walk
+    gives W_k(w', w) = a^(b-1-e-s) (a-c)^e c^s / a^(b-1), q = a/c, from its
+    e exchanges and s smaller labels passed (`_word_walks` proves it), so
+    no word law is built; inv(w') is counted from w' itself.  The word
+    part does not depend on t, so the inflow is the sum over k of plain_k
+    * sum_w' x^inv(w') W_k(w', w), x = 1/q, with plain_k the monomials of
+    `chain._inflow_by_move`.  Each plain monomial times x^inv(w')
+    W_k(w', w) is one term, and `chain._at_q` sums them all over the one
+    denominator a^(b-1).  The far drops (one label carried ever further
+    past the last label) are the plain j = b tail, k = 0.  An empty-front
+    state comes back from its shift down by k = b, word kept, with all of
+    the weight.
     """
     positions, word = _flag_enter(state)
     b = len(word)
+    a, c = coin.ac
     max_throw = None if max_drop is None else max_drop + 1
     terms = []
-    den = 1  # every word law is over the same denominator; read from them
     for k, monomials in _inflow_by_move(_unchecked_state(positions), max_throw).items():
-        sources = [word] if k == b else _word_walks(word, b - 1 - k)
-        for source in sources:
-            law, den = _word_law(source, k, coin)
-            n = law.get(word)
-            if n:
-                shift = _word_inversions(source)
-                terms.extend([(coef * n, e + shift) for coef, e in monomials])
-    return _at_q(terms, den, coin)
+        walks = [(word, 0, 0)] if k == b else _word_walks(word, b - 1 - k)
+        for source, e, s in walks:
+            n = a ** (b - 1 - e - s) * (a - c) ** e * c**s
+            shift = _word_inversions(source)
+            terms.extend([(coef * n, power + shift) for coef, power in monomials])
+    return _at_q(terms, a ** (b - 1), coin)
 
 
 def flag_stationarity_holds(state: FlagState, coin: CoinConfig) -> bool:

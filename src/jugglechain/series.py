@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import errors
-from .errors import ResourceLimit, check_budget
+from .errors import check_budget
 from .states import (
     _flag_levels,
     inversions,
@@ -187,18 +187,30 @@ def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSer
     return TruncSeries(sum(1 for _ in level) for level in levels)
 
 
-def check_caps(perm_max: int, window_max: int) -> None:
-    """Raise ResourceLimit if the permutations of [perm_max] or the states
-    of a window of window_max cells are past their enumeration caps."""
-    if perm_max > 8:
-        raise ResourceLimit("permutation enumeration capped at n = 8")
-    if window_max > 12:
-        raise ResourceLimit("window enumeration capped at h = 12")
+def check_sweep_budget(perm_max: int, window_max: int) -> None:
+    """Raise ResourceLimit, before anything is listed, if the permutations
+    of [n] for n = 1..perm_max, sum n!, or the states of a window of h
+    cells for h = 1..window_max, every ball count j, sum C(h, j) = sum
+    2^h, exceed the budget.  Each running sum is checked as it grows, so
+    the first term past the budget refuses, and no huge count is built."""
+    total, count = 0, 1
+    for n in range(1, perm_max + 1):
+        count *= n
+        total += count
+        check_budget(total, "permutation")
+    total = 0
+    for h in range(1, window_max + 1):
+        total += 2**h
+        check_budget(total, "window state")
 
 
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
-    """Sum over permutations of [n] of x^inversions, by enumeration."""
-    check_caps(n, 0)
+    """Sum over permutations of [n] of x^inversions, by enumeration;
+    ResourceLimit, before any is listed, if the n! exceed the budget."""
+    count = 1
+    for i in range(2, n + 1):
+        count *= i
+        check_budget(count, "permutation")
     return _count_by_inversions(
         itertools.permutations(range(1, n + 1)), word_inversions, degree
     )
@@ -222,8 +234,14 @@ def grassmannian_series_closed(
 def grassmannian_series_enumerated(
     j: int, h: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
-    """Sum of x^inversions over j-ball states with every x in [0, h)."""
-    check_caps(0, h)
+    """Sum of x^inversions over j-ball states with every x in [0, h);
+    ResourceLimit, before any is listed, if the C(h, j) exceed the budget.
+    C(h, i) grows with i up to min(j, h - j), so it is built up that far,
+    refused at the first value past the budget."""
+    count = 1
+    for i in range(min(j, h - j)):
+        count = count * (h - i) // (i + 1)
+        check_budget(count, "window state")
     return _count_by_inversions(window_states(j, h), inversions, degree)
 
 

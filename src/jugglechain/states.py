@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Optional, Sequence
 
-from .errors import IllegalThrow, ParseError
+from .errors import IllegalThrow, ParseError, check_budget
 
 Cell = Optional[int]  # None is an empty cell ("-"); labels are positive ints
 
@@ -144,12 +144,25 @@ def recover_throw(source: JugglingState, target: JugglingState) -> Optional[int]
     return None
 
 
+def _landings(positions: tuple[int, ...], max_throw: int) -> list[int]:
+    """For positions with a ball at 0: how many legal throws t <= max_throw
+    land with j of the other balls below them, for j = 0..b-1.  The
+    landing cell t - 1 is an empty cell below max_throw of the others
+    shifted down, and the j-th group is the empty cells between the j-th
+    and (j+1)-th of those, none above max_throw - 1."""
+    shifted = [p - 1 for p in positions[1:]]
+    lows = [0] + [p + 1 for p in shifted]
+    return [max(0, min(hi, max_throw) - lo) for lo, hi in zip(lows, shifted + [max_throw])]
+
+
 def forward_edges(
     state: JugglingState, max_throw: int
 ) -> list[tuple[int, JugglingState]]:
-    """All legal (throw, target) pairs with throw <= max_throw, ascending."""
+    """All legal (throw, target) pairs with throw <= max_throw, ascending;
+    ResourceLimit, before any is listed, when they exceed the budget."""
     if not state.occupied(0):
         return [(0, throw_state(state, 0))] if max_throw >= 0 else []
+    check_budget(sum(_landings(state.positions, max_throw)), "edge")
     edges = []
     for t in range(1, max_throw + 1):
         try:

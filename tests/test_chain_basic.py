@@ -255,14 +255,14 @@ class TestCoinConfig:
         assert three.ac == (3, 1)
 
     def test_equal_coins_share_memo_entries(self):
-        from jugglechain.flagchain import _word_law
+        from jugglechain.flagchain import _flag_law
 
-        word, k = (3, 1, 2), 0
-        _word_law(word, k, CoinConfig(Fraction(11, 7)))
-        hits = _word_law.cache_info().hits
-        again = _word_law(word, k, CoinConfig("22/14"))
-        assert _word_law.cache_info().hits == hits + 1
-        assert again is _word_law(word, k, CoinConfig(Fraction(11, 7)))
+        word = (3, 1, 2)
+        _flag_law(word, CoinConfig(Fraction(11, 7)))
+        hits = _flag_law.cache_info().hits
+        again = _flag_law(word, CoinConfig("22/14"))
+        assert _flag_law.cache_info().hits == hits + 1
+        assert again is _flag_law(word, CoinConfig(Fraction(11, 7)))
 
 
 class TestTransitionDist:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -73,21 +74,27 @@ def sampled_word_laws(word, coin):
     return laws
 
 
+@functools.lru_cache(maxsize=None)
+def word_laws(word, coin):
+    """W_k(word, .) as `Fraction`s for every move k, each law built whole."""
+    return tuple(word_law(word, k, coin) for k in range(len(word) + 1))
+
+
 def reference_flag_inflow(state, coin, max_drop=None):
     """The balance inflow into `state` without the group prefactor, summed
     in `Fraction`s: per move k, the plain closed form times
-    sum_w' q^-inv(w') W_k(w', w) over the source words w'."""
+    sum_w' q^-inv(w') W_k(w', w) over every word w' of the multiset, each
+    W_k(w', .) built whole and read at w, so it trusts neither the walk
+    weights nor that the walks list every source."""
     q = coin.q
     word = tuple([c for c in state.cells if c is not None])
-    b = len(word)
     max_throw = None if max_drop is None else max_drop + 1
     plain = reference_inflow_by_move(erase_labels(state), q, max_throw)
     total = Fraction(0)
     for k, inflow in plain.items():
-        sources = [word] if k == b else _word_walks(word, b - 1 - k)
         total += inflow * sum(
-            q ** -word_inversions(w) * word_law(w, k, coin).get(word, 0)
-            for w in sources
+            q ** -word_inversions(w) * word_laws(w, coin)[k].get(word, 0)
+            for w in distinct_permutations(word)
         )
     return total
 
@@ -152,6 +159,20 @@ class TestForwardEdges:
             assert all(
                 len(tr.drops) <= 1 for tr in flag_forward_edges(flag, 8)
             )
+
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2, 3, 4), (1, 1, 2, 2), (2, 1, 3, 1, 2), (1, 2, 2, 3, 3), (3, 3, 3)],
+        ids=lambda labels: "".join(map(str, labels)),
+    )
+    def test_walk_counts_are_the_walks(self, labels):
+        # the count read off the increasing chains, equal labels included,
+        # is the number of walks listed, for every m
+        for word in distinct_permutations(labels):
+            assert flagchain._walk_counts(word) == [
+                len(_word_walks(word, m)) for m in range(len(word))
+            ], word
 
 
 class TestBackwardStep:
@@ -335,24 +356,63 @@ class TestWordKernel:
             pairs += len(states) * (len(states) - 1) // 2
         assert pairs > 100
 
+    @pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(3)], ids=str)
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2, 3), (1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (1, 2, 3, 4),
+         (2, 1, 3, 1, 2)],
+        ids=lambda labels: "".join(map(str, labels)),
+    )
+    def test_walks_are_the_sources_and_carry_their_law(self, labels, q):
+        # the forward walks of w at m leave distinct words, repeated labels
+        # included, and they are exactly the words w' with W_k(w', w) > 0,
+        # k = b - 1 - m; each walk's (e, s) gives that entry, built whole
+        coin = CoinConfig(q)
+        a, c = coin.ac
+        b = len(labels)
+        words = list(distinct_permutations(labels))
+        for word in words:
+            for m in range(b):
+                k = b - 1 - m
+                walks = _word_walks(word, m)
+                sources = [w for w, _, _ in walks]
+                assert len(set(sources)) == len(sources), (word, m)
+                entries = {w: _word_law(w, k, coin)[0].get(word, 0) for w in words}
+                assert set(sources) == {w for w, n in entries.items() if n}
+                for w, e, s in walks:
+                    n = a ** (b - 1 - e - s) * (a - c) ** e * c**s
+                    assert entries[w] == n, (word, m, w)
+
     def test_memoised_law_is_a_fresh_law(self):
+        # `_flag_law` is the one law memo: per move k, P(k) W_k of the word
         coin = CoinConfig(Fraction(5, 2))
+        b = 4
         for word in distinct_permutations((1, 1, 2, 3)):
-            for k, fresh in enumerate(sampled_word_laws(word, coin)):
-                _word_law.cache_clear()
-                assert word_law(word, k, coin) == fresh
-                # read back from the cache
-                assert word_law(word, k, coin) == fresh
+            fresh = [
+                {w: move_law(b, coin)[k] * p for w, p in law.items()}
+                for k, law in enumerate(sampled_word_laws(word, coin))
+            ]
+            flagchain._flag_law.cache_clear()
+            for _ in range(2):  # built, then read back from the cache
+                laws, den = flagchain._flag_law(word, coin)
+                assert [
+                    {w: Fraction(n, den) for w, n in law} for law in laws
+                ] == fresh
 
     def test_memoised_law_is_read_only(self):
-        law, den = _word_law((3, 1, 2), 0, Q2)
+        laws, den = flagchain._flag_law((3, 1, 2), Q2)
         with pytest.raises(TypeError):
-            law[(3, 1, 2)] = 1
+            laws[0] = ()
         with pytest.raises(TypeError):
-            del law[(1, 3, 2)]
+            laws[0][0] = ((3, 1, 2), 1)
         # 2 is carried to the front past 1 (a flip) and 3 (no flip), over
-        # the one denominator a^(b-1) = 4
-        assert (dict(law), den) == ({(2, 3, 1): 2, (1, 3, 2): 2}, 4)
+        # the one denominator a^(b-1) = 4; P(0) = 4/8
+        assert (laws[0], den) == ((((2, 3, 1), 8), ((1, 3, 2), 8)), 32)
+        # the word law is built afresh for each call: no caller shares it
+        law, den = _word_law((3, 1, 2), 0, Q2)
+        assert (law, den) == ({(2, 3, 1): 2, (1, 3, 2): 2}, 4)
+        law[(3, 1, 2)] = 1
+        assert _word_law((3, 1, 2), 0, Q2)[0] == {(2, 3, 1): 2, (1, 3, 2): 2}
         assert word_law((3, 1, 2), 0, Q2) == {
             (2, 3, 1): Fraction(1, 2),
             (1, 3, 2): Fraction(1, 2),
@@ -472,16 +532,32 @@ class TestStationarity:
                 assert flag_stationarity_holds(state, coin), (str(state), q)
 
     def test_exact_check_fails_under_a_wrong_word_law(self, monkeypatch):
-        # word laws taken at q = 3 while the chain runs at q = 2: the inflow
-        # misses the weight, above it at some states and below at others,
-        # at every label-initial state
-        wrong = CoinConfig(Fraction(3))
-        monkeypatch.setattr(
-            flagchain, "_word_law", lambda word, k, coin: _word_law(word, k, wrong)
-        )
-        for state in flag_states_up_to_inversions((1, 2, 3), 3):
-            if state.cells[0] is not None:
-                assert not flag_stationarity_holds(state, Q2), str(state)
+        # the walks' weights mutated: the exchange and smaller-label
+        # factors swapped, smaller labels passed at weight 1, or one walk
+        # dropped.  The counts are failing states out of the 66
+        # label-initial states of 123, 112 and 1234 up to 3 inversions, at
+        # q = 5/2 and 3; at q = 2, x = 1 - x, so a swap there changes nothing
+        real = flagchain._word_walks
+        mutations = [
+            (lambda word, m: [(w, s, e) for w, e, s in real(word, m)], 64),
+            (lambda word, m: [(w, e, 0) for w, e, _ in real(word, m)], 47),
+            (lambda word, m: real(word, m)[:-1], 66),
+        ]
+        states = [
+            state
+            for labels in [(1, 2, 3), (1, 1, 2), (1, 2, 3, 4)]
+            for state in flag_states_up_to_inversions(labels, 3)
+            if state.cells[0] is not None
+        ]
+        assert len(states) == 66
+        for q in (Fraction(5, 2), Fraction(3)):
+            coin = CoinConfig(q)
+            for walks, fails in mutations:
+                monkeypatch.setattr(flagchain, "_word_walks", real)
+                assert all(flag_stationarity_holds(s, coin) for s in states)
+                monkeypatch.setattr(flagchain, "_word_walks", walks)
+                failed = [s for s in states if not flag_stationarity_holds(s, coin)]
+                assert len(failed) == fails, q
 
     @pytest.mark.parametrize("q", INFLOW_QS, ids=str)
     @pytest.mark.parametrize(

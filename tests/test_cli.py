@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import jugglechain
+import jugglechain.states as states_module
 from jugglechain import cli, errors
 from jugglechain.cli import main
 from jugglechain.states import (
@@ -257,6 +259,49 @@ class TestSimulateAndDigraph:
         rows = out.splitlines()[:-1]  # the header and one row per edge
         assert all(len(row.split(",")) == 3 for row in rows)
         assert "123,0 1 2,123" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--state", "x", "--max-throw", "100000000000"],
+            ["--state", "x-x", "--max-throw", "2000002"],
+            # 256 walks for each of about 10,000 throws
+            ["--flag-state", "123456789", "--max-drop", "10000"],
+        ],
+        ids=["plain-huge", "plain-one-over", "flag-walks"],
+    )
+    def test_digraph_refused_from_its_row_count(self, capsys, monkeypatch, argv):
+        # the rows are counted in closed form before any throw is tried
+        def never(*args):
+            pytest.fail("tried a throw before refusing the digraph")
+
+        monkeypatch.setattr(states_module, "throw_state", never)
+        line = bad_flags(capsys, "digraph", *argv)
+        assert line.endswith("error: edge enumeration exceeds budget")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--state", "x-x", "--max-throw", "9"],
+            ["--state", "xx-x", "--max-throw", "7"],
+            ["--flag-state", "3-21", "--max-drop", "6"],
+            ["--flag-state", "1-2-3", "--max-drop", "8"],
+            ["--flag-state", "2-1-1", "--max-drop", "6"],
+            ["--flag-state", "1324", "--max-drop", "5"],
+            ["--flag-state", "1-12-2", "--max-drop", "7"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_digraph_row_count_is_exact(self, capsys, monkeypatch, argv):
+        # a budget of exactly the listed rows runs; one less is refused
+        code, out = run_cli(capsys, "digraph", *argv)
+        assert code == 0
+        rows = len(out.splitlines()) - 2  # less the header and the trailer
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", rows)
+        assert run_cli(capsys, "digraph", *argv) == (0, out)
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", rows - 1)
+        line = bad_flags(capsys, "digraph", *argv)
+        assert line.endswith("error: edge enumeration exceeds budget")
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
@@ -715,6 +760,38 @@ class TestBadFlags:
         line = bad_flags(capsys, "dist", "--state", "x", "--q", q)
         assert "argument --q" in line
 
+    @pytest.mark.parametrize("q", ["2", "02", "5/2", "2.5", "29/28", "7/2"])
+    def test_q_takes_ascii_integers_ratios_and_decimals(self, q):
+        assert cli._parse_q(q) == Fraction(q)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dist", "--state", "x", "--q", "１_0"], "--q: '１_0' is not a rational"),
+            (["dist", "--state", "x", "--q", "1_0"], "--q: '1_0' is not a rational"),
+            # refused by its form, not after Fraction reads ten million digits
+            (["dist", "--state", "x", "--q", "1e10000000"], "--q: '1e10000000' is not a rational"),
+            (["dist", "--state", "x", "--q", " 2"], "--q: ' 2' is not a rational"),
+            (["dist", "--state", "x", "--q", "2/0"], "--q: '2/0' is not a rational"),
+            (["simulate", "--q", "2", "--steps", "1_0"], "--steps: '1_0' is not an integer"),
+            (["simulate", "--q", "2", "--steps", "１0"], "--steps: '１0' is not an integer"),
+            (["simulate", "--q", "2", "--seed", "１"], "--seed: '１' is not an integer"),
+            (["stationary-check", "--q", "2", "--balls", "two"], "--balls: 'two' is not an integer"),
+            (["oracle", "--p", "２"], "--p: '２' is not an integer"),
+            (["density", "--E", "０.1"], "--E/--e: '０.1' is not a number"),
+            (["density", "--E", "0.1", "--mu-max", "1_0"], "--mu-max: '1_0' is not a number"),
+            (["density", "--E", "one"], "--E/--e: 'one' is not a number"),
+        ],
+        ids=[
+            "q-full-width", "q-underscore", "q-exponent", "q-space", "q-zero-denominator",
+            "steps-underscore", "steps-full-width", "seed-full-width", "balls-word",
+            "p-full-width", "E-full-width", "mu-max-underscore", "E-word",
+        ],
+    )
+    def test_numbers_are_ascii(self, capsys, argv, message):
+        line = bad_flags(capsys, *argv)
+        assert line.endswith(f"error: argument {message}")
+
     @pytest.mark.parametrize(
         "labels", [[], ["--labels", "1,2"]], ids=["plain", "labels"]
     )
@@ -872,8 +949,10 @@ class TestBadFlags:
         "argv,message",
         [
             (["oracle", "--balls", "4", "--width", "6", "--p", "3"], "budget"),
-            (["series", "--perm-max", "9"], "capped at n = 8"),
-            (["series", "--grassmann-max", "13"], "capped at h = 12"),
+            # 1! + ... + 10! = 4,037,913 permutations
+            (["series", "--perm-max", "10"], "permutation enumeration exceeds budget"),
+            # 2 + 4 + ... + 2^20 = 2,097,150 window states
+            (["series", "--grassmann-max", "20"], "window state enumeration exceeds budget"),
             (
                 ["density", "--E", "0.1", "--empirical", "--balls", "64",
                  "--mu-max", "1e308", "--steps", "10"],
@@ -913,9 +992,12 @@ class TestBadFlags:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["series", "--partition-max", "6", "--perm-max", "9"], "capped at n = 8"),
-            (["series", "--degree", "40", "--perm-max", "9"], "capped at n = 8"),
-            (["series", "--grassmann-max", "13"], "capped at h = 12"),
+            (["series", "--partition-max", "6", "--perm-max", "10"],
+             "permutation enumeration exceeds budget"),
+            (["series", "--degree", "40", "--perm-max", "10"],
+             "permutation enumeration exceeds budget"),
+            (["series", "--grassmann-max", "20"],
+             "window state enumeration exceeds budget"),
         ],
         ids=["perm-max-after-partitions", "perm-max-at-degree-40", "grassmann-max"],
     )

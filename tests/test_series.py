@@ -16,6 +16,7 @@ from jugglechain.series import (
     bundle_factorization_holds,
     check_enumeration_budget,
     check_state_budget,
+    check_sweep_budget,
     flag_series,
     flag_series_enumerated,
     grassmannian_series_closed,
@@ -269,6 +270,52 @@ class TestEnumerationBudget:
         monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 90_000)
         with pytest.raises(ResourceLimit, match="^state enumeration"):
             check_enumeration_budget(9, 40)  # 94,760 states
+
+    @pytest.mark.parametrize(
+        "enumerated,count",
+        [
+            (lambda: perm_inversion_series(5, 10), 120),
+            (lambda: grassmannian_series_enumerated(3, 7, 10), 35),
+            (lambda: grassmannian_series_enumerated(5, 7, 10), 21),
+        ],
+        ids=["5!", "C(7,3)", "C(7,5)"],
+    )
+    def test_permutation_and_window_budgets_are_exact(
+        self, monkeypatch, enumerated, count
+    ):
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", count)
+        enumerated()
+        monkeypatch.setattr(errors, "ENUMERATION_BUDGET", count - 1)
+        with pytest.raises(ResourceLimit, match="^(permutation|window state) enumeration"):
+            enumerated()
+
+    def test_huge_permutations_and_windows_refused_at_once(self):
+        # the running count stops at its first value past the budget, so
+        # neither 10^9! nor C(2 * 10^9, 10^9) is built
+        with pytest.raises(ResourceLimit, match="^permutation enumeration"):
+            perm_inversion_series(10**9)
+        with pytest.raises(ResourceLimit, match="^window state enumeration"):
+            grassmannian_series_enumerated(10**9, 2 * 10**9)
+        with pytest.raises(ResourceLimit, match="^permutation enumeration"):
+            check_sweep_budget(10**18, 0)
+        with pytest.raises(ResourceLimit, match="^window state enumeration"):
+            check_sweep_budget(0, 10**18)
+
+    def test_sweep_budget_sums_the_counts(self, monkeypatch):
+        # 1! + ... + 9! = 409,113 permutations and 2 + ... + 2^19 =
+        # 1,048,574 window states fit; one more n or h does not
+        check_sweep_budget(9, 19)
+        with pytest.raises(ResourceLimit, match="^permutation enumeration"):
+            check_sweep_budget(10, 0)
+        with pytest.raises(ResourceLimit, match="^window state enumeration"):
+            check_sweep_budget(0, 20)
+        # exact: 1 + 2 + 6 permutations, 2 + 4 + 8 window states
+        for caps, total in (((3, 0), 9), ((0, 3), 14)):
+            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total)
+            check_sweep_budget(*caps)
+            monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total - 1)
+            with pytest.raises(ResourceLimit):
+                check_sweep_budget(*caps)
 
 
 class TestPoincare:
