@@ -6,7 +6,10 @@ coefficients are ints and every identity is checked coefficient by
 coefficient with no rounding.  The default truncation degree is 24.
 
 Every closed form is one ratio of q-factorials (x;x)_n = (1 - x)...(1 - x^n),
-built in place one factor 1 - x^i at a time by `_factorial_ratio`.
+built in place one factor 1 - x^i at a time by `_factorial_ratio`.  Every
+enumeration lists each position tuple, label word or permutation it
+counts and counts it as listed, building no state for it.  Closed and
+enumerated builders refuse the same arguments (`_check_args`).
 """
 from __future__ import annotations
 
@@ -19,10 +22,9 @@ from typing import Callable, Iterable
 from . import errors
 from .errors import check_budget
 from .states import (
-    _flag_levels,
-    inversions,
+    _flag_listing,
+    _position_inversions,
     state_count_by_inversions,
-    window_states,
     word_inversions,
 )
 
@@ -127,6 +129,22 @@ def check_enumeration_budget(balls: int, degree: int) -> None:
     check_state_budget(itertools.repeat(1, balls), degree, "flag state")
 
 
+_BALLS = "the ball count must be at least 0"
+_PERMUTATION = "the permutation size must be at least 0"
+_WINDOW = "need 0 <= j <= h"
+
+
+def _check_args(degree: int, need: str, *sizes: int) -> None:
+    """The one argument check of every public series builder, closed and
+    enumerated alike, so the two sides of an identity refuse the same
+    inputs: ValueError unless the truncation degree is at least 0, and
+    ValueError(need) unless every size is."""
+    if degree < 0:
+        raise ValueError(f"the degree must be at least 0, got {degree}")
+    if min(sizes) < 0:
+        raise ValueError(need)
+
+
 def _count_by_inversions(
     items: Iterable, inversions_of: Callable[[object], int], degree: int
 ) -> TruncSeries:
@@ -158,33 +176,44 @@ def sn(n: int, q: Fraction) -> Fraction:
 def state_partition_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Closed form of sum over b-ball states of x^inversions: the inverse
     of the product of (1 - x^i) for i = 1..b."""
+    _check_args(degree, _BALLS, balls)
     return _factorial_ratio((), [balls], degree)
 
 
 def state_partition_series_enumerated(
     balls: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
-    """The same series by exhaustive state enumeration, degree by degree;
+    """The same series by exhaustive enumeration, degree by degree: the
+    position tuples of each level are listed and counted, no state built;
     ResourceLimit, before any is listed, if the states exceed the budget."""
+    _check_args(degree, _BALLS, balls)
     check_state_budget([balls], degree, "state")
     return TruncSeries(state_count_by_inversions(balls, k) for k in range(degree + 1))
 
 
 def flag_series(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """(1 - x)^-b: the closed form of the distinct-label flag state sum."""
+    _check_args(degree, _BALLS, balls)
     return _factorial_ratio((), itertools.repeat(1, balls), degree)
 
 
 def flag_series_enumerated(balls: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum of x^inversions over flag states with labels 1..b, enumerated;
     ResourceLimit, before any is listed, if the states exceed the budget.
-    Without labels the one state is the empty one, which no FlagState
-    holds, so it is counted as the plain state it is."""
-    if not balls:
-        return state_partition_series_enumerated(0, degree)
+
+    Each flag state of n inversions is one plain tuple of i inversions
+    filled with one word of n - i, and the flag enumeration
+    (`states._flag_levels`) builds it from that pair by `_flag_leave`, an
+    unchecked bijection: building the states added no check, so counting
+    the pairs is exact.  The coefficient at n is sum_i |plain level i| *
+    |words of n - i|, both listed by `_flag_listing`, the listing that
+    enumeration fills from.  Without labels the one state, the empty one,
+    is the empty tuple with the empty word."""
+    _check_args(degree, _BALLS, balls)
     check_state_budget(itertools.repeat(1, balls), degree, "flag state")
-    levels = _flag_levels(range(1, balls + 1), range(degree + 1))
-    return TruncSeries(sum(1 for _ in level) for level in levels)
+    words, plain = _flag_listing(range(1, balls + 1), degree)
+    fills = TruncSeries(len(words.get(k, ())) for k in range(degree + 1))
+    return TruncSeries(map(len, plain)) * fills
 
 
 def check_sweep_budget(perm_max: int, window_max: int) -> None:
@@ -207,6 +236,7 @@ def check_sweep_budget(perm_max: int, window_max: int) -> None:
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """Sum over permutations of [n] of x^inversions, by enumeration;
     ResourceLimit, before any is listed, if the n! exceed the budget."""
+    _check_args(degree, _PERMUTATION, n)
     count = 1
     for i in range(2, n + 1):
         count *= i
@@ -218,6 +248,7 @@ def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
 
 def perm_series_closed(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
     """The closed form: product of (1 - x^i)/(1 - x) over i = 1..n."""
+    _check_args(degree, _PERMUTATION, n)
     return _factorial_ratio([n], itertools.repeat(1, n), degree)
 
 
@@ -226,23 +257,27 @@ def grassmannian_series_closed(
 ) -> TruncSeries:
     """(x;x)_h / ((x;x)_j (x;x)_{h-j}) as a truncated series (Gaussian
     binomial)."""
-    if not 0 <= j <= h:
-        raise ValueError("need 0 <= j <= h")
+    _check_args(degree, _WINDOW, j, h - j)
     return _factorial_ratio([h], [j, h - j], degree)
 
 
 def grassmannian_series_enumerated(
     j: int, h: int, degree: int = DEFAULT_DEGREE
 ) -> TruncSeries:
-    """Sum of x^inversions over j-ball states with every x in [0, h);
-    ResourceLimit, before any is listed, if the C(h, j) exceed the budget.
-    C(h, i) grows with i up to min(j, h - j), so it is built up that far,
-    refused at the first value past the budget."""
+    """Sum of x^inversions over j-ball states with every x in [0, h): each
+    position tuple, combinations of range(h), counted by the formula
+    `inversions` reads, no state built; ResourceLimit, before any is
+    listed, if the C(h, j) exceed the budget.  C(h, i) grows with i up to
+    min(j, h - j), so it is built up that far, refused at the first value
+    past the budget."""
+    _check_args(degree, _WINDOW, j, h - j)
     count = 1
     for i in range(min(j, h - j)):
         count = count * (h - i) // (i + 1)
         check_budget(count, "window state")
-    return _count_by_inversions(window_states(j, h), inversions, degree)
+    return _count_by_inversions(
+        itertools.combinations(range(h), j), _position_inversions, degree
+    )
 
 
 def bundle_factorization_holds(balls: int, degree: int = DEFAULT_DEGREE) -> bool:

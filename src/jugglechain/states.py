@@ -95,13 +95,18 @@ def parse_state(text: str) -> JugglingState:
 
 
 def inversions(state: JugglingState) -> int:
-    """Number of (-, x) pairs with the - strictly left of the x.
+    """Number of (-, x) pairs with the - strictly left of the x."""
+    return _position_inversions(state.positions)
+
+
+def _position_inversions(positions: tuple[int, ...]) -> int:
+    """The inversions of the state at these positions, no state built.
 
     Equals sum over j of (position of the j-th x) - (j - 1), the sum of
     the positions less 0 + 1 + ... + (b - 1), in one C-level sum.
     """
-    b = len(state.positions)
-    return sum(state.positions) - b * (b - 1) // 2
+    b = len(positions)
+    return sum(positions) - b * (b - 1) // 2
 
 
 def prepend_empty(state: JugglingState) -> JugglingState:
@@ -371,20 +376,27 @@ def _walk_positions(
         _walk_positions(prefix + (gap + j,), remaining - gap, slots - 1, gap, out)
 
 
-def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
-    """All b-ball states with inversion count exactly `count`, in
-    lexicographic order of their gap vectors.
+def _plain_positions(balls: int, count: int) -> list[tuple[int, ...]]:
+    """The positions of each b-ball state with inversion count exactly
+    `count`, in lexicographic order of their gap vectors, no state built.
 
     States correspond to weakly increasing gap vectors (a partition with at
-    most b parts summing to `count`): position_j = gap_j + j.  The
-    positions are listed first (`_walk_positions`), then each is checked
-    by the constructor.
+    most b parts summing to `count`): position_j = gap_j + j, so each tuple
+    `_walk_positions` lists is strictly increasing naturals by construction.
     """
     if balls < 0:  # `_walk_positions` would recurse without end
         raise ValueError(f"the ball count must be at least 0, got {balls}")
     positions: list[tuple[int, ...]] = []
     _walk_positions((), count, balls, 0, positions)
-    return map(JugglingState, positions)
+    return positions
+
+
+def states_with_inversions(balls: int, count: int) -> Iterator[JugglingState]:
+    """All b-ball states with inversion count exactly `count`, in
+    lexicographic order of their gap vectors: the positions are listed
+    first (`_plain_positions`), then each is checked by the constructor.
+    """
+    return map(JugglingState, _plain_positions(balls, count))
 
 
 def states_up_to_inversions(balls: int, max_count: int) -> Iterator[JugglingState]:
@@ -395,8 +407,9 @@ def states_up_to_inversions(balls: int, max_count: int) -> Iterator[JugglingStat
 
 
 def state_count_by_inversions(balls: int, count: int) -> int:
-    """Number of b-ball states with the given inversion count."""
-    return len(list(states_with_inversions(balls, count)))
+    """Number of b-ball states with the given inversion count: the position
+    tuples `_plain_positions` lists, counted without building a state."""
+    return len(_plain_positions(balls, count))
 
 
 def distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -454,16 +467,27 @@ def _label_words(
     return out
 
 
+def _flag_listing(
+    labels: Sequence[int], top: int
+) -> tuple[dict[int, list[tuple[int, ...]]], list[list[tuple[int, ...]]]]:
+    """What the flag states over `labels` with at most `top` inversions are
+    made of, listed once and no state built: the distinct words over the
+    labels by inversion count (`_label_words`), and the position tuples of
+    each plain level 0..top (`_plain_positions`).  A flag state of count
+    n is one tuple of level i filled with one word of count n - i."""
+    words = _label_words(labels, top)
+    return words, [_plain_positions(len(labels), count) for count in range(top + 1)]
+
+
 def _flag_levels(labels: Sequence[int], counts: range) -> Iterator[Iterator[FlagState]]:
     """The flag states over `labels` of each inversion count in `counts` in
-    turn, one iterator per count (`counts.step` 1): plain states with
+    turn, one iterator per count (`counts.step` 1): plain tuples with
     plain_inv inversions, each filled with every word of count - plain_inv.
-    The labels are checked first, once; the words over them are listed
-    once (`_label_words`), up to the last count, and so is each plain
-    level, by the checked constructor, for every flag level it fills."""
+    The labels are checked first, once; the words and the plain levels
+    are listed once (`_flag_listing`), up to the last count, for every
+    flag level they fill."""
     FlagState(tuple(labels))  # the checked constructor refuses bad labels
-    words = _label_words(labels, counts.stop - 1)
-    plain: list[list[tuple[int, ...]]] = []
+    words, plain = _flag_listing(labels, counts.stop - 1)
 
     def level(count: int) -> Iterator[FlagState]:
         for plain_inv in range(count + 1):
@@ -474,11 +498,8 @@ def _flag_levels(labels: Sequence[int], counts: range) -> Iterator[Iterator[Flag
                 for fill in fills:
                     yield _flag_leave((positions, fill))
 
-    balls = len(labels)
-    for count in range(counts.stop):
-        plain.append([state.positions for state in states_with_inversions(balls, count)])
-        if count in counts:
-            yield level(count)
+    for count in counts:
+        yield level(count)
 
 
 def flag_states_with_inversions(labels: Sequence[int], count: int) -> Iterator[FlagState]:

@@ -29,9 +29,13 @@ from jugglechain.series import (
 )
 from jugglechain.states import (
     _label_words,
+    flag_inversions,
     flag_states_up_to_inversions,
     flag_states_with_inversions,
+    inversions,
     state_count_by_inversions,
+    states_with_inversions,
+    window_states,
 )
 
 
@@ -263,6 +267,7 @@ class TestEnumerationBudget:
             pytest.fail("enumerated while checking the budget")
 
         monkeypatch.setattr(states_module, "_label_words", never)
+        monkeypatch.setattr(states_module, "_plain_positions", never)
         monkeypatch.setattr(series, "state_count_by_inversions", never)
         check_enumeration_budget(5, 40)  # 17,338 states, 1,221,759 flag states
         with pytest.raises(ResourceLimit, match="^flag state enumeration"):
@@ -316,6 +321,105 @@ class TestEnumerationBudget:
             monkeypatch.setattr(errors, "ENUMERATION_BUDGET", total - 1)
             with pytest.raises(ResourceLimit):
                 check_sweep_budget(*caps)
+
+
+class TestCountedAgainstListed:
+    """Each enumerated series counts what it lists, no state built: its
+    coefficients are the states listed, whose inversions are counted
+    apart from the listing."""
+
+    def test_plain_count_is_the_states_listed(self):
+        for b in range(5):
+            counts = []
+            for k in range(13):
+                listed = list(states_with_inversions(b, k))
+                assert all(inversions(s) == k for s in listed)
+                assert state_count_by_inversions(b, k) == sum(1 for _ in listed)
+                counts.append(len(listed))
+            assert state_partition_series_enumerated(b, 12).coeffs == tuple(counts)
+
+    def test_flag_count_is_the_states_listed(self):
+        for b in range(1, 4):
+            coeffs = flag_series_enumerated(b, 10).coeffs
+            for k in range(11):
+                listed = list(flag_states_with_inversions(range(1, b + 1), k))
+                assert all(flag_inversions(s) == k for s in listed)
+                assert len(set(listed)) == len(listed)
+                assert coeffs[k] == len(listed), (b, k)
+
+    def test_flag_series_lists_each_level_and_word_once(self, monkeypatch):
+        # the count reads the words up to the degree and plain levels
+        # 0..degree, each listed once, as the flag enumeration lists them
+        listed = []
+        real_plain = states_module._plain_positions
+        real_words = states_module._label_words
+        monkeypatch.setattr(
+            states_module,
+            "_plain_positions",
+            lambda balls, k: listed.append((balls, k)) or real_plain(balls, k),
+        )
+        monkeypatch.setattr(
+            states_module,
+            "_label_words",
+            lambda labels, k: listed.append((tuple(labels), k)) or real_words(labels, k),
+        )
+        assert flag_series_enumerated(3, 5) == flag_series(3, 5)
+        assert listed == [((1, 2, 3), 5)] + [(3, k) for k in range(6)]
+
+    @staticmethod
+    def pairs(state, window):
+        """(-, x) pairs of the window's word, counted pair by pair."""
+        cells = [state.occupied(p) for p in range(window)]
+        return sum(
+            not cells[i] and cells[k]
+            for k in range(window)
+            for i in range(k)
+        )
+
+    def test_window_count_is_the_states_listed(self):
+        for h in range(8):
+            for j in range(h + 1):
+                counts = [0] * 13
+                for state in window_states(j, h):
+                    assert inversions(state) == self.pairs(state, h)
+                    counts[inversions(state)] += 1
+                assert grassmannian_series_enumerated(j, h, 12).coeffs == tuple(counts)
+
+
+class TestArgumentChecks:
+    """The closed and the enumerated side of each identity refuse the same
+    arguments with the same message."""
+
+    @pytest.mark.parametrize(
+        "closed,enumerated,args,message",
+        [
+            (state_partition_series, state_partition_series_enumerated, (2, -1),
+             "the degree must be at least 0, got -1"),
+            (state_partition_series, state_partition_series_enumerated, (-1, 3),
+             "the ball count must be at least 0"),
+            (flag_series, flag_series_enumerated, (2, -1),
+             "the degree must be at least 0, got -1"),
+            (flag_series, flag_series_enumerated, (-2, 3),
+             "the ball count must be at least 0"),
+            (perm_series_closed, perm_inversion_series, (3, -1),
+             "the degree must be at least 0, got -1"),
+            (perm_series_closed, perm_inversion_series, (-1, 3),
+             "the permutation size must be at least 0"),
+            (grassmannian_series_closed, grassmannian_series_enumerated, (1, 3, -1),
+             "the degree must be at least 0, got -1"),
+            (grassmannian_series_closed, grassmannian_series_enumerated, (-1, 3, 4),
+             "need 0 <= j <= h"),
+            (grassmannian_series_closed, grassmannian_series_enumerated, (3, 2, 4),
+             "need 0 <= j <= h"),
+        ],
+        ids=["partition-degree", "partition-balls", "flag-degree", "flag-balls",
+             "permutation-degree", "permutation-size", "window-degree",
+             "window-negative-j", "window-j-above-h"],
+    )
+    def test_both_sides_refuse_alike(self, closed, enumerated, args, message):
+        for build in (closed, enumerated):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(*args)
 
 
 class TestPoincare:

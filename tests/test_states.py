@@ -408,10 +408,10 @@ class TestEnumeration:
         # listing per flag level that reaches it would list level 0 six
         # times for labels 1,2,3 up to 5 inversions
         listed = []
-        real = states_module.states_with_inversions
+        real = states_module._plain_positions
         monkeypatch.setattr(
             states_module,
-            "states_with_inversions",
+            "_plain_positions",
             lambda balls, k: listed.append(k) or real(balls, k),
         )
         assert sum(1 for _ in flag_states_up_to_inversions((1, 2, 3), 5)) == 56
