@@ -57,11 +57,11 @@ from .states import (
     _flag_enter,
     _flag_leave,
     _landings,
+    _position_inversions,
     _unchecked_flag,
     _unchecked_state,
     flag_inversions,
     forward_edges,
-    inversions,
     word_inversions,
 )
 
@@ -466,7 +466,7 @@ def verify_flag_stationarity(
     a, c = coin.ac
     positions, word = _flag_enter(state)
     b = len(word)
-    plain = inversions(_unchecked_state(positions))
+    plain = _position_inversions(positions)
     inv = plain + _word_inversions(word)
     expected = c**inv, a**inv
     if state.cells[0] is None:

@@ -7,32 +7,46 @@ each row's pivot is its leading column once reduced against the rows
 above it.  The counts draw each entry from a set of values (all of Z/p
 in a sweep; in a column-prepend law, all of Z/p in the new column 0 and
 the matrix's own entry elsewhere) and enumerate the rows above the last
-depth first, so the reduction of a prefix of rows is done
-once and shared by every matrix that starts with it.  The last row is
-reduced column by column: its lead is fixed at the first column whose
-entry survives the reduction and no reduced row can clear, so all of its
-completions past that column are counted at once.
+depth first, one reduced row per node, so the reduction of a prefix of
+rows is done once and shared by every matrix that starts with it.
 
-When column 0 takes all of Z/p in every row, as in every sweep and every
-column-prepend law, a row's column-0 values 1..p-1 count alike while no
-row above leads at column 0, so only the value 1 is enumerated, weighted
-p - 1.  The rows above are then zero in column 0, and multiplying column 0
-by a unit u keeps every northwest rank, hence every lead tuple, while it
-fixes the rows above and maps a row's value c, with all of its
-completions, one to one onto the value u*c.  Each matrix is still
-counted exactly as its own reduction classifies it.
+A row's lead, and every later row's, depend on the rows above only
+through their span V, so a row is listed by its projection: the one
+vector of its coset mod V that is zero at every lead of V, which starts
+at the row's lead.
+- A row that takes all of F^N, as every row of a sweep does, lists the
+  projections alone, one per line through 0, each weighted (p - 1) p^i
+  for the p^i rows of its coset and the p - 1 points of its line; the
+  rows in V count as rank deficient at once.
+- A row fixed but in one entry j, as every row of a column-prepend law
+  is, ranges over a line x + c*e_j; projecting is linear, so its
+  projections are u + c*g, u and g projected once.
+- The last row is counted, not listed: a line's leads for every c at
+  once, any other row column by column, its lead fixed at the first
+  column whose entry survives the reduction and no reduced row can clear,
+  all of its completions past that column counted at once.
+
+When column 0 takes all of Z/p in every row, as in every column-prepend
+law, a row's column-0 values 1..p-1 count alike while no row above leads
+at column 0, so only the value 1 is enumerated, weighted p - 1.  The rows
+above are then zero in column 0, and multiplying column 0 by a unit u
+keeps every northwest rank, hence every lead tuple, while it fixes the
+rows above and maps a row's value c, with all of its completions, one to
+one onto the value u*c.  Each matrix is still counted exactly as its own
+reduction classifies it.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .chain import TransitionDist, _law
 from .errors import check_budget
-from .flagchain import group_prefactor
+from .flagchain import label_groups
 from .states import (
     FlagState,
     JugglingState,
@@ -45,6 +59,8 @@ from .states import (
 )
 
 SUPPORTED_PRIMES = (2, 3, 5)
+# _INVERSES[p][a]: the inverse of a != 0 in Z/p
+_INVERSES = {p: [0] + [pow(a, -1, p) for a in range(1, p)] for p in SUPPORTED_PRIMES}
 
 
 @dataclass(frozen=True)
@@ -141,24 +157,81 @@ def _leading_columns(matrix: FqMatrix) -> Optional[list[int]]:
 
 def _lead_counts(
     p: int, choices: Sequence[Sequence[Sequence[int]]]
-) -> Counter:
+) -> defaultdict:
     """How many matrices, entry (i, j) drawn from the values choices[i][j]
     (distinct values, every row the same width), have each lead tuple of
     `_leading_columns` (None: rank deficient).
 
-    Rows above the last are enumerated depth first: a prefix of rows is
-    reduced once, and its reduced rows stay in `reduced` for every
-    extension and leave it on backtrack.  Row i's reduction depends only
-    on the reduced rows above it, which depend only on the prefix, so each
-    matrix's leads are those of its own row reduction.  When row i reduces
-    to zero, `_leading_columns` returns None without reading later rows,
-    so all of the prefix's completions are rank deficient, counted at once.
+    Rows above the last are enumerated depth first.  Each node is one
+    reduced row, kept in `reduced` (lead -> row) for every extension of
+    its prefix and removed on backtrack, and weighted by the number of
+    matrices it stands for.  The reduced rows have distinct leads and
+    span the space V that the rows above span.  By `_leading_columns` a
+    row's lead is the rightmost start of its coset row + V, so each row's
+    lead depends on the rows above only through V, and every node is
+    classified by its own lead.  When a row lies in V, `_leading_columns`
+    returns None without reading later rows, so all of the prefix's
+    completions are rank deficient, counted at once.
 
-    The last row is reduced column by column (`walk`), all candidates
-    that agree on the columns read so far together.  `_reduce` finds the
-    row's first nonzero column j; if j is a reduced row's lead, it
-    subtracts the multiple of that row which clears column j.  That row is
-    zero left of its lead, so the columns already read stay zero, and
+    Projection: each coset v + V holds exactly one vector that is zero at
+    every lead of V.  The reduced rows, by ascending lead, each subtract
+    the multiple of themselves that clears their lead, and none disturbs
+    a smaller lead, where it is zero; two such vectors of one coset differ
+    by a vector of V zero at every lead, and a nonzero vector of V starts
+    at a lead, so they are equal.  This projection is linear, and it
+    starts where `_reduce` ends (None: it is zero): every other vector of
+    the coset adds a nonzero vector of V, which starts at a lead, where
+    the projection is zero, so it starts no later than the projection.
+
+    Row i is listed by one of three rules:
+    - Whole-free rows (rule 1): every entry takes all of Z/p, so the row
+      ranges over F^N, whose vectors fall into cosets of V, p^i each (the
+      i reduced rows are independent).  Each row stands for its coset:
+      its lead is its projection's start, and the rows below see it only
+      through V + span(row), the same for the whole coset.  So only the
+      projections are listed, each weighted p^i, and the zero one, V
+      itself, counts p^i rank-deficient rows with all their completions.
+      The nonzero projections on one line through 0 share their start and
+      V + span(row) too, so one per line is listed, the one whose first
+      nonzero is 1, weighted (p - 1) p^i: for each column j off V's leads,
+      a 1 at j, zeros before j and at every lead, and all of Z/p at the
+      other columns past j.  No row is reduced.
+    - Line rows (rule 2): every entry is fixed but entry j, which takes
+      all of Z/p, as in every row of a column-prepend law.  The
+      candidates are x + c*e_j, x the fixed entries with 0 at j, and
+      their projections are u + c*g, u and g the projections of x and
+      e_j, each made once per node.
+    - Other rows: each candidate is reduced by `_reduce`.
+
+    Column-0 scaling: when column 0 takes all of Z/p in every row and 0 is
+    no reduced row's lead as row i is drawn, row i's candidates with
+    column-0 value c != 0 count as those with value 1, so a line or other
+    row enumerates the column-0 values 0 and 1 only, the value 1 weighted
+    p - 1, and that weight multiplies every count of its subtree.  Proof:
+    - the reduced rows have distinct leads, none at column 0, and span what
+      the rows above span, so every row above is zero in column 0;
+    - multiplying column 0 by a unit u is an invertible column operation
+      within every left-j submatrix, so it keeps every northwest rank and,
+      by `_leading_columns`, every lead tuple;
+    - it fixes the rows above, maps row i's value c to u*c and permutes the
+      column-0 values of each later row, which range over all of Z/p, so
+      it maps the matrices whose row i has value c one to one onto those
+      whose row i has value u*c, with the same leads;
+    - u = 1/c maps every c != 0 to 1.
+    Rule 1 lists one row per line already, and needs no scaling.
+
+    The last row is counted, not listed.  A line row (rule 3) leads where
+    u + c*g starts, for each c: let k be g's first nonzero.  If u has a
+    nonzero before k, all p candidates lead at u's first nonzero.  Else
+    every c leads at k but the one that cancels g's first nonzero,
+    c = -u[k] / g[k], whose lead is the first nonzero of u + c*g past k
+    (None: rank deficient).  If g = 0, every candidate is u.
+
+    Any other last row is reduced column by column (`walk`), all
+    candidates that agree on the columns read so far together.  `_reduce`
+    finds the row's first nonzero column j; if j is a reduced row's lead,
+    it subtracts the multiple of that row which clears column j.  That row
+    is zero left of its lead, so the columns already read stay zero, and
     column j, when read, holds its entry minus sum(f_l * reduced[l][j])
     over the leads l < j, each factor f_l fixed when column l was read.
     So the multiple subtracted at column j depends only on the entries of
@@ -178,46 +251,45 @@ def _lead_counts(
       walk of its own, so a fixed entry costs no call.
     A candidate that continues past the last column reduces to zero: rank
     deficient.
-
-    Column-0 scaling: when column 0 takes all of Z/p in every row and 0 is
-    no reduced row's lead as row i is drawn, row i's candidates with
-    column-0 value c != 0 count as those with value 1, so `descend`
-    enumerates the values 0 and 1 only, the value 1 weighted p - 1, and
-    that weight multiplies every count of its subtree.  Proof:
-    - the reduced rows have distinct leads, none at column 0, and span what
-      the rows above span, so every row above is zero in column 0;
-    - multiplying column 0 by a unit u is an invertible column operation
-      within every left-j submatrix, so it keeps every northwest rank and,
-      by `_leading_columns`, every lead tuple;
-    - it fixes the rows above, maps row i's value c to u*c and permutes the
-      column-0 values of each later row, which range over all of Z/p, so
-      it maps the matrices whose row i has value c one to one onto those
-      whose row i has value u*c, with the same leads;
-    - u = 1/c maps every c != 0 to 1.
     """
-    counts: Counter = Counter()
+    counts: defaultdict = defaultdict(int)
     if not choices:
         counts[()] = 1  # the one 0 x w matrix has full rank
         return counts
     *upper, last = choices
     width = len(last)
+    # completions[i]: the matrices of rows i.. drawn; kinds[i]: row i's
+    # line (j, x), else None for a whole-free row or the last row, else
+    # its candidates
+    completions, kinds = [1], []
+    for i in reversed(range(len(choices))):
+        row = choices[i]
+        sizes = [len(values) for values in row]
+        completions.append(completions[-1] * math.prod(sizes))
+        free_entries = sizes.count(p)
+        if free_entries == width:
+            kinds.append(None)
+        elif free_entries == 1 and sizes.count(1) == width - 1:
+            x = [values[0] for values in row]
+            j = sizes.index(p)
+            x[j] = 0
+            kinds.append((j, x))
+        else:
+            kinds.append(list(itertools.product(*row)) if i < len(upper) else None)
+    completions.reverse()
+    kinds.reverse()
+    last_line = kinds.pop()
     # after[j]: the completions of the last row's columns past j; free[j]:
-    # each of those columns takes all of Z/p
+    # each of those columns takes all of Z/p (read by `walk` alone)
     after, free = [1] * width, [True] * width
-    for j in reversed(range(width - 1)):
+    for j in reversed(range(width - 1) if last_line is None else ()):
         size = len(last[j + 1])
         after[j] = after[j + 1] * size
         free[j] = free[j + 1] and size == p
-    rows = [list(itertools.product(*row)) for row in upper]
     # column-0 scaling (see above) needs column 0 to take all of Z/p in
-    # every row; scaled[i]: row i's candidates with column-0 value 0 or 1
+    # every row
     scalable = width > 0 and all(len(row[0]) == p for row in choices)
-    scaled = [[r for r in rs if r[0] < 2] for rs in rows] if scalable else rows
-    completions = [after[0] * len(last[0]) if width else 1]
-    for candidates in reversed(rows):
-        completions.append(completions[-1] * len(candidates))
-    completions.reverse()  # completions[i]: rows i.. drawn
-    inverse = [0] + [pow(a, -1, p) for a in range(1, p)]
+    inverse = _INVERSES[p]
     reduced: dict[int, Sequence[int]] = {}
     leads: list[int] = []
 
@@ -255,14 +327,86 @@ def _lead_counts(
             j += 1
         counts[None] += weight
 
+    def project(j: int, x: list[int]) -> tuple[list[int], list[int]]:
+        # the projections u of x and g of e_j (see above), in one pass
+        u, g = x, [0] * width
+        g[j] = 1
+        for lead in sorted(reduced):
+            w = reduced[lead]
+            scale = inverse[w[lead]]
+            if u[lead]:
+                f = u[lead] * scale
+                u = [(a - f * b) % p for a, b in zip(u, w)]
+            if g[lead]:
+                f = g[lead] * scale
+                g = [(a - f * b) % p for a, b in zip(g, w)]
+        return u, g
+
+    def count_line(weight: int) -> None:
+        # rule 3
+        u, g = project(*last_line)
+        prefix = tuple(leads)
+        for k in range(width):
+            if g[k]:
+                break
+            if u[k]:
+                counts[(*prefix, k)] += p * weight
+                return
+        else:  # g = 0 and u = 0: every candidate is zero
+            counts[None] += p * weight
+            return
+        counts[(*prefix, k)] += (p - 1) * weight
+        c = -u[k] * inverse[g[k]] % p
+        for m in range(k + 1, width):
+            if (u[m] + c * g[m]) % p:
+                counts[(*prefix, m)] += weight
+                return
+        counts[None] += weight
+
     def descend(i: int, weight: int) -> None:
-        if i == len(rows):
-            walk(0, [0] * width, weight, tuple(leads))
+        if i == len(upper):
+            if last_line is None:
+                walk(0, [0] * width, weight, tuple(leads))
+            else:
+                count_line(weight)
+            return
+        kind = kinds[i]
+        if kind is None:  # rule 1
+            coset = p**i
+            counts[None] += weight * coset * completions[i + 1]
+            share = weight * (p - 1) * coset
+            entries = [(0,) if k in reduced else range(p) for k in range(width)]
+            for j in range(width):
+                if j in reduced:
+                    continue
+                head = (0,) * j + (1,)
+                leads.append(j)
+                for tail in itertools.product(*entries[j + 1 :]):
+                    reduced[j] = head + tail
+                    descend(i + 1, share)
+                leads.pop()
+                del reduced[j]
             return
         scaling = scalable and 0 not in reduced
-        for row in scaled[i] if scaling else rows[i]:
-            share = weight * (p - 1) if scaling and row[0] else weight
-            v, lead = _reduce(row, reduced, p)
+        scaled = weight * (p - 1) if scaling else weight  # a column-0 value != 0
+        nodes = []  # (reduced row, its lead, its weight)
+        if isinstance(kind, tuple):  # rule 2
+            u, g = project(*kind)
+            for c in (0, 1) if scaling else range(p):
+                v = [(a + c * b) % p for a, b in zip(u, g)] if c else u
+                lead = None
+                for k in range(width):
+                    if v[k]:
+                        lead = k
+                        break
+                nodes.append((v, lead, scaled if c else weight))
+        else:
+            for row in kind:
+                if scaling and row[0] > 1:
+                    continue
+                v, lead = _reduce(row, reduced, p)
+                nodes.append((v, lead, scaled if row[0] else weight))
+        for v, lead, share in nodes:
             if lead is None:
                 counts[None] += share * completions[i + 1]
                 continue
@@ -276,33 +420,40 @@ def _lead_counts(
     return counts
 
 
-def _state(
-    leads: Sequence[int], ordered: Optional[Sequence[int]]
-) -> JugglingState | FlagState:
-    """The state of a full-rank lead tuple: the sorted leads when
-    `ordered` is None, else row i's label ordered[i] placed at its lead,
-    the (lead, label) pairs sorted for `_flag_leave`.  It is built
-    unchecked: the leads are distinct naturals (`_leading_columns` keys
-    each reduced row by its lead), and the labels are 1..height or were
-    checked where they entered (`group_fraction_sweep`,
-    `coarse_flag_pivot_state`)."""
+def _state_key(leads: Sequence[int], ordered: Optional[Sequence[int]]) -> tuple:
+    """What fixes the state of a full-rank lead tuple: the sorted leads
+    when `ordered` is None, else the sorted (lead, label) pairs, row i
+    labeled ordered[i]."""
+    return tuple(sorted(leads if ordered is None else zip(leads, ordered)))
+
+
+def _state(key: tuple, ordered: Optional[Sequence[int]]) -> JugglingState | FlagState:
+    """The state of a `_state_key`: the leads' plain state, or each label
+    placed at its lead by `_flag_leave`.  It is built unchecked: the leads
+    are distinct naturals (`_leading_columns` keys each reduced row by its
+    lead), and the labels are 1..height or were checked where they entered
+    (`group_fraction_sweep`, `coarse_flag_pivot_state`)."""
     if ordered is None:
-        return _unchecked_state(tuple(sorted(leads)))
+        return _unchecked_state(key)
     if not ordered:  # no flag state has zero labels
         raise ValueError("a labeled state needs at least one row")
-    return _flag_leave(tuple(zip(*sorted(zip(leads, ordered)))))
+    return _flag_leave(tuple(zip(*key)))
 
 
 def _state_counts(
     p: int,
     choices: Sequence[Sequence[Sequence[int]]],
     ordered: Optional[Sequence[int]],
-) -> Counter:
-    """`_lead_counts` by state, each distinct lead tuple mapped once."""
-    counts: Counter = Counter()
+) -> dict:
+    """`_lead_counts` by state.  Lead tuples with one `_state_key` make one
+    state, so their counts are summed first and each state is built once."""
+    by_key: defaultdict = defaultdict(int)
     for leads, count in _lead_counts(p, choices).items():
-        counts[None if leads is None else _state(leads, ordered)] += count
-    return counts
+        by_key[leads if leads is None else _state_key(leads, ordered)] += count
+    return {
+        key if key is None else _state(key, ordered): count
+        for key, count in by_key.items()
+    }
 
 
 def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
@@ -311,7 +462,7 @@ def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
     rows' leading columns, where the rank of the left-j submatrix grows.
     None if the rank falls short of the number of rows."""
     leads = _leading_columns(matrix)
-    return None if leads is None else _state(leads, None)
+    return None if leads is None else _state(_state_key(leads, None), None)
 
 
 def flag_pivot_state(matrix: FqMatrix) -> Optional[FlagState]:
@@ -339,7 +490,7 @@ def coarse_flag_pivot_state(
     leads = _leading_columns(matrix)
     if leads is None:
         return None
-    return _state(leads, ordered)
+    return _state(_state_key(leads, ordered), ordered)
 
 
 def gl_order(b: int, p: int) -> int:
@@ -351,18 +502,28 @@ def gl_order(b: int, p: int) -> int:
 
 
 def formula_pivot_fraction(b: int, p: int, target: JugglingState) -> Fraction:
-    """|GL_b| / p^(b^2) / p^inversions: the predicted fraction, N-free."""
-    return Fraction(gl_order(b, p), p ** (b * b)) / p ** inversions(target)
+    """|GL_b| / p^(b^2) / p^inversions: the predicted fraction, N-free,
+    one `Fraction` of integers."""
+    return Fraction(gl_order(b, p), p ** (b * b + inversions(target)))
 
 
 def formula_flag_fraction(b: int, p: int, target: FlagState) -> Fraction:
-    return Fraction(p - 1, p) ** b / p ** flag_inversions(target)
+    """((p - 1)/p)^b / p^flag_inversions, one `Fraction` of integers."""
+    return Fraction((p - 1) ** b, p ** (b + flag_inversions(target)))
 
 
 def formula_group_fraction(
     labels: Sequence[int], p: int, target: FlagState
 ) -> Fraction:
-    return group_prefactor(labels, Fraction(p)) / p ** flag_inversions(target)
+    """The group prefactor at q = p over p^flag_inversions, one `Fraction`
+    of integers: a group of m equal labels contributes (1 - p^-1)...(1 -
+    p^-m) = (p - 1)(p^2 - 1)...(p^m - 1) / p^(m(m + 1)/2)."""
+    num, exponent = 1, flag_inversions(target)
+    for _, size in label_groups(labels):
+        for i in range(1, size + 1):
+            num *= p**i - 1
+        exponent += size * (size + 1) // 2
+    return Fraction(num, p**exponent)
 
 
 def _fraction_sweep(
@@ -399,12 +560,15 @@ def _prepend_law(
 ) -> TransitionDist:
     """Law of the state of `matrix` (as in `_fraction_sweep`) after
     prepending a uniformly random column, `ordered` None or the labels
-    1..height.  Prepending keeps full rank, so no column leaves None."""
-    if _leading_columns(matrix) is None:
-        raise ValueError("matrix must have full rank")
+    1..height.  Prepending keeps full rank, so no column leaves None; a
+    rank-deficient matrix stays so under the zero column, so a None count
+    refuses it."""
     p = matrix.p
     choices = [[range(p), *((e,) for e in row)] for row in matrix.rows]
-    return _law(_state_counts(p, choices, ordered).items(), p**matrix.height)
+    counts = _state_counts(p, choices, ordered)
+    if None in counts:
+        raise ValueError("matrix must have full rank")
+    return _law(counts.items(), p**matrix.height)
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:

@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import errors
 from .errors import check_budget
@@ -25,7 +25,6 @@ from .states import (
     _flag_listing,
     _position_inversions,
     state_count_by_inversions,
-    word_inversions,
 )
 
 DEFAULT_DEGREE = 24
@@ -234,16 +233,39 @@ def check_sweep_budget(perm_max: int, window_max: int) -> None:
 
 
 def perm_inversion_series(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:
-    """Sum over permutations of [n] of x^inversions, by enumeration;
-    ResourceLimit, before any is listed, if the n! exceed the budget."""
+    """Sum over permutations of [n] of x^inversions, each permutation
+    listed with its count by `_lehmer_permutations`; ResourceLimit, before
+    any is listed, if the n! exceed the budget."""
     _check_args(degree, _PERMUTATION, n)
     count = 1
     for i in range(2, n + 1):
         count *= i
         check_budget(count, "permutation")
     return _count_by_inversions(
-        itertools.permutations(range(1, n + 1)), word_inversions, degree
+        _lehmer_permutations(n), operator.itemgetter(1), degree
     )
+
+
+def _lehmer_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every permutation of [n] once, with its inversion count, listed by
+    Lehmer code, one at a time.
+
+    Each permutation of [n] is one of [n - 1] with n inserted j places
+    from the right end, 0 <= j <= n - 1, and each arises once: deleting n
+    undoes the insertion.  The j entries right of n are all smaller, and
+    no pair without n changes order, so the insertion adds exactly j
+    inversions.  The j picked for each k is the Lehmer code digit of k
+    (the smaller entries to its right), which no later, larger insertion
+    changes, so a permutation's inversions are its digits' sum, known as
+    it is made.  The permutations of [n - 1] come one at a time from the
+    same generator, so no level is held."""
+    if not n:
+        yield (), 0
+        return
+    top = (n,)
+    for perm, inv in _lehmer_permutations(n - 1):
+        for j in range(n):
+            yield perm[: n - 1 - j] + top + perm[n - 1 - j :], inv + j
 
 
 def perm_series_closed(n: int, degree: int = DEFAULT_DEGREE) -> TruncSeries:

@@ -7,7 +7,7 @@ import pytest
 
 from jugglechain.chain import CoinConfig, TransitionDist, backward_dist
 from jugglechain.errors import ResourceLimit
-from jugglechain.flagchain import flag_backward_dist
+from jugglechain.flagchain import flag_backward_dist, group_prefactor
 from jugglechain.fqoracle import (
     FqMatrix,
     _lead_counts,
@@ -32,7 +32,9 @@ from jugglechain.states import (
     FlagState,
     JugglingState,
     erase_labels,
+    flag_inversions,
     ground_state,
+    inversions,
     parse_flag_state,
     parse_state,
     trim_cells,
@@ -228,6 +230,39 @@ class TestFractions:
     def test_budget(self):
         with pytest.raises(ResourceLimit):
             pivot_fraction_sweep(3, 8, 5)  # 5^24 matrices
+
+
+class TestFormulaIntegers:
+    """Each formula, one `Fraction` of integers, against the expression it
+    replaced, on every state of the sweeps the acceptance criteria and the
+    benchmark run."""
+
+    @pytest.mark.parametrize(
+        "b,w,p",
+        [(b, n, p) for p in (2, 3) for b in (1, 2) for n in (3, 4)] + [(3, 3, 2)],
+    )
+    def test_pivot(self, b, w, p):
+        for state in filter(None, pivot_fraction_sweep(b, w, p)):
+            assert formula_pivot_fraction(b, p, state) == (
+                Fraction(gl_order(b, p), p ** (b * b)) / p ** inversions(state)
+            )
+
+    @pytest.mark.parametrize("b,w,p", [(3, 3, 2), (1, 4, 3), (2, 3, 3), (2, 3, 2)])
+    def test_flag(self, b, w, p):
+        for state in filter(None, flag_fraction_sweep(b, w, p)):
+            assert formula_flag_fraction(b, p, state) == (
+                Fraction(p - 1, p) ** b / p ** flag_inversions(state)
+            )
+
+    @pytest.mark.parametrize(
+        "labels,w,p",
+        [((1, 1, 2), 3, 2), ((1, 1), 3, 3), ((1, 2), 3, 2), ((2, 1, 1), 3, 3)],
+    )
+    def test_group(self, labels, w, p):
+        for state in filter(None, group_fraction_sweep(labels, w, p)):
+            assert formula_group_fraction(labels, p, state) == (
+                group_prefactor(labels, Fraction(p)) / p ** flag_inversions(state)
+            )
 
 
 class TestGroupCoarsening:
@@ -501,3 +536,48 @@ class TestLeadCounts:
                     assert _lead_counts(p, choices) == (
                         leading_column_counts(p, choices)
                     )
+
+    @pytest.mark.parametrize("last_kind", ["mixed", "fixed"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_whole_free_rows_over_a_mixed_or_fixed_last_row(self, b, p, last_kind):
+        # every upper row whole-free (rule 1: cosets of p^i rows, one
+        # representative per line weighted (p - 1) p^i), the last row not
+        rng = random.Random(7000 + 100 * p + 10 * b + len(last_kind))
+        last_budget = 8 if last_kind == "mixed" else 1
+        for w in [w for w in range(1, 5) if p ** (w * (b - 1)) <= 625]:
+            for _ in range(3):
+                (last,) = mixed_choices(1, w, p, rng, budget=last_budget)
+                choices = [[range(p)] * w] * (b - 1) + [last]
+                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+
+    @pytest.mark.parametrize("last_kind", ["mixed", "fixed"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_whole_free_row_under_a_partially_fixed_one(self, p, last_kind):
+        # row 0 partly fixed, row 1 whole-free above a mixed or fixed last
+        # row: row 1's cosets hold p rows each, not one
+        rng = random.Random(8000 + 100 * p + len(last_kind))
+        last_budget = 4 if last_kind == "mixed" else 1
+        for w in [w for w in range(1, 5) if p ** (2 * w - 1) <= 625]:
+            for _ in range(3):
+                (top,) = mixed_choices(1, w, p, rng, budget=p ** (w - 1))
+                (last,) = mixed_choices(1, w, p, rng, budget=last_budget)
+                choices = [top, [range(p)] * w, last]
+                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_line_rows(self, b, p):
+        # every row fixed but one entry that takes all of Z/p, at a random
+        # column (rule 2 above the last row, rule 3 on it): the one value
+        # that cancels the projected line's first nonzero must be found
+        # with its sign, which matters for p > 2
+        rng = random.Random(9000 + 100 * p + b)
+        for w in range(1, 6):
+            for _ in range(40):
+                choices = []
+                for _ in range(b):
+                    row = [[rng.randrange(p)] for _ in range(w)]
+                    row[rng.randrange(w)] = rng.sample(range(p), p)
+                    choices.append(row)
+                assert _lead_counts(p, choices) == leading_column_counts(p, choices)

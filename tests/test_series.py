@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from jugglechain.errors import ResourceLimit
 from jugglechain.series import (
     TruncSeries,
     _factorial_ratio,
+    _lehmer_permutations,
     bundle_factorization_holds,
     check_enumeration_budget,
     check_state_budget,
@@ -36,6 +38,7 @@ from jugglechain.states import (
     state_count_by_inversions,
     states_with_inversions,
     window_states,
+    word_inversions,
 )
 
 
@@ -432,6 +435,20 @@ class TestPoincare:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_perm_closed_form(self, n):
         assert perm_inversion_series(n, 24) == perm_series_closed(n, 24)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_lehmer_listing_matches_the_pair_loop(self, n):
+        # every permutation once, each with the count word_inversions'
+        # pair loop gives it, and the series as the pair loop counts it
+        listed = list(_lehmer_permutations(n))
+        assert sorted(perm for perm, _ in listed) == sorted(
+            itertools.permutations(range(1, n + 1))
+        )
+        assert all(inv == word_inversions(perm) for perm, inv in listed)
+        by_pairs = [0] * 25
+        for perm in itertools.permutations(range(1, n + 1)):
+            by_pairs[word_inversions(perm)] += 1
+        assert perm_inversion_series(n, 24) == TruncSeries(tuple(by_pairs))
 
     def test_truncated_below_the_top_degree(self):
         # degree 3 cuts S_4 and the 2-subspaces of a 5-space (top degree 6
