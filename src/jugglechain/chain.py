@@ -8,12 +8,17 @@ outcomes are exactly the digraph predecessors of the state.
 
 The stationary distribution assigns a state weight
 prefactor * q^-inversions with prefactor = (1-q^-1)...(1-q^-b).  The
-exact one-step laws are built on inner states, as integer numerators over
-one denominator per law (with q = a/c, the move law is over a^b), and
-`TransitionDist` holds them so: its one checked constructor for builders
-(`_law`) takes the integers as they are, and the text order of the states
-is made only when the entries are read.  `step_law`, which enumerates a
-sampler's flips, stays the reference.
+exact one-step laws are built on a sampler's inner states, position
+tuples (`PLAIN`) or trimmed cell tuples (`flagchain.FLAG`), as integer
+numerators over one denominator per law (with q = a/c, the move law is
+over a^b), and `TransitionDist` holds them so, with the sampler's `leave`
+map: its one checked constructor for builders (`_law`) takes the keys and
+integers as they are.  `leave` must be injective on the inner states
+(strictly increasing positions, trimmed cells).  Two laws with one
+`leave` are compared on their inner keys, so no state is made; a law
+makes its output states once, when it is first read, and their text
+order only when its entries are read.  `step_law`, which enumerates a
+sampler's flips and keys its law by output states, stays the reference.
 Stationarity is checked exactly too: the inflow into a state over its own
 weight is a sum of integer monomials in x = 1/q that does not depend on q,
 evaluated for one q in integers alone.
@@ -78,22 +83,41 @@ class TransitionDist:
     """A finite exact distribution over states: integer numerators n_s over
     one denominator.  `TransitionDist(entries)` takes (state, probability)
     pairs, refuses two states with the same text, and brings them over the
-    lcm of their denominators; the law builders hand over their integers
-    as they are (`_law`).  Equal laws have the same states and equal
-    n_s / den, compared by cross-multiplication.  `entries` orders the
-    states by their text, on first read."""
+    lcm of their denominators.
+
+    The law builders hand over their integers as they are, keyed by a
+    sampler's inner states, with the sampler's `leave` map (`_law`): plain
+    laws by position tuples (`PLAIN`), flag laws by trimmed cell tuples
+    (`flagchain.FLAG`).  `leave` must be injective on the inner states
+    (strictly increasing positions, trimmed cells), so the inner keys are
+    as distinct as the states.  Two laws with the same `leave` are
+    compared on their inner keys, so `==` makes no state; any other pair,
+    such as a built law and the state-keyed `TransitionDist(entries)` or
+    `step_law`, is compared on output states.  Equal laws have the same
+    states and equal n_s / den, compared by cross-multiplication.  The
+    output states are made once per law, on the first read of `entries`,
+    `support`, `as_dict`, `probability` or `hash`, and `entries` orders
+    them by their text."""
 
     def __init__(self, entries: Iterable[tuple[object, Fraction]]) -> None:
         entries = tuple(entries)
         if len({str(s) for s, _ in entries}) != len(entries):
             raise ValueError("duplicate states in distribution")
         den = math.lcm(*[p.denominator for _, p in entries])
-        self._hold([(s, p.numerator * (den // p.denominator)) for s, p in entries], den)
+        nums = [(s, p.numerator * (den // p.denominator)) for s, p in entries]
+        self._hold(nums, den, None)
 
-    def _hold(self, numerators: Collection[tuple[object, int]], den: int) -> None:
-        """Hold n/den at each (state, n) of `numerators`, after the checks
-        every law passes: no state twice, a total of den, each n positive."""
-        nums = dict(numerators)
+    def _hold(
+        self,
+        numerators: Collection[tuple[object, int]] | dict,
+        den: int,
+        leave: Callable[[Any], Any] | None,
+    ) -> None:
+        """Hold n/den at each (key, n) of `numerators`, a dict held as it
+        stands or pairs, after the checks every law passes: no key twice, a
+        total of den, each n positive.  A key is an output state when
+        `leave` is None, else an inner state that `leave` turns into one."""
+        nums = numerators if isinstance(numerators, dict) else dict(numerators)
         if len(nums) != len(numerators):
             raise ValueError("duplicate states in distribution")
         total = sum(nums.values())
@@ -101,13 +125,24 @@ class TransitionDist:
             raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
         if any(n <= 0 for n in nums.values()):
             raise ValueError("probabilities must be positive")
-        self._numerators, self._denominator = nums, den
+        self._numerators, self._denominator, self._leave = nums, den, leave
+
+    @cached_property
+    def _states(self) -> dict:
+        """The numerators keyed by output state, each state made once."""
+        leave = self._leave
+        if leave is None:
+            return self._numerators
+        return {leave(key): n for key, n in self._numerators.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransitionDist):
             return NotImplemented
-        nums, den = self._numerators, self._denominator
-        other_nums, other_den = other._numerators, other._denominator
+        if self._leave is other._leave:
+            nums, other_nums = self._numerators, other._numerators
+        else:
+            nums, other_nums = self._states, other._states
+        den, other_den = self._denominator, other._denominator
         # every numerator is positive, so with as many states on each side a
         # state missing from the other law (read as 0) fails its comparison
         get = other_nums.get
@@ -117,8 +152,9 @@ class TransitionDist:
 
     def __hash__(self) -> int:
         # the numerators over their gcd are the same for every equal law
-        g = math.gcd(*self._numerators.values())
-        return hash(frozenset([(s, n // g) for s, n in self._numerators.items()]))
+        states = self._states
+        g = math.gcd(*states.values())
+        return hash(frozenset([(s, n // g) for s, n in states.items()]))
 
     def __repr__(self) -> str:
         return f"TransitionDist(entries={self.entries!r})"
@@ -126,11 +162,11 @@ class TransitionDist:
     @cached_property
     def entries(self) -> tuple[tuple[object, Fraction], ...]:
         den = self._denominator
-        pairs = [(s, Fraction(n, den)) for s, n in self._numerators.items()]
+        pairs = [(s, Fraction(n, den)) for s, n in self._states.items()]
         return tuple(sorted(pairs, key=lambda e: str(e[0])))
 
     def probability(self, state: object) -> Fraction:
-        return Fraction(self._numerators.get(state, 0), self._denominator)
+        return Fraction(self._states.get(state, 0), self._denominator)
 
     def support(self) -> tuple[object, ...]:
         return tuple(s for s, _ in self.entries)
@@ -139,11 +175,19 @@ class TransitionDist:
         return dict(self.entries)
 
 
-def _law(numerators: Collection[tuple[object, int]], den: int) -> TransitionDist:
-    """The law of n/den at each (state, n) of `numerators`, checked, with
-    no state rendered, no sort and no `Fraction`."""
+def _law(
+    numerators: Collection[tuple[object, int]] | dict,
+    den: int,
+    leave: Callable[[Any], Any] | None = None,
+) -> TransitionDist:
+    """The law of n/den at each (key, n) of `numerators`, checked, with no
+    state made, no sort and no `Fraction`.  The keys are a sampler's inner
+    states and `leave` its map to output states, injective on them (see
+    `TransitionDist`), or output states themselves when `leave` is None, as
+    `step_law`'s are.  A dict is held as it stands, so the builder must not
+    change it afterwards."""
     law = object.__new__(TransitionDist)
-    law._hold(numerators, den)
+    law._hold(numerators, den, leave)
     return law
 
 
@@ -258,13 +302,13 @@ def _move_law(b: int, coin: CoinConfig) -> tuple[tuple[int, ...], int]:
 
 def backward_dist(state: JugglingState, coin: CoinConfig) -> TransitionDist:
     """The exact one-step law: b+1 outcomes, the move k with probability
-    `_move_law`.  Each outcome's positions are strictly increasing
-    naturals (`PLAIN`), so its state is built unchecked."""
+    `_move_law`.  Each outcome is keyed by its positions, strictly
+    increasing naturals (`PLAIN`), and its state is left unchecked only
+    when the law is read."""
     nums, den = _move_law(len(state.positions), coin)
     positions = state.positions
     return _law(
-        [(_unchecked_state(_plain_step(positions, k)), n) for k, n in enumerate(nums)],
-        den,
+        [(_plain_step(positions, k), n) for k, n in enumerate(nums)], den, PLAIN.leave
     )
 
 

@@ -2,9 +2,10 @@
 
 A flag state is its positions and its word w, the labels read left to
 right; `states` alone splits a state into the two (`_flag_enter`) and
-fills them back (`_flag_leave`).  Each routine but the sampler is the
-plain chain's on the positions times one on the word: positions move
-only in `chain` and `states`, and this module reads and writes words.
+fills them back into cells (`_flag_cells`) or a state (`_flag_leave`).
+Each routine but the sampler is the plain chain's on the positions times
+one on the word: positions move only in `chain` and `states`, and this
+module reads and writes words.
 
 Backward step: the plain move k, then for k < b the (k+1)-th last label is
 carried to the front; at each strictly smaller label on the way a coin
@@ -15,7 +16,8 @@ sampler `FLAG` steps a state's cells by the paper's one sweep
 `flag_backward_step` is one step of it.  The exact law is the plain move
 law P(k) times the word law W_k, both integer numerators over one
 denominator: their product is memoised per word (`_flag_law`), so a
-state's law is b + 1 plain moves and one flag state per outcome.  The
+state's law is b + 1 plain moves and one cell tuple per outcome, FLAG's
+inner state, which the law turns into a flag state only when read.  The
 sampler run on every flip sequence (`chain.step_law`) is the reference
 the tests compare it with.
 
@@ -54,7 +56,9 @@ from .series import sn
 from .states import (
     Cell,
     FlagState,
+    _flag_cells,
     _flag_enter,
+    _flag_filler,
     _flag_leave,
     _landings,
     _position_inversions,
@@ -213,7 +217,8 @@ def _flag_sweep(
 
 
 # The flag chain steps a state's cells and leaves them unchecked (see the
-# sweep); the laws and forward edges fill theirs unchecked (`_flag_leave`).
+# sweep); the laws key theirs by cells (`_flag_cells`) and the forward
+# edges fill theirs unchecked (`_flag_leave`).
 FLAG = Sampler(_flag_sweep, attrgetter("cells"), _unchecked_flag)
 
 
@@ -298,7 +303,10 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
 
     `flag_backward_step`'s sweep draws k with its first flips and then
     walks the word alone (`_flag_sweep`), so each outcome's probability is
-    the product.  Each outcome is a valid flag state (`_flag_leave`).
+    the product.  Each outcome is keyed by its trimmed cells, as `FLAG`
+    steps them, filled from the positions after the move and the word
+    (`_flag_cells`, or one `_flag_filler` for a move of several words); no
+    `FlagState` is made until the law is read.
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
     from the sampler; the tests compare the two.
     """
@@ -307,9 +315,13 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     entries = []
     for k, law in enumerate(laws):
         after = _plain_step(positions, k)
-        for outcome, n in law:
-            entries.append((_flag_leave((after, outcome)), n))
-    return _law(entries, den)
+        if len(law) == 1:
+            ((outcome, n),) = law
+            entries.append((_flag_cells(after, outcome), n))
+        else:  # the walk passed a label, so there are at least two balls
+            fill = _flag_filler(after)
+            entries.extend([(fill(outcome), n) for outcome, n in law])
+    return _law(entries, den, FLAG.leave)
 
 
 def flag_stationary_weight(state: FlagState, coin: CoinConfig) -> Fraction:

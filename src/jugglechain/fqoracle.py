@@ -8,7 +8,13 @@ above it.  The counts draw each entry from a set of values (all of Z/p
 in a sweep; in a column-prepend law, all of Z/p in the new column 0 and
 the matrix's own entry elsewhere) and enumerate the rows above the last
 depth first, one reduced row per node, so the reduction of a prefix of
-rows is done once and shared by every matrix that starts with it.
+rows is done once and shared by every matrix that starts with it.  The
+counts are keyed by inner states, as the chain laws are (`chain.PLAIN`,
+`flagchain.FLAG`): a lead tuple's sorted leads, or the cells with each
+row's label at its lead, filled in row order (`_key`).  A sweep makes one
+state per key; a column-prepend law holds the keys, so comparing it with
+a chain law makes no state, and a state is made only when the law is
+read.
 
 A row's lead, and every later row's, depend on the rows above only
 through their span V, so a row is listed by its projection: the one
@@ -42,18 +48,17 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .chain import TransitionDist, _law
+from .chain import PLAIN, TransitionDist, _law
 from .errors import check_budget
-from .flagchain import label_groups
+from .flagchain import FLAG, label_groups
 from .states import (
     FlagState,
     JugglingState,
     _check_labels,
+    _flag_cells,
     _flag_enter,
-    _flag_leave,
-    _unchecked_state,
     flag_inversions,
     inversions,
 )
@@ -227,6 +232,16 @@ def _lead_counts(
     c = -u[k] / g[k], whose lead is the first nonzero of u + c*g past k
     (None: rank deficient).  If g = 0, every candidate is u.
 
+    The last line's u and g are carried down the descent, not projected
+    at every leaf.  The root projects them past no row: they are x and
+    e_j.  A node whose row is itself a projection, zero at every lead of
+    the rows above it, as every rule 1 and rule 2 row is, clears its own
+    lead in each with at most one row operation: both stay zero at the
+    leads above, where the row is zero, and become zero at its lead, so
+    they are the projections past the grown span.  A row that came from
+    `_reduce` is zero only left of its lead, and may be nonzero at a lead
+    above it, so below such a node u and g are projected afresh.
+
     Any other last row is reduced column by column (`walk`), all
     candidates that agree on the columns read so far together.  `_reduce`
     finds the row's first nonzero column j; if j is a reduced row's lead,
@@ -327,24 +342,36 @@ def _lead_counts(
             j += 1
         counts[None] += weight
 
+    def clear(x: list[int], w: Sequence[int], lead: int) -> list[int]:
+        # x less the multiple of w, leading at `lead`, that clears x[lead]
+        if not x[lead]:
+            return x
+        f = x[lead] * inverse[w[lead]]
+        return [(a - f * b) % p for a, b in zip(x, w)]
+
     def project(j: int, x: list[int]) -> tuple[list[int], list[int]]:
         # the projections u of x and g of e_j (see above), in one pass
         u, g = x, [0] * width
         g[j] = 1
         for lead in sorted(reduced):
             w = reduced[lead]
-            scale = inverse[w[lead]]
-            if u[lead]:
-                f = u[lead] * scale
-                u = [(a - f * b) % p for a, b in zip(u, w)]
-            if g[lead]:
-                f = g[lead] * scale
-                g = [(a - f * b) % p for a, b in zip(g, w)]
+            u, g = clear(u, w, lead), clear(g, w, lead)
         return u, g
 
-    def count_line(weight: int) -> None:
+    def extend(line: Optional[tuple], lead: int, projected: bool) -> Optional[tuple]:
+        # the last line's (u, g) once reduced[lead] has joined the rows:
+        # carried down by one row operation each when that row is itself a
+        # projection (see above), else projected afresh
+        if line is None:
+            return None
+        if not projected:
+            return project(*last_line)
+        w = reduced[lead]
+        return clear(line[0], w, lead), clear(line[1], w, lead)
+
+    def count_line(weight: int, line: tuple) -> None:
         # rule 3
-        u, g = project(*last_line)
+        u, g = line
         prefix = tuple(leads)
         for k in range(width):
             if g[k]:
@@ -363,12 +390,13 @@ def _lead_counts(
                 return
         counts[None] += weight
 
-    def descend(i: int, weight: int) -> None:
+    def descend(i: int, weight: int, line: Optional[tuple]) -> None:
+        # line: the last row's (u, g), or None when it is no line row
         if i == len(upper):
-            if last_line is None:
+            if line is None:
                 walk(0, [0] * width, weight, tuple(leads))
             else:
-                count_line(weight)
+                count_line(weight, line)
             return
         kind = kinds[i]
         if kind is None:  # rule 1
@@ -383,14 +411,15 @@ def _lead_counts(
                 leads.append(j)
                 for tail in itertools.product(*entries[j + 1 :]):
                     reduced[j] = head + tail
-                    descend(i + 1, share)
+                    descend(i + 1, share, extend(line, j, True))
                 leads.pop()
                 del reduced[j]
             return
         scaling = scalable and 0 not in reduced
         scaled = weight * (p - 1) if scaling else weight  # a column-0 value != 0
         nodes = []  # (reduced row, its lead, its weight)
-        if isinstance(kind, tuple):  # rule 2
+        projected = isinstance(kind, tuple)
+        if projected:  # rule 2
             u, g = project(*kind)
             for c in (0, 1) if scaling else range(p):
                 v = [(a + c * b) % p for a, b in zip(u, g)] if c else u
@@ -412,48 +441,47 @@ def _lead_counts(
                 continue
             reduced[lead] = v
             leads.append(lead)
-            descend(i + 1, share)
+            descend(i + 1, share, extend(line, lead, projected))
             leads.pop()
             del reduced[lead]
 
-    descend(0, 1)
+    descend(0, 1, None if last_line is None else project(*last_line))
     return counts
 
 
-def _state_key(leads: Sequence[int], ordered: Optional[Sequence[int]]) -> tuple:
-    """What fixes the state of a full-rank lead tuple: the sorted leads
-    when `ordered` is None, else the sorted (lead, label) pairs, row i
-    labeled ordered[i]."""
-    return tuple(sorted(leads if ordered is None else zip(leads, ordered)))
-
-
-def _state(key: tuple, ordered: Optional[Sequence[int]]) -> JugglingState | FlagState:
-    """The state of a `_state_key`: the leads' plain state, or each label
-    placed at its lead by `_flag_leave`.  It is built unchecked: the leads
+def _key(leads: Sequence[int], ordered: Optional[Sequence[int]]) -> tuple:
+    """The inner state of a full-rank lead tuple, row i leading at
+    leads[i]: its sorted leads, `PLAIN`'s positions, when `ordered` is
+    None, else its cells with label ordered[i] at leads[i], `FLAG`'s
+    (`_flag_cells`), made straight from the leads in row order.  The leads
     are distinct naturals (`_leading_columns` keys each reduced row by its
     lead), and the labels are 1..height or were checked where they entered
-    (`group_fraction_sweep`, `coarse_flag_pivot_state`)."""
+    (`group_fraction_sweep`, `coarse_flag_pivot_state`), so `_leave` makes
+    each state unchecked."""
     if ordered is None:
-        return _unchecked_state(key)
+        return tuple(sorted(leads))
     if not ordered:  # no flag state has zero labels
         raise ValueError("a labeled state needs at least one row")
-    return _flag_leave(tuple(zip(*key)))
+    return _flag_cells(leads, ordered)
+
+
+def _leave(ordered: Optional[Sequence[int]]) -> Callable[[tuple], Any]:
+    """The map from a `_key` to its state: `PLAIN`'s, or `FLAG`'s when the
+    rows are labeled."""
+    return PLAIN.leave if ordered is None else FLAG.leave
 
 
 def _state_counts(
     p: int,
     choices: Sequence[Sequence[Sequence[int]]],
     ordered: Optional[Sequence[int]],
-) -> dict:
-    """`_lead_counts` by state.  Lead tuples with one `_state_key` make one
-    state, so their counts are summed first and each state is built once."""
+) -> defaultdict:
+    """`_lead_counts` by `_key` (None: rank deficient), the counts of lead
+    tuples with one key summed; no state is made."""
     by_key: defaultdict = defaultdict(int)
     for leads, count in _lead_counts(p, choices).items():
-        by_key[leads if leads is None else _state_key(leads, ordered)] += count
-    return {
-        key if key is None else _state(key, ordered): count
-        for key, count in by_key.items()
-    }
+        by_key[leads if leads is None else _key(leads, ordered)] += count
+    return by_key
 
 
 def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
@@ -462,7 +490,7 @@ def pivot_state(matrix: FqMatrix) -> Optional[JugglingState]:
     rows' leading columns, where the rank of the left-j submatrix grows.
     None if the rank falls short of the number of rows."""
     leads = _leading_columns(matrix)
-    return None if leads is None else _state(_state_key(leads, None), None)
+    return None if leads is None else PLAIN.leave(_key(leads, None))
 
 
 def flag_pivot_state(matrix: FqMatrix) -> Optional[FlagState]:
@@ -490,7 +518,7 @@ def coarse_flag_pivot_state(
     leads = _leading_columns(matrix)
     if leads is None:
         return None
-    return _state(_state_key(leads, ordered), ordered)
+    return FLAG.leave(_key(leads, ordered))
 
 
 def gl_order(b: int, p: int) -> int:
@@ -534,7 +562,11 @@ def _fraction_sweep(
     total = p ** (height * width)
     check_budget(total, "matrix")
     counts = _state_counts(p, [[range(p)] * width] * height, ordered)
-    return {k: Fraction(v, total) for k, v in counts.items()}
+    leave = _leave(ordered)
+    return {
+        key if key is None else leave(key): Fraction(count, total)
+        for key, count in counts.items()
+    }
 
 
 def pivot_fraction_sweep(
@@ -568,7 +600,7 @@ def _prepend_law(
     counts = _state_counts(p, choices, ordered)
     if None in counts:
         raise ValueError("matrix must have full rank")
-    return _law(counts.items(), p**matrix.height)
+    return _law(counts, p**matrix.height, _leave(ordered))
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:

@@ -47,7 +47,7 @@ from .chain import (
     _law,
     step_law,
 )
-from .flagchain import flag_forward_edges
+from .flagchain import FLAG, flag_forward_edges
 from .states import Cell, FlagState, _check_labels, _unchecked_flag
 
 
@@ -190,9 +190,10 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
     merged at each hat.  Where the step flips (`_hat_exchange`), the
     exchanged cells take c of the weight and the unchanged cells a - c;
     otherwise the exchanged cells take all a.  Every final cells is
-    trimmed and checked, as the start's are, so each is left once without
-    re-checking (`_unchecked_flag`).  `step_law` run on the composed steps
-    of `hatted_backward_step` is the reference the tests compare it with.
+    trimmed and checked, as the start's are, so the law holds the last map
+    as it stands, keyed by cells as `FLAG`'s, and makes no `FlagState`
+    until it is read.  `step_law` run on the composed steps of
+    `hatted_backward_step` is the reference the tests compare it with.
     """
     a, c = coin.ac
     level = {state.cells: 1}
@@ -204,8 +205,7 @@ def composed_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist
                 grown[cells] = grown.get(cells, 0) + n * (a - c)
             grown[exchanged] = grown.get(exchanged, 0) + n * (c if flips else a)
         level = grown
-    ends = [(_unchecked_flag(cells), n) for cells, n in level.items()]
-    return _law(ends, a ** len(state.cells))
+    return _law(level, a ** len(state.cells), FLAG.leave)
 
 
 def hatted_forward_edges(state: MixedState) -> list[MixedState]:

@@ -16,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import IllegalThrow, ParseError, check_budget
 
@@ -303,16 +303,33 @@ def _flag_enter(state: FlagState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(compress(range(len(cells)), cells)), tuple(filter(None, cells))
 
 
-def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
-    """The flag state of a (positions, word) pair, the i-th label at the
-    i-th position, built without the constructor's checks: the positions
-    must be strictly increasing naturals, at least one, and the word as
-    many positive labels."""
-    positions, word = inner
-    out: list[Cell] = [None] * (positions[-1] + 1)
+def _flag_cells(positions: Sequence[int], word: Sequence[int]) -> tuple[Cell, ...]:
+    """The cells with the i-th label of `word` at the i-th of `positions`,
+    which must be distinct naturals, at least one, in any order, and the
+    word as many positive labels: the largest position bears a label, so
+    the cells are trimmed."""
+    out: list[Cell] = [None] * (max(positions) + 1)
     for position, label in zip(positions, word):
         out[position] = label
-    return _unchecked_flag(tuple(out))
+    return tuple(out)
+
+
+def _flag_filler(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[Cell, ...]]:
+    """`_flag_cells` at fixed positions, strictly increasing naturals, at
+    least two, as a map from words: one `itemgetter` reads each cell from
+    (None,) + word, whose slot i + 1 is the i-th label, so the cells of
+    many words at the same positions are filled without a Python loop."""
+    slots = [0] * (positions[-1] + 1)
+    for slot, position in enumerate(positions, 1):
+        slots[position] = slot
+    get = operator.itemgetter(*slots)
+    return lambda word: get((None,) + word)
+
+
+def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:
+    """The flag state of a (positions, word) pair (`_flag_cells`), built
+    without the constructor's checks."""
+    return _unchecked_flag(_flag_cells(*inner))
 
 
 def erase_labels(state: FlagState) -> JugglingState:
@@ -332,7 +349,7 @@ def flag_from_parts(positions: Sequence[int], labels_in_order: Sequence[int]) ->
     if not _INT_ONLY.issuperset(map(type, positions)):
         raise ValueError("positions must be ints")
     positions = JugglingState(tuple(sorted(positions))).positions
-    return FlagState(_flag_leave((positions, labels_in_order)).cells if positions else ())
+    return FlagState(_flag_cells(positions, labels_in_order) if positions else ())
 
 
 def trim_cells(cells: Sequence[Cell]) -> tuple[Cell, ...]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import jugglechain.chain as chain
 from jugglechain.chain import (
+    PLAIN,
     CoinConfig,
     TransitionDist,
     _at_q,
@@ -24,7 +25,7 @@ from jugglechain.chain import (
     tv_distance,
     verify_stationarity,
 )
-from jugglechain.flagchain import flag_backward_dist
+from jugglechain.flagchain import FLAG, flag_backward_dist
 from jugglechain.rng import ChainRng, ScriptedRng
 from jugglechain.states import (
     JugglingState,
@@ -325,22 +326,44 @@ class TestTransitionDist:
             parse_state("x-x"), CoinConfig(Fraction(3))
         )
 
+    def test_laws_of_different_kinds_differ(self):
+        # a plain and a flag law are never equal, though their inner keys,
+        # position tuples and cell tuples, overlap: at (1,) here, "-x" in
+        # the plain law and "1" in the flag law
+        plain = backward_dist(parse_state("x"), Q2)
+        flag = flag_backward_dist(parse_flag_state("1"), Q2)
+        assert plain != flag and flag != plain
+        # one inner key (1,) with all of the weight, left two ways
+        assert _law([((1,), 1)], 1, PLAIN.leave) != _law([((1,), 1)], 1, FLAG.leave)
+        assert _law([((1,), 1)], 1, PLAIN.leave) == TransitionDist(
+            [(parse_state("-x"), Fraction(1))]
+        )
+
     def test_probability_off_the_support(self):
         p = backward_dist(parse_state("x-x"), Q2).probability(parse_state("x"))
         assert p == Fraction(0) and type(p) is Fraction
+        # a state of the other kind is off the support, though its inner key
+        # (1,) is one of the law's
+        for law, state in [
+            (backward_dist(parse_state("x"), Q2), parse_flag_state("1")),
+            (flag_backward_dist(parse_flag_state("1"), Q2), parse_state("-x")),
+        ]:
+            p = law.probability(state)
+            assert p == Fraction(0) and type(p) is Fraction
 
     @pytest.mark.parametrize(
-        "numerators,den,message",
+        "numerators,den,leave,message",
         [
-            ([("a", 1), ("a", 1)], 2, "duplicate states"),
-            ([("a", 1), ("b", 2)], 4, "^probabilities sum to 3/4, not 1$"),
-            ([("a", 2), ("b", 0)], 2, "must be positive"),
+            ([("a", 1), ("a", 1)], 2, None, "duplicate states"),
+            ([((1,), 1), ((1,), 1)], 2, PLAIN.leave, "duplicate states"),
+            ([("a", 1), ("b", 2)], 4, None, "^probabilities sum to 3/4, not 1$"),
+            ([("a", 2), ("b", 0)], 2, None, "must be positive"),
         ],
-        ids=["duplicate", "total", "non-positive"],
+        ids=["duplicate", "duplicate-inner", "total", "non-positive"],
     )
-    def test_builder_constructor_checks(self, numerators, den, message):
+    def test_builder_constructor_checks(self, numerators, den, leave, message):
         with pytest.raises(ValueError, match=message):
-            _law(numerators, den)
+            _law(numerators, den, leave)
 
     def test_builder_numerators_are_checked(self, monkeypatch):
         # one extra numerator on the move k = 0 makes the law of "x-x" at

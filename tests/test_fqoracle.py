@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -341,6 +342,15 @@ class TestColumnPrepend:
         dist = column_prepend_dist(m)
         assert dist.probability(parse_state("x")) == Fraction(1, 2)
         assert dist.probability(parse_state("-x")) == Fraction(1, 2)
+        # the labeled law of one row puts the same weights on "1" and "-1",
+        # and a plain law never equals a labeled one, though the inner keys
+        # overlap at (1,): "-x" in one and "1" in the other
+        flag = flag_column_prepend_dist(m)
+        assert flag.probability(parse_flag_state("1")) == Fraction(1, 2)
+        assert flag.probability(parse_flag_state("-1")) == Fraction(1, 2)
+        assert dist != flag and flag != dist
+        assert dist.probability(parse_flag_state("1")) == Fraction(0)
+        assert flag.probability(parse_state("-x")) == Fraction(0)
 
     def test_worked_example_via_matrix(self):
         m = matrix_for_state(parse_state("--xx-x"), 6, 2)
@@ -492,6 +502,14 @@ def mixed_choices(b, w, p, rng, budget=1500):
     return choices
 
 
+def line_row(w, p, rng):
+    """Value sets for a row fixed but in one entry, at a random column,
+    which takes all of Z/p."""
+    row = [[rng.randrange(p)] for _ in range(w)]
+    row[rng.randrange(w)] = rng.sample(range(p), p)
+    return row
+
+
 def leading_column_counts(p, choices):
     """`_leading_columns` of every matrix of the explicit product of rows,
     counted by lead tuple (None: rank deficient)."""
@@ -575,9 +593,31 @@ class TestLeadCounts:
         rng = random.Random(9000 + 100 * p + b)
         for w in range(1, 6):
             for _ in range(40):
-                choices = []
-                for _ in range(b):
-                    row = [[rng.randrange(p)] for _ in range(w)]
-                    row[rng.randrange(w)] = rng.sample(range(p), p)
+                choices = [line_row(w, p, rng) for _ in range(b)]
+                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_line_last_row_under_every_kind(self, b, p):
+        # a line last row (rule 3) under rows of every kind in one matrix:
+        # whole-free (rule 1), lines (rule 2) and rows reduced candidate by
+        # candidate.  The last line's projections are carried down past
+        # rule 1 and rule 2 rows, and projected afresh below a reduced one
+        rng = random.Random(9500 + 100 * p + b)
+        for w in range(1, 6):
+            for _ in range(12):
+                choices, total = [], p
+                for _ in range(b - 1):
+                    kinds = ["line", "other"] + ["free"] * (total * p**w <= 400)
+                    kind = rng.choice(kinds)
+                    if kind == "free":
+                        row = [range(p)] * w
+                    elif kind == "line":
+                        row = line_row(w, p, rng)
+                    else:
+                        budget = max(1, 400 // total)
+                        (row,) = mixed_choices(1, w, p, rng, budget=budget)
                     choices.append(row)
+                    total *= math.prod(len(values) for values in row)
+                choices.append(line_row(w, p, rng))
                 assert _lead_counts(p, choices) == leading_column_counts(p, choices)

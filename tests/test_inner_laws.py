@@ -9,6 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import jugglechain.chain as chain
+import jugglechain.flagchain as flagchain
+import jugglechain.fqoracle as fqoracle
+import jugglechain.hatted as hatted
+import jugglechain.states as states
 from jugglechain.chain import (
     CoinConfig,
     TransitionDist,
@@ -18,6 +23,7 @@ from jugglechain.chain import (
 )
 from jugglechain.flagchain import flag_backward_dist, flag_backward_step
 from jugglechain.fqoracle import (
+    FqMatrix,
     column_prepend_dist,
     enumerate_matrices,
     flag_column_prepend_dist,
@@ -47,6 +53,7 @@ def label_ids(labels):
 def assert_checked(law: TransitionDist, reference: TransitionDist) -> None:
     assert law == reference
     assert TransitionDist(law.entries) == law
+    assert hash(law) == hash(reference) == hash(TransitionDist(law.entries))
     for state, p in law.entries:
         if isinstance(state, JugglingState):
             rebuilt = JugglingState(state.positions)
@@ -112,3 +119,45 @@ def test_prepend_laws(b, w, p):
                 tuple((s, Fraction(c, p**b)) for s, c in counts.items())
             )
             assert_checked(law(matrix), reference)
+
+
+def test_laws_are_built_and_compared_without_states(monkeypatch):
+    # the prepend laws of a 3 x 5 matrix over Z/3 against the chain laws of
+    # its pivot states at q = 3, and the composed flag law against the
+    # direct one: every law keys inner states and compares them under one
+    # leave map, so no state is made until a law is read
+    matrix = FqMatrix(3, ((1, 2, 0, 1, 2), (0, 1, 1, 2, 0), (2, 0, 0, 1, 1)))
+    plain, flag = pivot_state(matrix), flag_pivot_state(matrix)
+    coin = CoinConfig(Fraction(3))
+    made = []
+
+    def counted(make):
+        def count(*args):
+            made.append(args)
+            return make(*args)
+
+        return count
+
+    leaves = {
+        "_unchecked_state": counted(states._unchecked_state),
+        "_unchecked_flag": counted(states._unchecked_flag),
+    }
+    samplers = {
+        "PLAIN": chain.PLAIN._replace(leave=leaves["_unchecked_state"]),
+        "FLAG": flagchain.FLAG._replace(leave=leaves["_unchecked_flag"]),
+    }
+    for module in (states, chain, flagchain, hatted, fqoracle):
+        for name, fake in {**leaves, **samplers}.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
+    for cls in (JugglingState, FlagState):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+
+    plain_law = backward_dist(plain, coin)
+    flag_law = flag_backward_dist(flag, coin)
+    assert column_prepend_dist(matrix) == plain_law
+    assert flag_column_prepend_dist(matrix) == flag_law
+    assert composed_backward_dist(flag, coin) == flag_law
+    assert made == []
+    # the count sees the states a law makes when it is read
+    assert len(plain_law.entries) == len(made) == 4
