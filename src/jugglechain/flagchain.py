@@ -58,7 +58,6 @@ from .states import (
     FlagState,
     _flag_cells,
     _flag_enter,
-    _flag_filler,
     _flag_leave,
     _landings,
     _position_inversions,
@@ -305,8 +304,7 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     walks the word alone (`_flag_sweep`), so each outcome's probability is
     the product.  Each outcome is keyed by its trimmed cells, as `FLAG`
     steps them, filled from the positions after the move and the word
-    (`_flag_cells`, or one `_flag_filler` for a move of several words); no
-    `FlagState` is made until the law is read.
+    (`_flag_cells`); no `FlagState` is made until the law is read.
     `step_law(flag_backward_step, state, coin)` is the same law, enumerated
     from the sampler; the tests compare the two.
     """
@@ -315,12 +313,8 @@ def flag_backward_dist(state: FlagState, coin: CoinConfig) -> TransitionDist:
     entries = []
     for k, law in enumerate(laws):
         after = _plain_step(positions, k)
-        if len(law) == 1:
-            ((outcome, n),) = law
+        for outcome, n in law:
             entries.append((_flag_cells(after, outcome), n))
-        else:  # the walk passed a label, so there are at least two balls
-            fill = _flag_filler(after)
-            entries.extend([(fill(outcome), n) for outcome, n in law])
     return _law(entries, den, FLAG.leave)
 
 

@@ -48,7 +48,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .chain import PLAIN, TransitionDist, _law
 from .errors import check_budget
@@ -456,19 +456,13 @@ def _key(leads: Sequence[int], ordered: Optional[Sequence[int]]) -> tuple:
     (`_flag_cells`), made straight from the leads in row order.  The leads
     are distinct naturals (`_leading_columns` keys each reduced row by its
     lead), and the labels are 1..height or were checked where they entered
-    (`group_fraction_sweep`, `coarse_flag_pivot_state`), so `_leave` makes
-    each state unchecked."""
+    (`group_fraction_sweep`, `coarse_flag_pivot_state`), so `PLAIN.leave`
+    and `FLAG.leave` make each state unchecked."""
     if ordered is None:
         return tuple(sorted(leads))
     if not ordered:  # no flag state has zero labels
         raise ValueError("a labeled state needs at least one row")
     return _flag_cells(leads, ordered)
-
-
-def _leave(ordered: Optional[Sequence[int]]) -> Callable[[tuple], Any]:
-    """The map from a `_key` to its state: `PLAIN`'s, or `FLAG`'s when the
-    rows are labeled."""
-    return PLAIN.leave if ordered is None else FLAG.leave
 
 
 def _state_counts(
@@ -562,7 +556,7 @@ def _fraction_sweep(
     total = p ** (height * width)
     check_budget(total, "matrix")
     counts = _state_counts(p, [[range(p)] * width] * height, ordered)
-    leave = _leave(ordered)
+    leave = PLAIN.leave if ordered is None else FLAG.leave
     return {
         key if key is None else leave(key): Fraction(count, total)
         for key, count in counts.items()
@@ -600,7 +594,8 @@ def _prepend_law(
     counts = _state_counts(p, choices, ordered)
     if None in counts:
         raise ValueError("matrix must have full rank")
-    return _law(counts, p**matrix.height, _leave(ordered))
+    leave = PLAIN.leave if ordered is None else FLAG.leave
+    return _law(counts, p**matrix.height, leave)
 
 
 def column_prepend_dist(matrix: FqMatrix) -> TransitionDist:

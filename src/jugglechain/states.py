@@ -16,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import IllegalThrow, ParseError, check_budget
 
@@ -312,18 +312,6 @@ def _flag_cells(positions: Sequence[int], word: Sequence[int]) -> tuple[Cell, ..
     for position, label in zip(positions, word):
         out[position] = label
     return tuple(out)
-
-
-def _flag_filler(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[Cell, ...]]:
-    """`_flag_cells` at fixed positions, strictly increasing naturals, at
-    least two, as a map from words: one `itemgetter` reads each cell from
-    (None,) + word, whose slot i + 1 is the i-th label, so the cells of
-    many words at the same positions are filled without a Python loop."""
-    slots = [0] * (positions[-1] + 1)
-    for slot, position in enumerate(positions, 1):
-        slots[position] = slot
-    get = operator.itemgetter(*slots)
-    return lambda word: get((None,) + word)
 
 
 def _flag_leave(inner: tuple[tuple[int, ...], tuple[int, ...]]) -> FlagState:

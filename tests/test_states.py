@@ -18,7 +18,6 @@ from jugglechain.states import (
     FlagState,
     JugglingState,
     _flag_cells,
-    _flag_filler,
     _unchecked_flag,
     _unchecked_state,
     distinct_permutations,
@@ -228,15 +227,6 @@ class TestText:
 
     def test_flag_from_parts_sorts_positions(self):
         assert flag_from_parts((3, 0), (2, 1)) == parse_flag_state("2--1")
-
-    def test_flag_filler_fills_as_flag_cells(self):
-        # one itemgetter per set of positions fills every word's cells as
-        # the loop of `_flag_cells` does, for 2..4 balls on windows up to 6
-        for b in range(2, 5):
-            for positions in itertools.combinations(range(6), b):
-                fill = _flag_filler(positions)
-                for word in itertools.product((1, 2, 12), repeat=b):
-                    assert fill(word) == _flag_cells(positions, word)
 
     @pytest.mark.parametrize(
         "positions,labels,message",
