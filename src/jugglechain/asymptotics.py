@@ -65,6 +65,12 @@ def _check_e(e: float) -> None:
         raise DomainError(f"E must lie in (0, 1), got {e}")
 
 
+def _check_mu_max(mu_max: float) -> None:
+    # a NaN passes, for the row budget to refuse
+    if mu_max < 0:
+        raise DomainError(f"mu_max must be nonnegative, got {mu_max}")
+
+
 def mu_of_lambda(e: float, lam: float) -> float:
     """How far out (in units of b) the first lambda*b balls reach."""
     _check_e(e)
@@ -104,10 +110,12 @@ def density_curve(
     e: float, mu_max: float, step: float
 ) -> list[tuple[float, float]]:
     """Sampled (mu, density) rows for plotting; row 0 is (0, 1-E).
-    ResourceLimit when the row count is not finite or exceeds the
-    enumeration budget."""
+    DomainError for a negative mu_max, as `ball_density` refuses a
+    negative mu; ResourceLimit when the row count is not finite or exceeds
+    the enumeration budget."""
     if step <= 0:
         raise DomainError("step must be positive")
+    _check_mu_max(mu_max)
     # floor division keeps an infinite quotient a float (NaN), for the guard
     rows = (mu_max / step + 1e-9) // 1 + 1
     check_budget(rows, "density row")
@@ -135,8 +143,9 @@ def empirical_density(
 ) -> list[DensityComparison]:
     """Simulate the plain chain at q = E^(-1/b) and compare the occupancy
     frequency of each position h < ceil(mu_max * b), at mu = h / b, with
-    the closed-form density.  ResourceLimit when the ceil(mu_max * b) rows
-    are not finite or exceed the enumeration budget.
+    the closed-form density.  DomainError for a negative mu_max;
+    ResourceLimit when the ceil(mu_max * b) rows are not finite or exceed
+    the enumeration budget.
 
     Step t draws u and the move k with P(k >= j) = E^(j/b); the state
     after it is sampled when burnin <= t < steps.  Every plain move puts
@@ -154,6 +163,7 @@ def empirical_density(
         raise DomainError(f"need 0 <= burnin < steps, got {burnin}, {steps}")
     if balls < 1:
         raise DomainError(f"need balls >= 1, got {balls}")
+    _check_mu_max(mu_max)
     rng = random.Random(seed)
     heads = e ** (1.0 / balls)
     log_heads = math.log(heads)
@@ -162,25 +172,29 @@ def empirical_density(
     # occupancy[h] is the prefix sum of starts[0..h]: a lifetime adds one
     # range of positions, clipped to the sampled steps and to [0, hmax)
     starts = [0] * (hmax + 1)
-
-    def occupy(born: int, died: int) -> None:
-        lo = burnin - born if born < burnin else 0
-        hi = min(died - born, hmax)
-        if lo < hi:
-            starts[lo] += 1
-            starts[hi] -= 1
-
     births = deque(range(-1, -balls - 1, -1))
     for step in range(steps):
         u = rng.random()
         # number of leading heads: P(k >= j) = heads^j
         k = balls if u <= 0.0 else min(balls, int(math.log(u) / log_heads))
         if k < balls:
-            occupy(births[-1 - k], step)
+            # the ball born at `born` dies now: its lifetime occupies
+            # positions lo..hi-1 over the sampled steps
+            born = births[-1 - k]
             del births[-1 - k]
             births.appendleft(step)
+            lo = burnin - born if born < burnin else 0
+            hi = min(step - born, hmax)
+            if lo < hi:
+                starts[lo] += 1
+                starts[hi] -= 1
+    # the balls still up live until the last step
     for born in births:
-        occupy(born, steps)
+        lo = burnin - born if born < burnin else 0
+        hi = min(steps - born, hmax)
+        if lo < hi:
+            starts[lo] += 1
+            starts[hi] -= 1
     occupancy = list(accumulate(starts[:hmax]))
     return _density_rows(occupancy, steps - burnin, balls, e)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -226,6 +227,12 @@ class TestDensityCurve:
         with pytest.raises(ResourceLimit, match="density row enumeration"):
             density_curve(0.1, mu_max, step)
 
+    def test_negative_mu_max_refused(self):
+        # as ball_density refuses a negative mu, not an empty table
+        with pytest.raises(DomainError, match="mu_max"):
+            density_curve(0.1, -1.0, 0.5)
+        assert density_curve(0.1, 0.0, 0.5) == [(0.0, 1 - 0.1)]
+
     def test_budget_is_exact(self, monkeypatch):
         monkeypatch.setattr(errors, "ENUMERATION_BUDGET", 100)
         assert len(density_curve(0.1, 0.99, 0.01)) == 100
@@ -277,6 +284,18 @@ class TestEmpiricalDensity:
         with pytest.raises(ResourceLimit):
             empirical_density(mu_max=10.01, **kwargs)
 
+    def test_benchmark_rows_are_pinned(self):
+        # the benchmark's density run, taken from the loop that added each
+        # lifetime through a closure
+        rows = empirical_density(
+            balls=64, e=0.1, mu_max=3.0, steps=800, burnin=300, seed=1
+        )
+        text = "\n".join(repr((r.mu, r.empirical)) for r in rows)
+        assert len(rows) == 192
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "368ba526ca4f4b059504c3bef8e487c0b0cd51bc53eb1fff8e600795e2151cb2"
+        )
+
     def test_seed_determinism(self):
         kwargs = dict(balls=32, e=0.3, mu_max=1.5, steps=20_000, burnin=2_000, seed=3)
         assert empirical_density(**kwargs) == empirical_density(**kwargs)
@@ -321,6 +340,7 @@ class TestEmpiricalDensity:
         [
             dict(steps=100, burnin=100),  # no sampled step
             dict(balls=0),
+            dict(mu_max=-1.0),  # not an empty table; mu_max = 0 is one
         ],
     )
     def test_arguments_refused(self, bad):

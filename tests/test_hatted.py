@@ -7,6 +7,7 @@ from jugglechain.chain import CoinConfig, step_law
 from jugglechain.flagchain import flag_backward_dist, flag_forward_edges
 from jugglechain.hatted import (
     HattedState,
+    _hat_exchange,
     composed_backward_dist,
     hatted_backward_dist,
     hatted_backward_step,
@@ -119,6 +120,40 @@ class TestBackwardStep:
     def test_equal_labels_move_deterministically(self):
         dist = hatted_backward_dist(hatted("11", 1), Q3)
         assert dist.entries == ((hatted("11", 0), Fraction(1)),)
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 1, 2), (1, 1, 2, 2)])
+    def test_every_branch_is_the_exchange_rule(self, labels):
+        # every hat of every hatted state: the step's law is the one read
+        # off `_hat_exchange`, and each successor, under either flip, equals
+        # its rebuild through the checked constructor
+        coin = CoinConfig(Fraction(5, 2))
+        p = coin.heads_probability
+        kept = 0  # exchanges that leave the cells as they are
+        for base in flag_states_up_to_inversions(labels, 4):
+            cells = base.cells
+            states = [base] + [HattedState(cells, i) for i in range(len(cells) + 1)]
+            for state in states:
+                if isinstance(state, FlagState):
+                    law = {HattedState(cells, len(cells)): 1}
+                elif state.hat == 0:
+                    law = {FlagState(cells): 1}
+                else:
+                    exchanged, flips = _hat_exchange(cells, state.hat)
+                    after = HattedState(exchanged, state.hat - 1)
+                    if flips:
+                        law = {after: p, HattedState(cells, state.hat - 1): 1 - p}
+                    else:
+                        law = {after: 1}
+                        kept += exchanged == cells
+                assert hatted_backward_dist(state, coin).as_dict() == law, str(state)
+                for flip in (True, False):
+                    out = hatted_backward_step(state, coin, ScriptedRng([flip]))
+                    if isinstance(out, FlagState):
+                        rebuilt = FlagState(out.cells)
+                    else:
+                        rebuilt = HattedState(out.cells, out.hat)
+                    assert out == rebuilt and hash(out) == hash(rebuilt), str(state)
+        assert kept > 0
 
     def test_step_probabilities_are_one_coin(self):
         allowed = {

@@ -78,6 +78,20 @@ def test_flag_stream_is_pinned(labels, q, seed, distinct, expected):
     assert digest(visited) == expected
 
 
+def test_benchmark_hatted_stream_is_pinned():
+    # the benchmark's hatted loop: every visited state in order, taken from
+    # the step that built each successor through a helper
+    coin, rng, state = CoinConfig(Fraction(2)), ChainRng(3), FlagState((1, 2, 3))
+    visited = []
+    for _ in range(5000):
+        state = hatted_backward_step(state, coin, rng)
+        visited.append(str(state))
+    assert len(set(visited)) == 1292
+    assert digest(visited) == (
+        "5eeb4f7ede0ee58e7c1abb38e3ec8f93d624b6de4c8eef79ca621a5ba2376b79"
+    )
+
+
 @pytest.mark.parametrize(
     "sampler, step, start, q",
     [

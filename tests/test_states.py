@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import jugglechain.states as states_module
 from jugglechain.errors import IllegalThrow, ParseError
-from jugglechain.hatted import HattedState, _unchecked_hatted
+from jugglechain.hatted import HattedState
 from jugglechain.states import (
     FlagState,
     JugglingState,
@@ -665,7 +665,7 @@ class TestClassLayout:
             count += 1
         assert count == sum(state_count_by_inversions(4, k) for k in range(7))
 
-    def test_unchecked_flag_and_hatted_equal_checked(self):
+    def test_unchecked_flag_equals_checked(self):
         flags = list(flag_states_up_to_inversions((1, 1, 2, 3), 5))
         assert len(flags) == 80
         for state in flags:
@@ -674,9 +674,3 @@ class TestClassLayout:
             checked = FlagState(cells)
             assert built == checked and hash(built) == hash(checked), state
             assert built.cells == cells
-            for hat in range(len(cells) + 1):
-                hatted = _unchecked_hatted(cells, hat)
-                checked_hatted = HattedState(cells, hat)
-                assert hatted == checked_hatted, (state, hat)
-                assert hash(hatted) == hash(checked_hatted)
-                assert (hatted.cells, hatted.hat) == (cells, hat)
