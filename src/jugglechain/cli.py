@@ -273,6 +273,22 @@ def _resolve_burnin(args, default: int, sampling: bool = True) -> None:
         )
 
 
+# --balls when omitted, as the config hash reads it
+_BALLS = 2
+
+
+def _resolve_balls(args) -> None:
+    """Refuse --labels given with --balls or with oracle's --flag, which it
+    takes the place of; then fill in an omitted --balls."""
+    if args.labels is not None:
+        if args.balls is not None:
+            raise _FlagError("argument --labels: not allowed with argument --balls")
+        if getattr(args, "flag", False):
+            raise _FlagError("argument --labels: not allowed with argument --flag")
+    if args.balls is None:
+        args.balls = _BALLS
+
+
 # a label token: an optional minus sign and ASCII digits, with the
 # whitespace int allows around them ([0-9] is ASCII alone; \d takes '１')
 _ASCII_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
@@ -319,6 +335,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_stationary_check(args) -> int:
+    _resolve_balls(args)
     coin, k = CoinConfig(args.q), args.max_inversions
     # refuse an oversized sweep before enumerating anything
     if args.labels:
@@ -340,6 +357,7 @@ def cmd_stationary_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _resolve_balls(args)
     p = args.p
     rows = []
     all_ok = True
@@ -450,6 +468,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _resolve_balls(args)
     _resolve_burnin(args, _SIMULATE_BURNIN)
     coin = CoinConfig(args.q)
     if args.labels:
@@ -520,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("stationary-check", help="exact balance sweep")
-    p.add_argument("--balls", type=_natural, default=2)
+    p.add_argument("--balls", type=_natural)
     p.add_argument(
         "--labels",
         type=_parse_labels,
@@ -531,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stationary_check)
 
     p = sub.add_parser("oracle", help="exhaustive matrix fraction sweeps")
-    p.add_argument("--balls", type=_natural, default=2)
+    p.add_argument("--balls", type=_natural)
     p.add_argument("--width", type=_positive, default=3)
     p.add_argument("--p", type=_integer, default=2, choices=SUPPORTED_PRIMES)
     p.add_argument("--flag", action="store_true", help="labeled pivot states")
@@ -570,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="trajectory histogram and TV report")
-    p.add_argument("--balls", type=_natural, default=2)
+    p.add_argument("--balls", type=_natural)
     p.add_argument(
         "--labels", type=_parse_labels, help="simulate the flag chain over this multiset"
     )

@@ -946,6 +946,21 @@ class TestBadFlags:
         assert flag in line
 
     @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # --balls 2 is refused too, though 2 is what an omitted --balls reads
+            (["stationary-check", "--balls", "2", "--labels", "1,2", "--q", "2"], "--balls"),
+            (["simulate", "--balls", "5", "--labels", "1,2", "--q", "2"], "--balls"),
+            (["oracle", "--balls", "3", "--labels", "1,2"], "--balls"),
+            (["oracle", "--labels", "1,2", "--flag"], "--flag"),
+        ],
+        ids=["stationary-check-balls", "simulate-balls", "oracle-balls", "oracle-flag"],
+    )
+    def test_labels_take_the_place_of_balls(self, capsys, argv, flag):
+        line = bad_flags(capsys, *argv)
+        assert line.endswith(f"argument --labels: not allowed with argument {flag}")
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["oracle", "--balls", "4", "--width", "6", "--p", "3"], "budget"),

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +10,9 @@ from jugglechain.errors import ResourceLimit
 from jugglechain.flagchain import flag_backward_dist, group_prefactor
 from jugglechain.fqoracle import (
     FqMatrix,
-    _lead_counts,
     _leading_columns,
+    _prepend_counts,
+    _sweep_counts,
     column_prepend_dist,
     coarse_flag_pivot_state,
     enumerate_matrices,
@@ -484,140 +484,87 @@ class TestPerMatrixReference:
                 assert law(matrix) == expected
 
 
-def mixed_choices(b, w, p, rng, budget=1500):
-    """Per-entry value sets for a b x w matrix, at most `budget` matrices in
-    all: free (all of Z/p), fixed (one value) or, for p > 2, partial (a
-    proper subset of two or more values, such as {0, 2}), each in a random
-    order.
-    Entries are drawn in a random order, each of a size that still fits."""
-    choices = [[None] * w for _ in range(b)]
-    entries = [(i, j) for i in range(b) for j in range(w)]
-    rng.shuffle(entries)
-    total = 1
-    for i, j in entries:
-        partial = rng.randrange(2, p) if p > 2 else 1
-        size = rng.choice([s for s in (p, 1, partial) if total * s <= budget])
-        choices[i][j] = rng.sample(range(p), size)
-        total *= size
-    return choices
-
-
-def line_row(w, p, rng):
-    """Value sets for a row fixed but in one entry, at a random column,
-    which takes all of Z/p."""
-    row = [[rng.randrange(p)] for _ in range(w)]
-    row[rng.randrange(w)] = rng.sample(range(p), p)
-    return row
-
-
-def leading_column_counts(p, choices):
-    """`_leading_columns` of every matrix of the explicit product of rows,
-    counted by lead tuple (None: rank deficient)."""
-    rows = [list(itertools.product(*row)) for row in choices]
+def leading_column_counts(matrices):
+    """`_leading_columns` of each matrix, counted by lead tuple (None: rank
+    deficient)."""
     counts = Counter()
-    for matrix_rows in itertools.product(*rows):
-        leads = _leading_columns(FqMatrix(p, matrix_rows))
+    for matrix in matrices:
+        leads = _leading_columns(matrix)
         counts[None if leads is None else tuple(leads)] += 1
     return counts
 
 
+def prepended(matrix):
+    """Every matrix made by prepending a column to `matrix`."""
+    for col in itertools.product(range(matrix.p), repeat=matrix.height):
+        yield matrix.prepend_column(col)
+
+
+def random_matrix(b, w, p, rng):
+    return FqMatrix(p, tuple(tuple(rng.randrange(p) for _ in range(w)) for _ in range(b)))
+
+
 class TestLeadCounts:
-    """`_lead_counts` on mixed value sets against `_leading_columns` of
-    every matrix of the explicit product of rows."""
+    """`_sweep_counts` and `_prepend_counts` against `_leading_columns` of
+    every matrix they count."""
+
+    @pytest.mark.parametrize(
+        "b,w,p",
+        [
+            (b, w, p)
+            for p in (2, 3, 5)
+            for b in range(4)
+            for w in range(6)
+            if p ** (b * w) <= 1000
+        ],
+    )
+    def test_sweeps(self, b, w, p):
+        # every row takes all of F^N (rule 1), one projection listed per
+        # line through 0, the last row counted in closed form
+        assert _sweep_counts(p, b, w) == leading_column_counts(enumerate_matrices(b, w, p))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("w", range(6))
-    @pytest.mark.parametrize("b", [1, 2, 3])
-    def test_mixed_value_sets(self, b, w, p):
-        rng = random.Random(1000 * p + 10 * b + w)
-        for _ in range(4):
-            choices = mixed_choices(b, w, p, rng)
-            assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+    @pytest.mark.parametrize("b", [0, 1, 2, 3])
+    def test_line_rows(self, b, p):
+        # every row a line x + c*e_0 (rule 2 above the last row, rule 3 on
+        # it) over random matrices, rank-deficient ones among them: the one
+        # value that cancels the projected line's first nonzero must be
+        # found with its sign, which matters for p > 2.  With no rows, the
+        # one 0 x w matrix has full rank
+        rng = random.Random(9000 + 100 * p + b)
+        for w in range(6):
+            for _ in range(40):
+                matrix = random_matrix(b, w, p, rng)
+                assert _prepend_counts(matrix) == leading_column_counts(prepended(matrix))
 
     @pytest.mark.parametrize("p", [3, 5])
     @pytest.mark.parametrize("b", [2, 3])
     def test_column_zero_scaling(self, b, p):
-        # column 0 all of Z/p in every row: the column-0 values 1..p-1 of a
-        # row count alike, so only 1 is drawn, weighted p - 1.  One row's
-        # column 0 limited to {0, 2}: the rule must not apply
+        # while no row above leads at column 0, a row's column-0 values
+        # 1..p-1 count alike, so only 1 is drawn, weighted p - 1.  Rows that
+        # open with zeros leave column 0 to decide their leads, row after row
         rng = random.Random(100 * p + b)
         for w in range(1, 5):
-            for _ in range(3):
-                rest = mixed_choices(b, w - 1, p, rng, budget=2000 // p**b)
-                full = [[rng.sample(range(p), p), *row] for row in rest]
-                assert _lead_counts(p, full) == leading_column_counts(p, full)
-                for limited in range(b):
-                    choices = [
-                        [(0, 2), *row[1:]] if i == limited else row
-                        for i, row in enumerate(full)
-                    ]
-                    assert _lead_counts(p, choices) == (
-                        leading_column_counts(p, choices)
-                    )
-
-    @pytest.mark.parametrize("last_kind", ["mixed", "fixed"])
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("b", [2, 3])
-    def test_whole_free_rows_over_a_mixed_or_fixed_last_row(self, b, p, last_kind):
-        # every upper row whole-free (rule 1: cosets of p^i rows, one
-        # representative per line weighted (p - 1) p^i), the last row not
-        rng = random.Random(7000 + 100 * p + 10 * b + len(last_kind))
-        last_budget = 8 if last_kind == "mixed" else 1
-        for w in [w for w in range(1, 5) if p ** (w * (b - 1)) <= 625]:
-            for _ in range(3):
-                (last,) = mixed_choices(1, w, p, rng, budget=last_budget)
-                choices = [[range(p)] * w] * (b - 1) + [last]
-                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
-
-    @pytest.mark.parametrize("last_kind", ["mixed", "fixed"])
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_whole_free_row_under_a_partially_fixed_one(self, p, last_kind):
-        # row 0 partly fixed, row 1 whole-free above a mixed or fixed last
-        # row: row 1's cosets hold p rows each, not one
-        rng = random.Random(8000 + 100 * p + len(last_kind))
-        last_budget = 4 if last_kind == "mixed" else 1
-        for w in [w for w in range(1, 5) if p ** (2 * w - 1) <= 625]:
-            for _ in range(3):
-                (top,) = mixed_choices(1, w, p, rng, budget=p ** (w - 1))
-                (last,) = mixed_choices(1, w, p, rng, budget=last_budget)
-                choices = [top, [range(p)] * w, last]
-                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("b", [1, 2, 3])
-    def test_line_rows(self, b, p):
-        # every row fixed but one entry that takes all of Z/p, at a random
-        # column (rule 2 above the last row, rule 3 on it): the one value
-        # that cancels the projected line's first nonzero must be found
-        # with its sign, which matters for p > 2
-        rng = random.Random(9000 + 100 * p + b)
-        for w in range(1, 6):
-            for _ in range(40):
-                choices = [line_row(w, p, rng) for _ in range(b)]
-                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+            for _ in range(12):
+                rows = tuple(
+                    (0,) * z + tuple(rng.randrange(p) for _ in range(w - z))
+                    for z in (rng.randrange(w + 1) for _ in range(b))
+                )
+                matrix = FqMatrix(p, rows)
+                assert _prepend_counts(matrix) == leading_column_counts(prepended(matrix))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("b", [2, 3, 4])
-    def test_line_last_row_under_every_kind(self, b, p):
-        # a line last row (rule 3) under rows of every kind in one matrix:
-        # whole-free (rule 1), lines (rule 2) and rows reduced candidate by
-        # candidate.  The last line's projections are carried down past
-        # rule 1 and rule 2 rows, and projected afresh below a reduced one
+    def test_zero_and_repeated_rows(self, b, p):
+        # a zero row, or a row repeated below, drops the rank, which a
+        # prepended column restores or not: these reach rule 3's cancelling
+        # c and the rank-deficient (None) counts
         rng = random.Random(9500 + 100 * p + b)
-        for w in range(1, 6):
-            for _ in range(12):
-                choices, total = [], p
-                for _ in range(b - 1):
-                    kinds = ["line", "other"] + ["free"] * (total * p**w <= 400)
-                    kind = rng.choice(kinds)
-                    if kind == "free":
-                        row = [range(p)] * w
-                    elif kind == "line":
-                        row = line_row(w, p, rng)
-                    else:
-                        budget = max(1, 400 // total)
-                        (row,) = mixed_choices(1, w, p, rng, budget=budget)
-                    choices.append(row)
-                    total *= math.prod(len(values) for values in row)
-                choices.append(line_row(w, p, rng))
-                assert _lead_counts(p, choices) == leading_column_counts(p, choices)
+        for w in range(5):
+            for _ in range(8):
+                matrix = random_matrix(b, w, p, rng)
+                rows = list(matrix.rows)
+                i, j = rng.sample(range(b), 2)
+                rows[max(i, j)] = (0,) * w if rng.random() < 0.5 else rows[min(i, j)]
+                matrix = FqMatrix(p, tuple(rows))
+                assert _prepend_counts(matrix) == leading_column_counts(prepended(matrix))

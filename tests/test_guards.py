@@ -7,7 +7,14 @@ import pytest
 from jugglechain.asymptotics import ball_density, density_curve, prob_ratio
 from jugglechain.chain import CoinConfig
 from jugglechain.errors import DomainError, IllegalThrow, ParseError
-from jugglechain.fqoracle import FqMatrix, matrix_for_state, partial_permutation_matrix
+from jugglechain.fqoracle import (
+    FqMatrix,
+    flag_fraction_sweep,
+    group_fraction_sweep,
+    matrix_for_state,
+    partial_permutation_matrix,
+    pivot_fraction_sweep,
+)
 from jugglechain.rng import ScriptedRng
 from jugglechain.series import TruncSeries, grassmannian_series_closed
 from jugglechain.siteswap import Siteswap, count_patterns
@@ -55,6 +62,38 @@ class TestOracleMatrices:
     def test_unsupported_modulus(self):
         with pytest.raises(ValueError, match="^modulus must be one of"):
             FqMatrix(4, ((1, 0),))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pivot_fraction_sweep(2, 3, 7),
+            lambda: pivot_fraction_sweep(2, 3, 4),
+            lambda: group_fraction_sweep((1, 2), 2, 1),
+            lambda: flag_fraction_sweep(1, 2, 0),
+        ],
+        ids=["pivot-7", "pivot-4", "group-1", "flag-0"],
+    )
+    def test_sweep_of_an_unsupported_modulus(self, call):
+        with pytest.raises(ValueError, match="^modulus must be one of \\(2, 3, 5\\)$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FqMatrix(2, ((1.7, 0),)),
+            lambda: FqMatrix(3, ((True, "2"),)),
+            lambda: FqMatrix(2, ((1, 0),)).prepend_column([1.9]),
+        ],
+        ids=["float", "bool-and-str", "prepended-float"],
+    )
+    def test_entries_must_be_ints(self, call):
+        with pytest.raises(ValueError, match="^entries must be ints$"):
+            call()
+
+    def test_negative_entries_reduce(self):
+        matrix = FqMatrix(3, ((-1, 4),))
+        assert matrix.rows == ((2, 1),)
+        assert matrix.prepend_column([-4]).rows == ((2, 2, 1),)
 
     def test_ragged_rows(self):
         with pytest.raises(ValueError, match="^ragged rows$"):
