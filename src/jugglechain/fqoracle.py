@@ -180,8 +180,8 @@ def _sweep_counts(p: int, height: int, width: int) -> defaultdict:
 
     The last row's projections are counted, not listed: those with first
     nonzero at j are p^k, k the columns past j off V's leads.  So going
-    right to left over the columns off V's leads, each adds the share
-    (p - 1) p^i weight at its lead and multiplies the share by p.
+    right to left over the columns off V's leads, each adds a share, at
+    first (p - 1) p^i weight, at its lead and multiplies the share by p.
     """
     counts: defaultdict = defaultdict(int)
     if not height:
@@ -224,9 +224,9 @@ def _prepend_counts(matrix: FqMatrix) -> defaultdict:
 
     Row i ranges over the line x + c*e_0, x the row with 0 prepended (rule
     2).  Projecting is linear, so its projections are u + c*g, u and g the
-    projections of x and e_0.  Each node projects u, past the reduced rows
-    in row order: each is zero at the leads of the rows above it, so
-    clearing its own lead disturbs none already cleared.  g is the same for
+    projections of x and e_0.  Each node projects its row's u past the
+    reduced rows in row order: each is zero at the leads of the rows above
+    it, so clearing its own lead disturbs none already cleared.  g is the same for
     every row below a node, so it is carried down the descent with the last
     row's u: a node's row is zero at every lead above it, as is each
     carried vector, so one row operation clears the node's lead in each and
