@@ -13,21 +13,23 @@ filled in row order (`_key`).  A sweep makes one state per key; a
 column-prepend law holds the keys, so comparing it with a chain law makes
 no state, and a state is made only when the law is read.
 
-Both counters enumerate the rows above the last depth first.  Each node
-is one reduced row, kept in `reduced` (lead -> row) for every extension
-of its prefix and removed on backtrack, and weighted by the number of
-matrices it stands for, so the reduction of a prefix of rows is done once
-and shared by every matrix that starts with it.  The reduced rows have
-distinct leads and span the space V that the rows above span.  By
-`_leading_columns` a row's lead is the rightmost start of its coset
-row + V, so each row's lead depends on the rows above only through V, and
-every node is classified by its own lead.  When a row lies in V,
-`_leading_columns` returns None without reading later rows, so all of the
-prefix's completions are rank deficient, counted at once.  The last row
-is counted, not listed.
+Both counters enumerate the rows above the last depth first, each node
+weighted by the number of matrices it stands for and classified by its
+own lead.  The reduced rows above a node have distinct leads and span the
+space V that the rows above span.  By `_leading_columns` a row's lead is
+the rightmost start of its coset row + V, so each row's lead depends on
+the rows above only through V.  A column-prepend law's node is one
+reduced row, kept in `reduced` (lead -> row) for every extension of its
+prefix and removed on backtrack, so the reduction of a prefix of rows is
+done once and shared by every matrix that starts with it.  A sweep's
+rows take all of F^N, so the rows below depend on V only through its
+leads: a sweep's node is one lead prefix, and it keeps no row.  When a
+row lies in V, `_leading_columns` returns None without reading later
+rows, so all of the prefix's completions are rank deficient, counted at
+once.  The last row is counted, not listed.
 
-A row is listed by its projection: the one vector of its coset mod V that
-is zero at every lead of V.  The reduced rows, by ascending lead, each
+A row is classified by its projection: the one vector of its coset mod V
+that is zero at every lead of V.  The reduced rows, by ascending lead, each
 subtract the multiple of themselves that clears their lead, and none
 disturbs a smaller lead, where it is zero; two such vectors of one coset
 differ by a vector of V zero at every lead, and a nonzero vector of V
@@ -170,24 +172,40 @@ def _sweep_counts(p: int, height: int, width: int) -> defaultdict:
     p^i each (the i reduced rows are independent).  Each row stands for its
     coset: its lead is its projection's start, and the rows below see it
     only through V + span(row), the same for the whole coset.  So only the
-    projections are listed, each weighted p^i, and the zero one, V itself,
+    projections count, each weighted p^i, and the zero one, V itself,
     counts p^i rank-deficient rows with all their completions.  The nonzero
     projections on one line through 0 share their start and V + span(row)
-    too, so one per line is listed, the one whose first nonzero is 1,
-    weighted (p - 1) p^i: for each column j off V's leads, a 1 at j, zeros
-    before j and at every lead, and all of Z/p at the other columns past j.
-    No row is reduced.
+    too, so one per line counts, the one whose first nonzero is 1, weighted
+    (p - 1) p^i.
 
-    The last row's projections are counted, not listed: those with first
-    nonzero at j are p^k, k the columns past j off V's leads.  So going
-    right to left over the columns off V's leads, each adds a share, at
-    first (p - 1) p^i weight, at its lead and multiplies the share by p.
+    One node per lead prefix, not per line: the subtree below a row depends
+    only on the leads of V + span(row), which are V's leads and the row's.
+    Induct from the last row up: a row's projections are the vectors zero
+    at V's leads (projecting is the identity on them, and its kernel is V),
+    so which of them start at each column, and so the counts of the rows
+    below, depend only on V's leads.  The lines through 0 that start at a
+    column j off V's leads are the vectors with a 1 at j, zeros before j
+    and at every lead, and all of Z/p at the other columns past j: p^free
+    of them, free the columns past j off V's leads.  Their subtrees are
+    equal, so one child stands for them all, weighted (p - 1) p^i p^free.
+    No row is listed or reduced; only leads are kept.
+
+    This is a count, not a restatement of the formulas it is checked
+    against.  A lead tuple's count is a product of powers of p, one factor
+    per row, read off the columns free past each lead.  It meets
+    `formula_pivot_fraction`'s |GL_b| / p^(b^2) / p^inv only summed over
+    the row orders of its sorted leads, by the q-factorial (Mahonian)
+    identity: the sum over S_b of x^inv is [b]_x!, at x = 1/p.  The tests
+    hold it to `_leading_columns` of every matrix in a small budget.
+
+    The last row's lines are counted in the same way, right to left over
+    the columns off V's leads: each adds a share, at first (p - 1) p^i
+    weight, at its lead and multiplies the share by p.
     """
     counts: defaultdict = defaultdict(int)
     if not height:
         counts[()] = 1  # the one 0 x w matrix has full rank
         return counts
-    reduced: dict[int, tuple] = {}
     leads: list[int] = []
 
     def descend(i: int, weight: int) -> None:
@@ -197,21 +215,18 @@ def _sweep_counts(p: int, height: int, width: int) -> defaultdict:
         if i == height - 1:
             prefix = tuple(leads)
             for j in reversed(range(width)):
-                if j not in reduced:
+                if j not in leads:
                     counts[(*prefix, j)] += share
                     share *= p
             return
-        entries = [(0,) if k in reduced else range(p) for k in range(width)]
+        free = width - i  # the columns off V's leads
         for j in range(width):
-            if j in reduced:
+            if j in leads:
                 continue
-            head = (0,) * j + (1,)
+            free -= 1
             leads.append(j)
-            for tail in itertools.product(*entries[j + 1 :]):
-                reduced[j] = head + tail
-                descend(i + 1, share)
+            descend(i + 1, share * p**free)
             leads.pop()
-            del reduced[j]
 
     descend(0, 1)
     return counts
@@ -420,6 +435,9 @@ def _fraction_sweep(
     """Fraction of all height x width matrices over Z/p by state: plain
     when `ordered` is None, else row i labeled ordered[i]."""
     _check_modulus(p)
+    # exactly ints, as `FqMatrix`'s entries: a bool is none
+    if not _INT_ONLY.issuperset(map(type, (height, width))) or min(height, width) < 0:
+        raise ValueError("height and width must be ints of at least 0")
     total = p ** (height * width)
     check_budget(total, "matrix")
     counts = _state_counts(_sweep_counts(p, height, width), ordered)

@@ -519,9 +519,36 @@ class TestLeadCounts:
         ],
     )
     def test_sweeps(self, b, w, p):
-        # every row takes all of F^N (rule 1), one projection listed per
-        # line through 0, the last row counted in closed form
+        # every row takes all of F^N (rule 1), one node per lead prefix
+        # standing for the p^free lines through 0 that start at its lead,
+        # the last row counted in closed form
         assert _sweep_counts(p, b, w) == leading_column_counts(enumerate_matrices(b, w, p))
+
+    @pytest.mark.parametrize("p,b,w", [(2, 5, 8), (3, 4, 6), (5, 3, 6)])
+    def test_sweeps_past_the_matrix_budget(self, p, b, w):
+        # 2^40, 3^24 and 5^18 matrices, counted one node per lead prefix:
+        # no listing reaches them, so the counts meet the full-rank count
+        # and each formula instead
+        counts = _sweep_counts(p, b, w)
+        total = p ** (b * w)
+        assert sum(counts.values()) == total
+        full_rank = 1
+        for i in range(b):
+            full_rank *= p**w - p**i
+        assert total - counts[None] == full_rank
+        by_positions = Counter()
+        for leads, count in counts.items():
+            if leads is None:
+                continue
+            cells = [None] * w
+            for label, lead in enumerate(leads, 1):
+                cells[lead] = label
+            state = FlagState(trim_cells(cells))
+            assert Fraction(count, total) == formula_flag_fraction(b, p, state)
+            by_positions[tuple(sorted(leads))] += count
+        for positions, count in by_positions.items():
+            state = JugglingState(positions)
+            assert Fraction(count, total) == formula_pivot_fraction(b, p, state)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("b", [0, 1, 2, 3])

@@ -80,6 +80,36 @@ class TestOracleMatrices:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda: pivot_fraction_sweep(-1, 3, 2),
+            lambda: pivot_fraction_sweep(2, -3, 2),
+            lambda: pivot_fraction_sweep(2.0, 3, 2),
+            lambda: pivot_fraction_sweep(2, 3.0, 2),
+            lambda: pivot_fraction_sweep(True, 3, 2),
+            lambda: flag_fraction_sweep(2, False, 2),
+            lambda: group_fraction_sweep((1, 2), 2.0, 3),
+            # refused as a shape, before 2^(3e9) overflows the budget check
+            lambda: pivot_fraction_sweep(3, 1e9, 2),
+        ],
+        ids=[
+            "negative-height",
+            "negative-width",
+            "float-height",
+            "float-width",
+            "bool-height",
+            "bool-width",
+            "group-float-width",
+            "float-width-past-the-budget",
+        ],
+    )
+    def test_sweep_of_a_bad_shape(self, call):
+        with pytest.raises(
+            ValueError, match="^height and width must be ints of at least 0$"
+        ):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
             lambda: FqMatrix(2, ((1.7, 0),)),
             lambda: FqMatrix(3, ((True, "2"),)),
             lambda: FqMatrix(2, ((1, 0),)).prepend_column([1.9]),
